@@ -67,8 +67,8 @@ def default_grid(
     discrete convolution only needs the *kernel* resolved -- the solution
     itself stays thermally smooth.
     """
-    if beta <= 0.0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    if not (0.0 < beta < math.inf):  # also rejects nan
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
     if hbar <= 0.0:
         raise ConfigError(f"hbar must be positive, got {hbar}")
     k_max = math.sqrt((36.0 + max(beta * mu, 0.0)) / beta) / hbar
@@ -130,7 +130,7 @@ def solve_yang_yang(
     stops shrinking.  C = inf is the hard-core point: the interaction term
     is dropped and eps0 is returned exactly.
     """
-    if coupling < 0.0:
+    if not (coupling >= 0.0):  # also rejects nan
         raise ConfigError(f"coupling must be nonnegative, got {coupling}")
     if coupling == 0.0:
         raise ConfigError("C = 0 dressed-energy kernel is singular; use a small C")

@@ -53,8 +53,8 @@ def theta(k, coupling: float, hbar: float = 1.0):
     distributional limit, returned for completeness only).
     """
     k = np.asarray(k, dtype=float)
-    if coupling < 0:
-        raise ConfigError("attractive coupling not supported")
+    if not (coupling >= 0):  # also rejects nan
+        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
     if math.isinf(coupling):
         return np.zeros_like(k)
     if coupling == 0.0:
@@ -65,8 +65,8 @@ def theta(k, coupling: float, hbar: float = 1.0):
 def theta_prime(k, coupling: float, hbar: float = 1.0):
     """d theta / dk = 2 hbar^2 C / (C^2 + 4 hbar^4 k^2)."""
     k = np.asarray(k, dtype=float)
-    if coupling < 0:
-        raise ConfigError("attractive coupling not supported")
+    if not (coupling >= 0):  # also rejects nan
+        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
     if math.isinf(coupling) or coupling == 0.0:
         # zero a.e.; the C = 0 delta spike at k = 0 is never sampled here
         return np.zeros_like(k)
@@ -129,10 +129,10 @@ def solve_bethe_batch(
     line search on the residual norm guards the far-from-solution regime.
     """
     I = np.atleast_2d(np.asarray(quantum_numbers, dtype=float))
-    if lam <= 0:
+    if not (lam > 0):  # also rejects nan
         raise ConfigError(f"ring circumference must be positive, got {lam}")
-    if coupling < 0:
-        raise ConfigError("attractive coupling not supported")
+    if not (coupling >= 0):  # also rejects nan
+        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
     if coupling == 0.0:
         raise ConfigError(
             "C = 0 rapidities coalesce onto 2*pi*n/lam; use the ideal-gas "
@@ -147,7 +147,7 @@ def solve_bethe_batch(
     F = _residual(K, I2pi, lam, coupling, hbar)
     fnorm = np.abs(F).max(axis=1)
     for _ in range(max_iter):
-        active = fnorm > tol * scale
+        active = ~(fnorm <= tol * scale)  # a nan residual stays active
         if not active.any():
             break
         Ka = K[active]
@@ -170,7 +170,7 @@ def solve_bethe_batch(
         F[active] = Ft
         fnorm[active] = fnt
     else:
-        bad = np.nonzero(fnorm > tol * scale)[0]
+        bad = np.nonzero(~(fnorm <= tol * scale))[0]
         raise BetheSolverError(
             f"Newton did not converge for {bad.size} state(s), first index {bad[0]}"
         )

@@ -68,8 +68,54 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# np.sum adds fewer than this many terms left to right from +0.0; from
+# this length on it sums pairwise with eight accumulators
+_PAIRWISE_FROM = 8
+
+
+def _segment_sums(x, starts, sizes):
+    """np.sum(x[s:s + n]) for every segment, equal to it bit for bit.
+
+    Short segments are summed by a left-to-right loop of at most seven
+    vectorized steps; the rare long ones call np.sum on their slice.
+    np.add.reduceat would not do: its order differs from np.sum's.
+    """
+    out = np.zeros(starts.size)
+    short = np.nonzero(sizes < _PAIRWISE_FROM)[0]
+    for j in range(_PAIRWISE_FROM - 1):
+        short = short[sizes[short] > j]
+        out[short] += x[starts[short] + j]
+    for g in np.nonzero(sizes >= _PAIRWISE_FROM)[0]:
+        out[g] = np.sum(x[starts[g] : starts[g] + sizes[g]])
+    return out
+
+
+def _segment_logsumexp(lp, starts, sizes):
+    """scipy.special.logsumexp of every segment, equal to it bit for bit.
+
+    scipy takes out the maximum m times (m entries equal it), sums the
+    rest as s = sum exp(lp - max) and returns log1p(s/m) + log(m) + max;
+    a segment whose maximum is not finite returns that maximum.
+    """
+    top = np.maximum.reduceat(lp, starts)
+    top_at = np.repeat(top, sizes)
+    is_top = lp == top_at
+    m = np.add.reduceat(is_top.astype(float), starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = _segment_sums(np.exp(np.where(is_top, -np.inf, lp) - top_at), starts, sizes)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+    return np.where(np.isfinite(top), out, top)
+
+
 def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None):
-    """Cluster atoms closer than tol; probability-weighted positions."""
+    """Cluster atoms closer than tol; probability-weighted positions.
+
+    Each cluster's mass is np.sum of its probabilities, its position
+    np.average of its works weighted by them (the plain mean for a cluster
+    without mass) and its log-probability scipy's logsumexp, all to the
+    last bit; the clusters are reduced as segments of the sorted atoms.
+    """
     w = np.asarray(works, dtype=float).ravel()
     p = np.asarray(probabilities, dtype=float).ravel()
     lp = None if log_probabilities is None else np.asarray(log_probabilities, dtype=float).ravel()
@@ -77,24 +123,16 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
         return (w, p) if lp is None else (w, p, lp)
     order = np.argsort(w, kind="stable")
     w, p = w[order], p[order]
-    if lp is not None:
-        lp = lp[order]
     # cluster boundaries where consecutive gaps exceed tol
-    cuts = np.nonzero(np.diff(w) > tol)[0] + 1
-    groups = np.concatenate([[0], cuts, [w.size]])
-    out_w = np.empty(groups.size - 1)
-    out_p = np.empty(groups.size - 1)
-    out_lp = np.empty(groups.size - 1) if lp is not None else None
-    for g in range(groups.size - 1):
-        sl = slice(groups[g], groups[g + 1])
-        mass = p[sl].sum()
-        out_p[g] = mass
-        out_w[g] = np.average(w[sl], weights=p[sl]) if mass > 0 else w[sl].mean()
-        if lp is not None:
-            out_lp[g] = logsumexp(lp[sl])
+    starts = np.concatenate([[0], np.nonzero(np.diff(w) > tol)[0] + 1])
+    sizes = np.diff(np.append(starts, w.size))
+    out_p = _segment_sums(p, starts, sizes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weighted = _segment_sums(w * p, starts, sizes) / out_p
+    out_w = np.where(out_p > 0, weighted, _segment_sums(w, starts, sizes) / sizes)
     if lp is None:
         return out_w, out_p
-    return out_w, out_p, out_lp
+    return out_w, out_p, _segment_logsumexp(lp[order], starts, sizes)
 
 
 @dataclass
@@ -219,6 +257,8 @@ def comparison_resolution(
 
 
 def _thermal(energies, beta):
+    if not (0 < beta < math.inf):  # also rejects nan
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
     e = np.asarray(energies, dtype=float)
     ln_z = float(logsumexp(-beta * e))
     p = np.exp(-beta * e - ln_z)
@@ -472,18 +512,15 @@ def propagate_ramp(
         dY = (-1j / hbar) * HY + (speed / lam) * (d2 @ Y)
         return dY.ravel()
 
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, ramp.duration),
-        y0.ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
+    # solve_ivp's own DOP853 step sequence, without keeping every step
+    solver = scipy.integrate.DOP853(
+        rhs, 0.0, y0.ravel(), float(ramp.duration), rtol=rtol, atol=atol
     )
-    if not sol.success:
-        raise RuntimeError(f"ramp integration failed: {sol.message}")
-    yT = sol.y[:, -1].reshape(dim, ncol)
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
+        raise RuntimeError(f"ramp integration failed: {message}")
+    yT = solver.y.reshape(dim, ncol)
     drift = float(np.abs((np.abs(yT) ** 2).sum(axis=0) - 1.0).max())
     amplitudes = sp_f.vectors.T @ yT
     return RampResult(
@@ -496,7 +533,7 @@ def propagate_ramp(
         amplitudes=amplitudes,
         columns=cols,
         norm_drift=drift,
-        n_rhs_evals=int(sol.nfev),
+        n_rhs_evals=int(solver.nfev),
     )
 
 
@@ -582,14 +619,17 @@ def tg_sudden_wall_distribution(
     lam_f: float,
     beta: float,
     cutoff_i: int,
-    cutoff_f: int,
+    cutoff_f: Optional[int] = None,
     hbar: float = 1.0,
 ) -> WorkDistribution:
     """Hard-core pair through a sudden expansion via 2x2 Slater determinants.
 
     The hard-core bosonic overlap equals the free-fermion one because the
-    sign map squares to one inside the overlap integral.
+    sign map squares to one inside the overlap integral.  The default final
+    cutoff is the Galerkin route's.
     """
+    if cutoff_f is None:
+        cutoff_f = int(math.ceil(cutoff_i * lam_f / lam_i))
     ti = boxspec.free_fermion_box_spectrum(lam_i, cutoff_i, hbar=hbar)
     tf = boxspec.free_fermion_box_spectrum(lam_f, cutoff_f, hbar=hbar)
     o = boxspec.embed_overlaps(lam_i, lam_f, cutoff_i, cutoff_f)
@@ -812,6 +852,9 @@ def tpm_distribution(
             beta, hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenWall):
+        # the sudden-wall routes name their initial cutoff cutoff_i
+        if "cutoff" in kwargs:
+            kwargs["cutoff_i"] = kwargs.pop("cutoff")
         if model.is_hard_core:
             return tg_sudden_wall_distribution(
                 protocol.lambda_initial, protocol.lambda_final, beta,

@@ -78,6 +78,38 @@ def test_work_summary_contents(tmp_path):
     assert (tmp_path / "work_atoms.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "coupling, route", [("1", "galerkin-sudden-wall"), ("inf", "hardcore-sudden-wall")]
+)
+def test_sudden_wall_work_runs_on_both_routes(tmp_path, coupling, route):
+    r = run(
+        ["work", "--geometry", "box", "--protocol", "sudden-wall",
+         "--c", coupling, "--m", "8"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((tmp_path / "work_summary.json").read_text())
+    assert summary["route"] == route
+    assert (summary["cutoff_i"], summary["cutoff_f"]) == (8, 16)
+    assert 0.0 <= summary["transition_deficit"] < 1.0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_nan_or_negative_coupling_exits_two(tmp_path, value):
+    r = run(["ring-spectrum", "--c", value, "--out-dir", "."], tmp_path)
+    assert r.returncode == 2
+    assert "coupling" in r.stderr
+    assert not (tmp_path / "ring_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_beta_not_positive_and_finite_exits_two(tmp_path, value):
+    r = run(["work", "--beta", value, "--m", "6", "--out-dir", "."], tmp_path)
+    assert r.returncode == 2
+    assert "beta" in r.stderr
+    assert not (tmp_path / "work_summary.json").exists()
+
+
 def test_density_profile_files_show_duality(tmp_path):
     r = run(
         ["fig1", "--m", "16", "--n-grid", "65", "--n-k", "81", "--n-x", "97"],

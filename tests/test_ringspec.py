@@ -51,6 +51,22 @@ def test_zero_coupling_rejected():
         rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("coupling", [math.nan, -1.0])
+def test_nan_or_negative_coupling_rejected(coupling):
+    with pytest.raises(ConfigError):
+        rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, coupling)
+    with pytest.raises(ConfigError):
+        rs.enumerate_states(1.0, coupling, 2, 2.5)
+    with pytest.raises(ConfigError):
+        rs.theta(0.5, coupling)
+
+
+def test_nan_residual_is_not_converged():
+    # nan compares False both ways: it must keep Newton running, not stop it
+    with pytest.raises(rs.BetheSolverError):
+        rs.solve_bethe_batch(np.array([[-0.5, 0.5]]), 1.0, 1.0, hbar=math.nan)
+
+
 def test_quantum_number_grid_validation():
     with pytest.raises(ConfigError):
         rs.solve_bethe(np.array([0.0, 1.0]), 1.0, 1.0)  # wrong parity for N=2

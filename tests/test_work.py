@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from dualgas import boxspec
 from dualgas import ringspec as rs
 from dualgas import work as wk
 from dualgas.core import (
@@ -50,6 +54,51 @@ def test_merge_atoms_carries_log_probabilities():
     mw, mp, mlp = wk.merge_atoms(w, p, 1e-9, log_probabilities=np.log(p))
     assert mw.size == 2
     assert mlp == pytest.approx(np.log(mp), abs=1e-12)
+
+
+def merge_atoms_reference(works, probabilities, tol, log_probabilities):
+    """The per-cluster loop merge_atoms must reproduce bit for bit."""
+    order = np.argsort(works, kind="stable")
+    w, p, lp = works[order], probabilities[order], log_probabilities[order]
+    cuts = np.nonzero(np.diff(w) > tol)[0] + 1
+    groups = np.concatenate([[0], cuts, [w.size]])
+    out_w, out_p, out_lp = (np.empty(groups.size - 1) for _ in range(3))
+    for g in range(groups.size - 1):
+        sl = slice(groups[g], groups[g + 1])
+        mass = p[sl].sum()
+        out_p[g] = mass
+        out_w[g] = np.average(w[sl], weights=p[sl]) if mass > 0 else w[sl].mean()
+        out_lp[g] = logsumexp(lp[sl])
+    return out_w, out_p, out_lp
+
+
+@st.composite
+def clustered_atoms(draw):
+    """Shuffled atoms in well separated clusters of 1-20 members each.
+
+    Members sit on exact ties or jitter below the 1e-9 merge tolerance;
+    masses span many decades so that summation order shows in the last
+    bits, a cluster may carry no mass, and log-probabilities may be -inf.
+    """
+    w, p, lp = [], [], []
+    for c in range(draw(st.integers(1, 8))):
+        centre = 1.7 * c + draw(st.floats(0.0, 1.0))
+        zero_mass = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 20))):
+            w.append(centre + draw(st.sampled_from([0.0, 0.0, 1e-13, 2e-10, 9e-10])))
+            p.append(0.0 if zero_mass else draw(st.floats(1e-30, 1.0)))
+            lp.append(draw(st.one_of(st.just(-np.inf), st.floats(-800.0, 5.0))))
+    order = draw(st.permutations(range(len(w))))
+    return tuple(np.array(x, dtype=float)[order] for x in (w, p, lp))
+
+
+@given(clustered_atoms())
+def test_merge_atoms_bitwise_equals_reference(atoms):
+    w, p, lp = atoms
+    got = wk.merge_atoms(w, p, 1e-9, log_probabilities=lp)
+    want = merge_atoms_reference(w, p, 1e-9, lp)
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
 
 
 def test_distribution_validation_and_mass():
@@ -125,6 +174,43 @@ def test_ramp_reuses_external_propagation():
     assert d1.beta == 2.0 and d2.beta == 0.5
     assert np.array_equal(d1.works, d2.works)
     assert jarzynski_residual(d1) < 1e-10
+
+
+def test_ramp_stepper_equals_solve_ivp_bitwise():
+    ramp, coupling, cutoff = LinearRamp(1.0, 5.0, 0.2), 1.0, 6
+    res = wk.propagate_ramp(ramp, coupling, cutoff)
+
+    ops = boxspec.unit_pair_operators(cutoff)
+    k1, v1, d2 = ops["k1"], ops["v1"], ops["d2"]
+    sp_i = boxspec.diagonalize(ModelSpec(2, Box(1.0), coupling), cutoff)
+    sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling), cutoff)
+    y0 = sp_i.vectors.astype(complex)
+    dim, ncol = y0.shape
+
+    def rhs(t, y):
+        Y = y.reshape(dim, ncol)
+        lam = 1.0 + ramp.speed * t
+        HY = (1.0 / lam**2) * (k1[:, None] * Y) + (coupling / lam) * (v1 @ Y)
+        return ((-1j) * HY + (ramp.speed / lam) * (d2 @ Y)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, ramp.duration), y0.ravel(), method="DOP853", rtol=1e-10, atol=1e-12
+    )
+    assert sol.success
+    assert res.n_rhs_evals == sol.nfev
+    assert np.array_equal(res.amplitudes, sp_f.vectors.T @ sol.y[:, -1].reshape(dim, ncol))
+
+
+def test_ramp_propagation_keeps_no_trajectory():
+    # solve_ivp kept every DOP853 step: 43 MiB here, growing with the step count
+    ramp = LinearRamp(1.0, 5.0, 0.2)
+    tracemalloc.start()
+    try:
+        wk.propagate_ramp(ramp, 1.0, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sudden_wall_violates_jarzynski():

@@ -14,6 +14,7 @@ Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,7 @@ __all__ = [
     "DensityGrid",
     "FreeFermionTable",
     "unit_pair_operators",
+    "pair_dilation",
     "build_hamiltonian",
     "diagonalize",
     "box_modes",
@@ -97,16 +99,17 @@ def _delta_sum(p, q, m, n):
     return s
 
 
-def unit_pair_operators(cutoff: int) -> dict:
-    """lam- and C-independent building blocks of the pair Hamiltonian.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Returns dict with
-      'k1': diag vector, kinetic = hbar^2 * k1 / lam^2, k1 = pi^2 (p^2 + q^2)
-      'v1': contact matrix at unit strength, H_contact = (C / lam) * v1;
-            <delta(x1-x2)> = v.T @ v1 @ v / lam
-      'd2': pair dilation generator (antisymmetric); a wall ramp evolves
-            dc/dt = -(i/hbar) H(t) c + (lam_dot/lam) d2 c
-    """
+
+# Both builders keep their last four cutoffs (`convergence` uses three).
+# The public functions stay plain functions in front of the caches, so a
+# span recorder that replaces module functions (perfbench/tracer.py)
+# still sees every call.
+@functools.lru_cache(maxsize=4)
+def _pair_operators(cutoff: int) -> tuple:
     basis = PairBasis(cutoff)
     p, q = basis.labels()
     c = basis.norms()
@@ -115,7 +118,38 @@ def unit_pair_operators(cutoff: int) -> dict:
     P, Q = p[:, None], q[:, None]
     Mm, Nn = p[None, :], q[None, :]
     v1 = 2.0 * c[:, None] * c[None, :] * _delta_sum(P, Q, Mm, Nn)
+    return basis, _frozen(k1), _frozen(v1)
 
+
+def unit_pair_operators(cutoff: int) -> dict:
+    """lam- and C-independent building blocks of the pair Hamiltonian.
+
+    Returns dict with
+      'basis': the PairBasis
+      'k1': diag vector, kinetic = hbar^2 * k1 / lam^2, k1 = pi^2 (p^2 + q^2)
+      'v1': contact matrix at unit strength, H_contact = (C / lam) * v1;
+            <delta(x1-x2)> = v.T @ v1 @ v / lam
+    The arrays are built once per cutoff (the last four are kept) and are
+    read-only; the dict is a new one on every call.
+    """
+    basis, k1, v1 = _pair_operators(cutoff)
+    return {"basis": basis, "k1": k1, "v1": v1}
+
+
+def pair_dilation(cutoff: int) -> np.ndarray:
+    """Pair dilation generator d2, antisymmetric; only a wall ramp needs it.
+
+    A wall ramp evolves dc/dt = -(i/hbar) H(t) c + (lam_dot/lam) d2 c.
+    Built once per cutoff (the last four are kept) and read-only.
+    """
+    return _pair_dilation(cutoff)
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_dilation(cutoff: int) -> np.ndarray:
+    basis = PairBasis(cutoff)
+    p, q = basis.labels()
+    c = basis.norms()
     d1 = dilation_matrix(cutoff)
     # <(pq)| lam d/dlam |(mn)> assembled from the one-body generator
     dp_m = d1[p[:, None] - 1, p[None, :] - 1]
@@ -129,7 +163,7 @@ def unit_pair_operators(cutoff: int) -> dict:
     d2 = 2.0 * c[:, None] * c[None, :] * (
         dp_m * del_qn + del_pm * dq_n + dp_n * del_qm + del_pn * dq_m
     )
-    return {"basis": basis, "k1": k1, "v1": v1, "d2": d2}
+    return _frozen(d2)
 
 
 def dilation_matrix(cutoff: int) -> np.ndarray:

@@ -9,6 +9,7 @@ dict keys are emitted in sorted order.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Mapping, Sequence, Union
 
@@ -58,9 +59,12 @@ def write_csv(
 
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # JSON has no infinity or NaN; use the spelling CSV cells and flags use
+        return format_value(obj)
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -71,7 +75,8 @@ def _jsonable(obj):
 def write_json(path: Pathish, payload: Mapping[str, object]) -> Path:
     path = Path(path)
     path.write_text(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+        + "\n"
     )
     return path
 
@@ -91,12 +96,13 @@ _STOPS = np.array(
 )
 
 
-def _rgb(u: float) -> str:
-    pos = min(max(u, 0.0), 1.0) * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    frac = pos - i
-    r, g, b = _STOPS[i] + frac * (_STOPS[i + 1] - _STOPS[i])
-    return f"#{int(round(r)):02x}{int(round(g)):02x}{int(round(b)):02x}"
+def _rgb(u: np.ndarray) -> list:
+    """'#rrggbb' for each u, the map clipped to [0, 1]; rounds half to even."""
+    pos = np.clip(u, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    frac = (pos - i)[..., None]
+    rgb = np.rint(_STOPS[i] + frac * (_STOPS[i + 1] - _STOPS[i])).astype(int)
+    return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in rgb.reshape(-1, 3).tolist()]
 
 
 def write_svg_heatmap(
@@ -127,13 +133,13 @@ def write_svg_heatmap(
             f'<text x="4" y="13" font-family="monospace" font-size="12">'
             f"{title}</text>"
         )
-    for i in range(rows):
-        for j in range(cols):
-            u = (z[i, j] - lo) / span if span > 0.0 else 0.0
-            parts.append(
-                f'<rect x="{j * cell}" y="{i * cell + pad_top}" '
-                f'width="{cell}" height="{cell}" fill="{_rgb(u)}"/>'
-            )
+    u = (z - lo) / span if span > 0.0 else np.zeros_like(z)
+    # cell k is row k // cols, column k % cols
+    parts.extend(
+        f'<rect x="{(k % cols) * cell}" y="{(k // cols) * cell + pad_top}" '
+        f'width="{cell}" height="{cell}" fill="{fill}"/>'
+        for k, fill in enumerate(_rgb(u))
+    )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
     return Path(path)

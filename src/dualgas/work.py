@@ -493,7 +493,7 @@ def propagate_ramp(
     ops = boxspec.unit_pair_operators(cutoff)
     k1 = ops["k1"]
     v1 = ops["v1"]
-    d2 = ops["d2"]
+    d2 = boxspec.pair_dilation(cutoff)
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)

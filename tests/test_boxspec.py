@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,8 +88,65 @@ def test_dilation_matrix_antisymmetric_and_matches_quadrature():
 
 
 def test_pair_dilation_antisymmetric():
-    ops = bs.unit_pair_operators(8)
-    assert np.allclose(ops["d2"], -ops["d2"].T, atol=1e-13)
+    d2 = bs.pair_dilation(8)
+    assert np.allclose(d2, -d2.T, atol=1e-13)
+
+
+def test_pair_operators_built_once_per_cutoff_and_read_only():
+    a, b = bs.unit_pair_operators(7), bs.unit_pair_operators(7)
+    assert a is not b
+    assert a["basis"] == bs.PairBasis(7)
+    for key in ("k1", "v1"):
+        assert a[key] is b[key]
+        with pytest.raises(ValueError):
+            a[key][0] = 1.0
+    d2 = bs.pair_dilation(7)
+    assert bs.pair_dilation(7) is d2
+    with pytest.raises(ValueError):
+        d2[0, 1] = 1.0
+    # rebinding a key of the returned dict leaves the cache alone
+    a["v1"] = np.zeros_like(a["v1"])
+    assert bs.unit_pair_operators(7)["v1"] is b["v1"]
+
+
+def test_build_hamiltonian_leaves_cached_contact_matrix_unchanged():
+    v1 = bs.unit_pair_operators(9)["v1"].copy()
+    h_weak = bs.build_hamiltonian(model(0.5), 9)
+    h_strong = bs.build_hamiltonian(model(50.0), 9)
+    assert np.array_equal(bs.unit_pair_operators(9)["v1"], v1)
+    assert np.array_equal(bs.build_hamiltonian(model(0.5), 9), h_weak)
+    assert not np.array_equal(h_weak, h_strong)
+
+
+def test_spectra_never_build_the_dilation_generator(monkeypatch):
+    calls = []
+
+    def counted(real):
+        def call(cutoff):
+            calls.append(cutoff)
+            return real(cutoff)
+        return call
+
+    monkeypatch.setattr(bs, "pair_dilation", counted(bs.pair_dilation))
+    monkeypatch.setattr(bs, "_pair_dilation", counted(bs._pair_dilation))
+    sp = bs.diagonalize(model(5.0), 11)
+    for i in range(3):
+        bs.contact_expectation(sp.state(i))
+    assert calls == []
+    bs.pair_dilation(3)  # the counters see a build
+    assert calls == [3, 3]
+
+
+def test_diagonalize_memory_peak_without_dilation_generator():
+    # v1 and eigh need about 21 MiB here; building d2 as well needs about 62
+    bs._pair_operators.cache_clear()
+    tracemalloc.start()
+    try:
+        bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,20 @@ def test_convergence_report(tmp_path):
     rep = json.loads((tmp_path / "convergence_report.json").read_text())
     assert rep["energies_nonincreasing"] is True
     assert rep["cusp_decreasing"] is True
+
+
+def test_hard_core_work_summary_is_strict_json(tmp_path):
+    r = run(
+        ["work", "--geometry", "box", "--protocol", "sudden-wall",
+         "--c", "inf", "--m", "6"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    summary = json.loads(
+        (tmp_path / "work_summary.json").read_text(), parse_constant=reject
+    )
+    assert summary["c"] == "inf"

@@ -181,7 +181,8 @@ def test_ramp_stepper_equals_solve_ivp_bitwise():
     res = wk.propagate_ramp(ramp, coupling, cutoff)
 
     ops = boxspec.unit_pair_operators(cutoff)
-    k1, v1, d2 = ops["k1"], ops["v1"], ops["d2"]
+    k1, v1 = ops["k1"], ops["v1"]
+    d2 = boxspec.pair_dilation(cutoff)
     sp_i = boxspec.diagonalize(ModelSpec(2, Box(1.0), coupling), cutoff)
     sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling), cutoff)
     y0 = sp_i.vectors.astype(complex)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -724,9 +725,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite `--opt -4:0:9` as `--opt=-4:0:9`.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain negative number; no dualgas option starts with a digit or '.'.
+    """
+    out: List[str] = []
+    for tok in argv:
+        if out and re.match(r"-[0-9.]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         cfg = _resolve(args)
         _HANDLERS[cfg.command](cfg)

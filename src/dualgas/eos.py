@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
+import scipy.fft
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.signal import fftconvolve
 
 from .core import ConfigError
 
@@ -107,6 +107,27 @@ class EosSolution:
 
 def _kernel(u: np.ndarray, coupling: float, hbar: float) -> np.ndarray:
     return hbar**3 / (coupling**2 + hbar**4 * u * u)
+
+
+def _same_convolution(
+    kern: np.ndarray, n: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """f -> scipy.signal.fftconvolve(f, kern, mode="same") for real f of size n.
+
+    Makes the scipy.fft calls fftconvolve makes for 1-D real input, so the
+    bits agree, but transforms the kernel once for every f.
+    """
+    nfft = scipy.fft.next_fast_len(n + kern.size - 1, True)
+    kern_hat = scipy.fft.rfftn(kern, [nfft], axes=[0])
+    lo = (kern.size - 1) // 2  # start of the centred n of the full n+m-1
+
+    def conv(f: np.ndarray) -> np.ndarray:
+        full = scipy.fft.irfftn(
+            scipy.fft.rfftn(f, [nfft], axes=[0]) * kern_hat, [nfft], axes=[0]
+        )
+        return full[lo : lo + n]
+
+    return conv
 
 
 def solve_yang_yang(
@@ -191,11 +212,10 @@ def _solve_on_grid(
     kern = _kernel(h * (np.arange(n) - n // 2), coupling, hbar)
     pref = 2.0 * coupling / (math.pi * beta)
     scale = max(1.0, float(np.abs(eps0).max()))
+    conv = _same_convolution(kern, n)
 
     def apply_map(e: np.ndarray) -> np.ndarray:
-        return eps0 - pref * h * fftconvolve(
-            np.logaddexp(0.0, -beta * e), kern, mode="same"
-        )
+        return eps0 - pref * h * conv(np.logaddexp(0.0, -beta * e))
 
     eps = eps0.copy() if seed is None else seed.copy()
     best = math.inf

@@ -326,13 +326,16 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     """Thermal weight above the pair cutoff, bounded by the free-boson box gas.
 
     Repulsion only raises levels, so sum exp(-beta E) over pairs with a mode
-    index beyond `cutoff` is at most its C = 0 value.
+    index beyond `cutoff` is at most its C = 0 value.  Modes past the
+    summed window add at most int_K^inf e^{-g x^2} dx, since e^{-g x^2}
+    decreases; that term is what keeps the bound at very small beta.
     """
     g = beta * hbar**2 * np.pi**2 / lam**2
     n = np.arange(1, cutoff + 2000)
     w = np.exp(-g * n.astype(float) ** 2)
-    total = w.sum()
-    high = w[cutoff:].sum()  # modes > cutoff
+    rest = 0.5 * math.sqrt(math.pi / g) * math.erfc(n[-1] * math.sqrt(g))
+    total = w.sum() + rest
+    high = w[cutoff:].sum() + rest  # modes > cutoff
     return float(2.0 * high * total)
 
 
@@ -504,13 +507,16 @@ def propagate_ramp(
     y0 = sp_i.vectors[:, cols].astype(complex)
     dim, ncol = y0.shape
     speed = ramp.speed
+    # generator -(i/hbar) H(L) + (v/L) D, refilled in place on every call
+    gen = np.empty((dim, dim), dtype=complex)
+    diag = np.arange(dim)
 
     def rhs(t, y):
-        Y = y.reshape(dim, ncol)
         lam = lam_i + speed * t
-        HY = (hbar**2 / lam**2) * (k1[:, None] * Y) + (coupling / lam) * (v1 @ Y)
-        dY = (-1j / hbar) * HY + (speed / lam) * (d2 @ Y)
-        return dY.ravel()
+        np.multiply(d2, speed / lam, out=gen.real)
+        np.multiply(v1, -coupling / (hbar * lam), out=gen.imag)
+        gen.imag[diag, diag] -= (hbar / lam**2) * k1
+        return (gen @ y.reshape(dim, ncol)).ravel()
 
     # solve_ivp's own DOP853 step sequence, without keeping every step
     solver = scipy.integrate.DOP853(

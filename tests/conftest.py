@@ -12,7 +12,12 @@ hypothesis.settings.load_profile("ci")
 
 
 def run_cli(args, cwd):
-    """Run ``python -m dualgas *args`` in ``cwd`` on the package pytest imported.
+    """Run ``python -m dualgas *args`` in ``cwd`` on the package pytest imported."""
+    return run_python(["-m", "dualgas", *args], cwd)
+
+
+def run_python(args, cwd):
+    """Run ``python *args`` in ``cwd`` with the package pytest imported.
 
     The child gets a copy of this process's environment with the absolute
     directory holding the imported ``dualgas`` first on PYTHONPATH.  A
@@ -28,6 +33,6 @@ def run_cli(args, cwd):
         p for p in (root, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "dualgas", *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import run_cli as run
+from conftest import run_python
 
 
 def test_ring_spectrum_artifacts_and_determinism(tmp_path):
@@ -35,6 +36,34 @@ def test_invalid_arguments_exit_two(tmp_path):
         ["work", "--geometry", "ring", "--protocol", "ramp", "--m", "6"], tmp_path
     )
     assert r.returncode == 2  # no ramp route on the ring
+
+
+def test_negative_grid_start_after_a_space(tmp_path):
+    # argparse alone reads "-4:0:3" as a flag and exits 2
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    for d, grid in ((spaced, ["--mu-grid", "-4:0:3"]), (joined, ["--mu-grid=-4:0:3"])):
+        r = run(["eos", *grid, "--out-dir", str(d)], tmp_path)
+        assert r.returncode == 0, r.stderr
+    names = sorted(p.name for p in spaced.iterdir())
+    assert names == sorted(p.name for p in joined.iterdir()) and names
+    for name in names:
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
+    # scipy.signal (and the scipy.stats it imports) cost most of a start-up
+    r = run_python(
+        ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.split()
+    assert "dualgas.cli" in loaded and "scipy.fft" in loaded
+    assert [
+        m for m in loaded
+        if m in ("scipy.signal", "scipy.stats")
+        or m.startswith(("scipy.signal.", "scipy.stats."))
+    ] == []
 
 
 def test_failed_solve_exits_three(tmp_path):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dualgas import eos
@@ -13,6 +16,34 @@ def test_coupling_validation():
         eos.solve_yang_yang(1.0, 0.0, -1.0)
     with pytest.raises(ConfigError):
         eos.solve_yang_yang(1.0, 0.0, 0.0)
+
+
+@given(
+    n=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.floats(0.0, 300.0),
+    h=st.floats(1e-4, 1.0),
+    coupling=st.floats(1e-3, 1e3),
+    hbar=st.floats(0.1, 10.0),
+)
+def test_same_convolution_bitwise_equals_fftconvolve(n, seed, decades, h, coupling, hbar):
+    # the solver's kernel on a grid of n points, against fillings spread
+    # over `decades` orders of magnitude down from e^3
+    rng = np.random.default_rng(seed)
+    f = np.exp(3.0 - rng.uniform(0.0, decades * math.log(10.0), n))
+    kern = eos._kernel(h * (np.arange(n) - n // 2), coupling, hbar)
+    got = eos._same_convolution(kern, n)(f)
+    assert np.array_equal(got, scipy.signal.fftconvolve(f, kern, mode="same"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 801, 4096, 4097])
+def test_same_convolution_edge_sizes(n):
+    f = np.linspace(1e-300, 20.0, n)
+    kern = eos._kernel(0.01 * (np.arange(n) - n // 2), 1.0, 1.0)
+    conv = eos._same_convolution(kern, n)
+    want = scipy.signal.fftconvolve(f, kern, mode="same")
+    assert np.array_equal(conv(f), want)
+    assert np.array_equal(conv(f), want)  # the kernel transform is reused
 
 
 def test_hard_core_route_matches_quadrature():

@@ -144,6 +144,20 @@ def test_box_tail_bound_positive_and_decreasing():
     assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.parametrize("beta", [1e-7, 1e-8])
+def test_box_tail_bound_holds_at_small_beta(beta):
+    # the old bound summed only modes 1 .. cutoff + 1999, which at these
+    # beta leaves out most of the weight
+    cutoff = 14
+    g = beta * math.pi**2
+    n = np.arange(1, int(12.0 / math.sqrt(g))).astype(float)  # e^{-144} past the end
+    w = np.exp(-g * n**2)
+    converged = 2.0 * w[cutoff:].sum() * w.sum()
+    window = w[: cutoff + 1999]
+    old = 2.0 * window[cutoff:].sum() * window.sum()
+    assert old < converged <= wk.box_tail_bound(1.0, cutoff, beta)
+
+
 # ---------------------------------------------------------------------------
 # fluctuation relations per protocol
 # ---------------------------------------------------------------------------
@@ -176,23 +190,27 @@ def test_ramp_reuses_external_propagation():
     assert jarzynski_residual(d1) < 1e-10
 
 
+def _ramp_setup(ramp, coupling, cutoff, hbar=1.0):
+    ops = boxspec.unit_pair_operators(cutoff)
+    d2 = boxspec.pair_dilation(cutoff)
+    sp_i = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_initial), coupling, hbar), cutoff)
+    sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling, hbar), cutoff)
+    return ops["k1"], ops["v1"], d2, sp_i.vectors.astype(complex), sp_f
+
+
 def test_ramp_stepper_equals_solve_ivp_bitwise():
     ramp, coupling, cutoff = LinearRamp(1.0, 5.0, 0.2), 1.0, 6
     res = wk.propagate_ramp(ramp, coupling, cutoff)
 
-    ops = boxspec.unit_pair_operators(cutoff)
-    k1, v1 = ops["k1"], ops["v1"]
-    d2 = boxspec.pair_dilation(cutoff)
-    sp_i = boxspec.diagonalize(ModelSpec(2, Box(1.0), coupling), cutoff)
-    sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling), cutoff)
-    y0 = sp_i.vectors.astype(complex)
+    k1, v1, d2, y0, sp_f = _ramp_setup(ramp, coupling, cutoff)
     dim, ncol = y0.shape
 
     def rhs(t, y):
-        Y = y.reshape(dim, ncol)
+        # the generator -(i/hbar) H(L) + (v/L) D as one complex matrix, hbar = 1
         lam = 1.0 + ramp.speed * t
-        HY = (1.0 / lam**2) * (k1[:, None] * Y) + (coupling / lam) * (v1 @ Y)
-        return ((-1j) * HY + (ramp.speed / lam) * (d2 @ Y)).ravel()
+        gen = (ramp.speed / lam) * d2 + 1j * ((-coupling / lam) * v1)
+        gen[np.diag_indices(dim)] -= 1j * ((1.0 / lam**2) * k1)
+        return (gen @ y.reshape(dim, ncol)).ravel()
 
     sol = scipy.integrate.solve_ivp(
         rhs, (0.0, ramp.duration), y0.ravel(), method="DOP853", rtol=1e-10, atol=1e-12
@@ -200,6 +218,30 @@ def test_ramp_stepper_equals_solve_ivp_bitwise():
     assert sol.success
     assert res.n_rhs_evals == sol.nfev
     assert np.array_equal(res.amplitudes, sp_f.vectors.T @ sol.y[:, -1].reshape(dim, ncol))
+
+
+@pytest.mark.parametrize("cutoff, hbar", [(6, 1.0), (10, 1.0), (6, 0.6)])
+def test_ramp_generator_matches_two_product_rhs(cutoff, hbar):
+    # reference: H Y and D Y as two real-matrix products, combined afterwards
+    ramp, coupling = LinearRamp(1.0, 5.0, 0.2), 1.0
+    res = wk.propagate_ramp(ramp, coupling, cutoff, hbar)
+
+    k1, v1, d2, y0, sp_f = _ramp_setup(ramp, coupling, cutoff, hbar)
+    dim, ncol = y0.shape
+
+    def rhs(t, y):
+        Y = y.reshape(dim, ncol)
+        lam = 1.0 + ramp.speed * t
+        HY = (hbar**2 / lam**2) * (k1[:, None] * Y) + (coupling / lam) * (v1 @ Y)
+        return ((-1j / hbar) * HY + (ramp.speed / lam) * (d2 @ Y)).ravel()
+
+    solver = scipy.integrate.DOP853(rhs, 0.0, y0.ravel(), ramp.duration, rtol=1e-10, atol=1e-12)
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "finished"
+    assert res.n_rhs_evals == solver.nfev
+    ref = np.abs(sp_f.vectors.T @ solver.y.reshape(dim, ncol)) ** 2
+    assert np.abs(res.transition_matrix - ref).max() <= 1e-12
 
 
 def test_ramp_propagation_keeps_no_trajectory():

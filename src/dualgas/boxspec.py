@@ -211,6 +211,11 @@ class BoxSpectrum:
         return self.energies.size
 
     def state(self, index: int, statistics: str = "boson") -> "BoxState":
+        if not 0 <= index < self.energies.size:
+            raise ConfigError(
+                f"state {index} is outside the {self.energies.size} levels "
+                f"of cutoff {self.basis.cutoff}"
+            )
         return BoxState(
             model=self.model,
             basis=self.basis,
@@ -309,6 +314,8 @@ def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
     cos(r pi x / lam) with r <= 2*cutoff, all of which the closed trapezoid
     rule annihilates exactly below the aliasing threshold.
     """
+    if n_grid < 2:
+        raise ConfigError(f"n_grid must be >= 2, got {n_grid}")
     lam = state.model.length
     x = np.linspace(0.0, lam, n_grid)
     psi = amplitude(state, x, x)  # sign map included for fermions
@@ -369,6 +376,8 @@ def momentum_density(
     amplitude in momentum space, and the partner is integrated over the
     same window.
     """
+    if n_k < 2 or n_x < 2:
+        raise ConfigError(f"n_k and n_x must be >= 2, got {n_k} and {n_x}")
     lam = state.model.length
     m = state.basis.cutoff
     if k_max is None:

@@ -14,9 +14,9 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,13 +41,19 @@ __all__ = ["main"]
 # Configuration plumbing
 # --------------------------------------------------------------------------
 
-# Per-command schema: key -> (parser, default).  None defaults mean the key
-# is required.  Global keys are merged into every command.
+# Keys every command takes besides its own schema (see _COMMANDS).
 _GLOBAL_SCHEMA = {
     "out_dir": (str, "."),
     "threads": (int, 1),
     "hbar": (float, 1.0),
 }
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ConfigError(f"must be >= 0, got {n}")
+    return n
 
 
 def _floats(text: str) -> List[float]:
@@ -84,74 +90,6 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-_SCHEMAS: Dict[str, Dict[str, tuple]] = {
-    "ring-spectrum": {
-        "n": (int, 2),
-        "lam": (float, 1.0),
-        "c": (float, 1.0),
-        "imax": (float, 10.0),
-    },
-    "box-spectrum": {
-        "lam": (float, 1.0),
-        "m": (int, 30),
-        "c": (float, None),
-        "alpha": (float, None),
-        "n_levels": (int, 10),
-    },
-    "fig1": {
-        "alpha": (float, 5.0),
-        "lam": (float, 1.0),
-        "m": (int, 60),
-        "n_grid": (int, 257),
-        "n_k": (int, 481),
-        "n_x": (int, 513),
-    },
-    "work": {
-        "geometry": (str, "box"),
-        "protocol": (str, "adiabatic"),
-        "n": (int, 2),
-        "lam_i": (float, 1.0),
-        "lam_f": (float, 2.0),
-        "c": (float, 1.0),
-        "c_f": (float, None),
-        "beta": (float, 1.0),
-        "imax": (float, 10.0),
-        "m": (int, 14),
-        "v": (float, 5.0),
-        "tau": (float, 1.0),
-        "merge_tol": (float, 1e-9),
-    },
-    "fig2": {
-        "c_list": (_floats, [0.1, 1.0, 10.0]),
-        "beta_list": (_floats, [1.0, 0.1, 0.01]),
-        "protocol": (str, "ramp"),
-        "lam": (float, 1.0),
-        "v": (float, 5.0),
-        "tau": (float, 1.0),
-        "m": (int, 14),
-    },
-    "duality-check": {
-        "alpha": (float, 5.0),
-        "lam": (float, 1.0),
-        "m": (int, 40),
-        "states": (int, 2),
-    },
-    "convergence": {
-        "alpha": (float, 5.0),
-        "lam": (float, 1.0),
-        "m_list": (_ints, [20, 40, 60]),
-        "n_levels": (int, 6),
-    },
-    "eos": {
-        "beta": (float, 1.0),
-        "c": (float, 1.0),
-        "mu_grid": (_grid, np.linspace(-5.0, 0.0, 11)),
-        "hbar_sweep": (_floats, None),
-        "density": (float, 0.1),
-    },
-}
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -176,6 +114,16 @@ class RunConfig:
         return meta
 
 
+def _flag(key: str) -> str:
+    """Schema key -> command-line flag: lam_i -> --lambda-i."""
+    return "--" + re.sub(r"^lam(?=_|$)", "lambda", key).replace("_", "-")
+
+
+def _key(name: str) -> str:
+    """Flag name without '--', with '-' or '_' -> schema key: lambda-i -> lam_i."""
+    return re.sub(r"^lambda(?=_|$)", "lam", name.strip().replace("-", "_"))
+
+
 def _read_config_file(path: Path) -> Dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file {path} not found")
@@ -187,18 +135,13 @@ def _read_config_file(path: Path) -> Dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, val = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        # config files share the flag spelling; schema keys use the short form
-        if key == "lambda" or key.startswith("lambda_"):
-            key = "lam" + key[len("lambda"):]
-        out[key] = val.strip()
+        out[_key(key)] = val.strip()
     return out
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    schema = dict(_SCHEMAS[command])
-    schema.update(_GLOBAL_SCHEMA)
+    schema = {**_COMMANDS[command][2], **_GLOBAL_SCHEMA}
     file_vals = (
         _read_config_file(Path(args.config)) if args.config else {}
     )
@@ -207,13 +150,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
     resolved: Dict[str, object] = {}
     for key, (parse, default) in schema.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = parse(flag_val) if isinstance(flag_val, str) else flag_val
-        elif key in file_vals:
-            resolved[key] = parse(file_vals[key])
-        else:
-            resolved[key] = default
+        text = getattr(args, key, None)
+        if text is None:
+            text = file_vals.get(key)
+        try:
+            resolved[key] = default if text is None else parse(text)
+        except ValueError as exc:  # ConfigError included
+            raise ConfigError(f"{_flag(key)}: {exc}") from exc
     out_dir = Path(str(resolved.pop("out_dir")))
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = int(resolved.pop("threads"))
@@ -238,7 +181,7 @@ def _require(cfg: RunConfig, *keys: str) -> list:
     for key in keys:
         val = cfg.values.get(key)
         if val is None:
-            raise ConfigError(f"{cfg.command} needs --{key.replace('_', '-')}")
+            raise ConfigError(f"{cfg.command} needs {_flag(key)}")
         vals.append(val)
     return vals
 
@@ -272,8 +215,7 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
     n, lam, c, imax = (cfg.values[k] for k in ("n", "lam", "c", "imax"))
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    Ring(lam)  # rejects a circumference that is not positive and finite
     table = ringspec.enumerate_states(lam, c, n, imax, hbar=cfg.hbar)
     states = table.states
     meta = cfg.metadata()
@@ -298,28 +240,29 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
     write_json(cfg.out_dir / "ring_spectrum_config.json", meta)
 
 
-def _coupling_from(cfg: RunConfig, lam: float) -> float:
+def _box_pair(cfg: RunConfig) -> ModelSpec:
+    """The pair in Box(--lambda) at coupling --c, or --alpha in box units."""
+    box = Box(float(cfg.values["lam"]))
     c, alpha = cfg.values.get("c"), cfg.values.get("alpha")
     if c is not None and alpha is not None:
         raise ConfigError("give either --c or --alpha, not both")
     if c is None and alpha is None:
         raise ConfigError("one of --c / --alpha is required")
-    if c is not None:
-        return float(c)
-    return DimensionlessCoupling(float(alpha)).coupling(lam, cfg.hbar)
+    if c is None:
+        c = DimensionlessCoupling(float(alpha)).coupling(box.length, cfg.hbar)
+    return ModelSpec(2, box, float(c), hbar=cfg.hbar)
 
 
 def _cmd_box_spectrum(cfg: RunConfig) -> None:
-    lam, m, n_levels = (cfg.values[k] for k in ("lam", "m", "n_levels"))
-    coupling = _coupling_from(cfg, lam)
-    model = ModelSpec(2, Box(lam), coupling, hbar=cfg.hbar)
+    m, n_levels = cfg.values["m"], cfg.values["n_levels"]
+    model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m)
     k = min(int(n_levels), spec.energies.size)
     contact = [
         boxspec.contact_expectation(spec.state(i, "boson")) for i in range(k)
     ]
     meta = cfg.metadata()
-    meta.update(coupling=coupling, basis_dim=spec.basis.dim,
+    meta.update(coupling=model.coupling, basis_dim=spec.basis.dim,
                 residual=spec.residual)
     write_csv(
         cfg.out_dir / "box_spectrum.csv",
@@ -334,13 +277,11 @@ def _cmd_box_spectrum(cfg: RunConfig) -> None:
 
 
 def _cmd_fig1(cfg: RunConfig) -> None:
-    alpha, lam, m = (cfg.values[k] for k in ("alpha", "lam", "m"))
-    n_grid, n_k, n_x = (cfg.values[k] for k in ("n_grid", "n_k", "n_x"))
-    coupling = DimensionlessCoupling(alpha).coupling(lam, cfg.hbar)
-    model = ModelSpec(2, Box(lam), coupling, hbar=cfg.hbar)
+    m, n_grid, n_k, n_x = (cfg.values[k] for k in ("m", "n_grid", "n_k", "n_x"))
+    model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m)
     meta = cfg.metadata()
-    meta.update(coupling=coupling, basis_dim=spec.basis.dim)
+    meta.update(coupling=model.coupling, basis_dim=spec.basis.dim)
     for idx, tag in ((0, "ground"), (1, "excited1")):
         for stat in ("boson", "fermion"):
             state = spec.state(idx, stat)
@@ -376,7 +317,8 @@ def _protocol_from(cfg: RunConfig):
         return SuddenCoupling(float(cfg.values["c"]), float(c_f))
     if name == "ramp":
         return LinearRamp(lam_i, float(cfg.values["v"]), float(cfg.values["tau"]))
-    raise ConfigError(f"unknown protocol {name!r}")
+    raise ConfigError(f"unknown protocol {name!r}; expected adiabatic, "
+                      "sudden-wall, sudden-coupling or ramp")
 
 
 def _cmd_work(cfg: RunConfig) -> None:
@@ -392,7 +334,7 @@ def _cmd_work(cfg: RunConfig) -> None:
         model = ModelSpec(n, Box(lam_i), coupling, hbar=cfg.hbar)
         kwargs = {"cutoff": int(cfg.values["m"])}
     else:
-        raise ConfigError(f"unknown geometry {geometry!r}")
+        raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
     protocol = _protocol_from(cfg)
     dist = work.tpm_distribution(model, protocol, beta, **kwargs)
     merged = dist.merged(float(cfg.values["merge_tol"]))
@@ -489,14 +431,11 @@ def _cmd_fig2(cfg: RunConfig) -> None:
 
 
 def _cmd_duality_check(cfg: RunConfig) -> None:
-    alpha, lam, m, n_states = (
-        cfg.values[k] for k in ("alpha", "lam", "m", "states")
-    )
-    coupling = DimensionlessCoupling(alpha).coupling(lam, cfg.hbar)
-    model = ModelSpec(2, Box(lam), coupling, hbar=cfg.hbar)
+    m, n_states = cfg.values["m"], cfg.values["states"]
+    model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m)
     meta = cfg.metadata()
-    meta["coupling"] = coupling
+    meta["coupling"] = model.coupling
     states = {}
     worst = 0.0
     for i in range(int(n_states)):
@@ -531,11 +470,8 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
 
 
 def _cmd_convergence(cfg: RunConfig) -> None:
-    alpha, lam, m_list, n_levels = (
-        cfg.values[k] for k in ("alpha", "lam", "m_list", "n_levels")
-    )
-    coupling = DimensionlessCoupling(alpha).coupling(lam, cfg.hbar)
-    model = ModelSpec(2, Box(lam), coupling, hbar=cfg.hbar)
+    m_list, n_levels = cfg.values["m_list"], cfg.values["n_levels"]
+    model = _box_pair(cfg)
     rows_m, rows_level, rows_e = [], [], []
     cusp = {}
     energy_table = []
@@ -551,7 +487,7 @@ def _cmd_convergence(cfg: RunConfig) -> None:
         # 'residual' is already scale-normalized
         cusp[f"m={int(m)}"] = float(np.abs(chk["residual"]).max())
     meta = cfg.metadata()
-    meta["coupling"] = coupling
+    meta["coupling"] = model.coupling
     write_csv(
         cfg.out_dir / "convergence.csv",
         {"cutoff": rows_m, "level": rows_level, "energy": rows_e},
@@ -575,6 +511,13 @@ def _cmd_eos(cfg: RunConfig) -> None:
     beta = float(cfg.values["beta"])
     coupling = float(cfg.values["c"])
     mu_grid = np.asarray(cfg.values["mu_grid"], dtype=float)
+    sweep = cfg.values.get("hbar_sweep")
+    target = float(cfg.values["density"])
+    # the sweep runs last: check its inputs before anything is written
+    if sweep and not all(0.0 < hb < math.inf for hb in sweep):
+        raise ConfigError(f"--hbar-sweep values must be positive and finite, got {sweep}")
+    if sweep and not 0.0 < target < math.inf:
+        raise ConfigError(f"--density must be positive and finite, got {target}")
     meta = cfg.metadata()
 
     def point(mu: float):
@@ -597,9 +540,7 @@ def _cmd_eos(cfg: RunConfig) -> None:
     payload = dict(config=meta, beta=beta, coupling=coupling, **coeffs)
     write_json(cfg.out_dir / "eos_coefficients.json", payload)
 
-    sweep = cfg.values.get("hbar_sweep")
     if sweep:
-        target = float(cfg.values["density"])
         ratios = _pmap(
             lambda hb: eos.virial_ratio(beta, coupling, target, hb),
             list(sweep),
@@ -619,15 +560,69 @@ def _cmd_eos(cfg: RunConfig) -> None:
         )
 
 
-_HANDLERS: Dict[str, Callable[[RunConfig], None]] = {
-    "ring-spectrum": _cmd_ring_spectrum,
-    "box-spectrum": _cmd_box_spectrum,
-    "fig1": _cmd_fig1,
-    "work": _cmd_work,
-    "fig2": _cmd_fig2,
-    "duality-check": _cmd_duality_check,
-    "convergence": _cmd_convergence,
-    "eos": _cmd_eos,
+# Every subcommand: name -> (handler, help, schema).  A schema maps a key to
+# (parser, default); a None default means the key is unset.  The parser
+# and the config file both take each key as `_flag(key)`, and every value,
+# flag or file, goes through the schema's parser.
+_COMMANDS: Dict[str, Tuple[Callable[[RunConfig], None], str, Dict[str, tuple]]] = {
+    "ring-spectrum": (
+        _cmd_ring_spectrum,
+        "enumerate periodic Bethe states below a cutoff",
+        {"n": (int, 2), "lam": (float, 1.0), "c": (float, 1.0),
+         "imax": (float, 10.0)},
+    ),
+    "box-spectrum": (
+        _cmd_box_spectrum,
+        "pair levels in a hard-wall box",
+        {"lam": (float, 1.0), "m": (int, 30), "c": (float, None),
+         "alpha": (float, None), "n_levels": (_count, 10)},
+    ),
+    "fig1": (
+        _cmd_fig1,
+        "spatial/momentum densities, bosonic vs fermionized, ground and "
+        "first excited states",
+        {"alpha": (float, 5.0), "lam": (float, 1.0), "m": (int, 60),
+         "n_grid": (int, 257), "n_k": (int, 481), "n_x": (int, 513)},
+    ),
+    "work": (
+        _cmd_work,
+        "two-point-measurement work distribution for one (model, protocol, "
+        "beta)",
+        {"geometry": (str, "box"), "protocol": (str, "adiabatic"),
+         "n": (int, 2), "lam_i": (float, 1.0), "lam_f": (float, 2.0),
+         "c": (float, 1.0), "c_f": (float, None), "beta": (float, 1.0),
+         "imax": (float, 10.0), "m": (int, 14), "v": (float, 5.0),
+         "tau": (float, 1.0), "merge_tol": (float, 1e-9)},
+    ),
+    "fig2": (
+        _cmd_fig2,
+        "work distributions for a moving wall across couplings and "
+        "temperatures",
+        {"c_list": (_floats, [0.1, 1.0, 10.0]),
+         "beta_list": (_floats, [1.0, 0.1, 0.01]),
+         "protocol": (str, "ramp"), "lam": (float, 1.0), "v": (float, 5.0),
+         "tau": (float, 1.0), "m": (int, 14)},
+    ),
+    "duality-check": (
+        _cmd_duality_check,
+        "verify bosonic and fermionized pair states share densities but "
+        "not momentum distributions",
+        {"alpha": (float, 5.0), "lam": (float, 1.0), "m": (int, 40),
+         "states": (int, 2)},
+    ),
+    "convergence": (
+        _cmd_convergence,
+        "basis-size scan: levels and cusp residuals",
+        {"alpha": (float, 5.0), "lam": (float, 1.0),
+         "m_list": (_ints, [20, 40, 60]), "n_levels": (_count, 6)},
+    ),
+    "eos": (
+        _cmd_eos,
+        "pressure/density isotherm and cluster coefficients",
+        {"beta": (float, 1.0), "c": (float, 1.0),
+         "mu_grid": (_grid, np.linspace(-5.0, 0.0, 11)),
+         "hbar_sweep": (_floats, None), "density": (float, 0.1)},
+    ),
 }
 
 
@@ -637,91 +632,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra, work statistics and thermodynamics of "
         "contact-interacting 1-D gas pairs.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--out-dir", dest="out_dir")
-    shared.add_argument("--config", dest="config")
-    shared.add_argument("--threads", dest="threads", type=int)
-    shared.add_argument("--hbar", dest="hbar", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ring-spectrum", parents=[shared],
-                       help="enumerate periodic Bethe states below a cutoff")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--imax", type=float)
-
-    p = sub.add_parser("box-spectrum", parents=[shared],
-                       help="pair levels in a hard-wall box")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n-levels", dest="n_levels", type=int)
-
-    p = sub.add_parser("fig1", parents=[shared],
-                       help="spatial/momentum densities, bosonic vs "
-                       "fermionized, ground and first excited states")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-grid", dest="n_grid", type=int)
-    p.add_argument("--n-k", dest="n_k", type=int)
-    p.add_argument("--n-x", dest="n_x", type=int)
-
-    p = sub.add_parser("work", parents=[shared],
-                       help="two-point-measurement work distribution for "
-                       "one (model, protocol, beta)")
-    p.add_argument("--geometry", choices=["ring", "box"])
-    p.add_argument("--protocol",
-                   choices=["adiabatic", "sudden-wall", "sudden-coupling",
-                            "ramp"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda-i", dest="lam_i", type=float)
-    p.add_argument("--lambda-f", dest="lam_f", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--c-f", dest="c_f", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--imax", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--v", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--merge-tol", dest="merge_tol", type=float)
-
-    p = sub.add_parser("fig2", parents=[shared],
-                       help="work distributions for a moving wall across "
-                       "couplings and temperatures")
-    p.add_argument("--c-list", dest="c_list")
-    p.add_argument("--beta-list", dest="beta_list")
-    p.add_argument("--protocol")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--m", type=int)
-
-    p = sub.add_parser("duality-check", parents=[shared],
-                       help="verify bosonic and fermionized pair states "
-                       "share densities but not momentum distributions")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--states", type=int)
-
-    p = sub.add_parser("convergence", parents=[shared],
-                       help="basis-size scan: levels and cusp residuals")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--m-list", dest="m_list")
-    p.add_argument("--n-levels", dest="n_levels", type=int)
-
-    p = sub.add_parser("eos", parents=[shared],
-                       help="pressure/density isotherm and cluster "
-                       "coefficients")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--mu-grid", dest="mu_grid")
-    p.add_argument("--hbar-sweep", dest="hbar_sweep")
-    p.add_argument("--density", type=float)
+    for name, (_, help_text, schema) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config")
+        for key in {**_GLOBAL_SCHEMA, **schema}:
+            p.add_argument(_flag(key), dest=key)
     return parser
 
 
@@ -747,7 +663,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         cfg = _resolve(args)
-        _HANDLERS[cfg.command](cfg)
+        _COMMANDS[cfg.command][0](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"dualgas: config error: {exc}", file=sys.stderr)
         return 2

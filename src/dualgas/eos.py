@@ -33,8 +33,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy.fft
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .core import ConfigError
 
@@ -339,6 +337,8 @@ def a2_profile(
     a1(k) ... i.e. the tabulated shorthand -2 hbar e^{-beta hbar^2 k^2};
     it is kept for comparison and is *not* consistent with the solver.
     """
+    from scipy.integrate import quad  # not at import: it slows every start-up
+
     karr = np.atleast_1d(np.asarray(k, dtype=float))
     a1 = a1_profile(karr, beta, hbar)
     if reading == "k":
@@ -375,6 +375,10 @@ def fugacity_coefficients(
     a2(q-reading) - a1^2 / 2 and goes to the free-fermion value
     -sqrt(pi/2)/(2 sqrt(beta) hbar) as C -> inf.
     """
+    from scipy.integrate import quad  # not at import: it slows every start-up
+
+    if not 0.0 < hbar < math.inf:
+        raise ConfigError(f"hbar must be positive and finite, got {hbar}")
     b1 = math.sqrt(math.pi / beta) / hbar
     b1_tab = 2.0 * math.pi / (math.sqrt(beta) * hbar)
     lim = 8.0 / (math.sqrt(beta) * hbar)
@@ -404,8 +408,12 @@ def virial_ratio(
     result 1 - 2 pi D b2 / b1^2; "tabulated" is the shorthand
     1 - b2 sqrt(beta) D kept for comparison.
     """
-    if density_target <= 0.0:
-        raise ConfigError(f"density_target must be positive, got {density_target}")
+    from scipy.optimize import brentq  # not at import: it slows every start-up
+
+    if not 0.0 < density_target < math.inf:
+        raise ConfigError(
+            f"density_target must be positive and finite, got {density_target}"
+        )
     co = fugacity_coefficients(beta, coupling, hbar)
     z0 = 2.0 * math.pi * density_target / co["b1"]
     mu0 = math.log(z0) / beta

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.integrate
 from scipy.special import logsumexp
 
 from . import boxspec, ringspec
@@ -116,6 +115,8 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
     without mass) and its log-probability scipy's logsumexp, all to the
     last bit; the clusters are reduced as segments of the sorted atoms.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"merge tolerance must be finite and >= 0, got {tol}")
     w = np.asarray(works, dtype=float).ravel()
     p = np.asarray(probabilities, dtype=float).ravel()
     lp = None if log_probabilities is None else np.asarray(log_probabilities, dtype=float).ravel()
@@ -517,6 +518,8 @@ def propagate_ramp(
         np.multiply(v1, -coupling / (hbar * lam), out=gen.imag)
         gen.imag[diag, diag] -= (hbar / lam**2) * k1
         return (gen @ y.reshape(dim, ncol)).ravel()
+
+    import scipy.integrate  # not at import: it slows every start-up
 
     # solve_ivp's own DOP853 step sequence, without keeping every step
     solver = scipy.integrate.DOP853(

@@ -186,6 +186,18 @@ def test_free_fermion_spectrum_values():
     assert len(ff) == 15
 
 
+def test_states_and_grids_out_of_range_are_config_errors():
+    sp = bs.diagonalize(model(1.0), 2)  # three pair levels
+    for index in (-1, 3):
+        with pytest.raises(ConfigError, match="outside the 3 levels"):
+            sp.state(index)
+    with pytest.raises(ConfigError, match="n_grid"):
+        bs.spatial_density(sp.state(0), n_grid=1)
+    for n_k, n_x in ((1, 9), (9, 1), (9, 0)):
+        with pytest.raises(ConfigError, match="n_k and n_x"):
+            bs.momentum_density(sp.state(0, "fermion"), n_k=n_k, n_x=n_x)
+
+
 def test_contact_expectation_positive_and_decreasing_in_alpha():
     vals = []
     for alpha in (0.5, 5.0, 50.0):

@@ -1,9 +1,13 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import run_cli as run
 from conftest import run_python
+from dualgas import cli
 
 
 def test_ring_spectrum_artifacts_and_determinism(tmp_path):
@@ -51,7 +55,8 @@ def test_negative_grid_start_after_a_space(tmp_path):
 
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
-    # scipy.signal (and the scipy.stats it imports) cost most of a start-up
+    # scipy.signal (and the scipy.stats it imports) cost most of a start-up;
+    # scipy.integrate and scipy.optimize are imported where they are called
     r = run_python(
         ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
         tmp_path,
@@ -59,10 +64,9 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     assert r.returncode == 0, r.stderr
     loaded = r.stdout.split()
     assert "dualgas.cli" in loaded and "scipy.fft" in loaded
+    late = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize")
     assert [
-        m for m in loaded
-        if m in ("scipy.signal", "scipy.stats")
-        or m.startswith(("scipy.signal.", "scipy.stats."))
+        m for m in loaded if m in late or m.startswith(tuple(p + "." for p in late))
     ] == []
 
 
@@ -191,3 +195,161 @@ def test_hard_core_work_summary_is_strict_json(tmp_path):
         (tmp_path / "work_summary.json").read_text(), parse_constant=reject
     )
     assert summary["c"] == "inf"
+
+
+# Every subcommand's (flag, dest) pairs besides the shared ones: the CLI
+# contract, written out so that an edit of the command table cannot move it.
+SHARED_FLAGS = {"--config": "config", "--out-dir": "out_dir",
+                "--threads": "threads", "--hbar": "hbar"}
+FLAGS = {
+    "ring-spectrum": {"--n": "n", "--lambda": "lam", "--c": "c",
+                      "--imax": "imax"},
+    "box-spectrum": {"--lambda": "lam", "--m": "m", "--c": "c",
+                     "--alpha": "alpha", "--n-levels": "n_levels"},
+    "fig1": {"--alpha": "alpha", "--lambda": "lam", "--m": "m",
+             "--n-grid": "n_grid", "--n-k": "n_k", "--n-x": "n_x"},
+    "work": {"--geometry": "geometry", "--protocol": "protocol", "--n": "n",
+             "--lambda-i": "lam_i", "--lambda-f": "lam_f", "--c": "c",
+             "--c-f": "c_f", "--beta": "beta", "--imax": "imax", "--m": "m",
+             "--v": "v", "--tau": "tau", "--merge-tol": "merge_tol"},
+    "fig2": {"--c-list": "c_list", "--beta-list": "beta_list",
+             "--protocol": "protocol", "--lambda": "lam", "--v": "v",
+             "--tau": "tau", "--m": "m"},
+    "duality-check": {"--alpha": "alpha", "--lambda": "lam", "--m": "m",
+                      "--states": "states"},
+    "convergence": {"--alpha": "alpha", "--lambda": "lam",
+                    "--m-list": "m_list", "--n-levels": "n_levels"},
+    "eos": {"--beta": "beta", "--c": "c", "--mu-grid": "mu_grid",
+            "--hbar-sweep": "hbar_sweep", "--density": "density"},
+}
+
+
+def test_parser_declares_every_flag_once_with_its_dest():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(sub.choices) == list(FLAGS)
+    for name, sp in sub.choices.items():
+        got = {
+            opt: a.dest for a in sp._actions for opt in a.option_strings
+            if opt not in ("-h", "--help")
+        }
+        assert got == {**FLAGS[name], **SHARED_FLAGS}, name
+
+
+# a value every parser accepts, by parser
+SAMPLE = {int: "3", cli._count: "3", float: "0.5", str: "ring",
+          cli._floats: "0.5,2", cli._ints: "4,8", cli._grid: "0:1:3"}
+KEYS = [
+    (name, key) for name, (_, _, schema) in cli._COMMANDS.items()
+    for key in {**schema, **cli._GLOBAL_SCHEMA}
+]
+
+
+@pytest.mark.parametrize("command, key", KEYS)
+def test_flag_and_config_file_spellings_resolve_equally(tmp_path, command, key):
+    parse = {**cli._COMMANDS[command][2], **cli._GLOBAL_SCHEMA}[key][0]
+    value = str(tmp_path / "out") if key == "out_dir" else SAMPLE[parse]
+    out = [] if key == "out_dir" else ["--out-dir", str(tmp_path / "out")]
+    flag = cli._flag(key)
+
+    def resolved(argv):
+        cfg = cli._resolve(cli._build_parser().parse_args([command, *argv, *out]))
+        return cfg.metadata(), cfg.out_dir, cfg.threads
+
+    want = resolved([flag, value])
+    assert want != resolved([])  # the sample is not the default
+    for spelling in {flag[2:], flag[2:].replace("-", "_"), key}:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{spelling} = {value}\n")
+        assert resolved(["--config", str(path)]) == want, spelling
+
+
+def test_bad_value_names_its_flag(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    assert cli.main(["work", "--n", "abc", *out]) == 2
+    assert "config error: --n: invalid literal" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("lambda_i = x\n")
+    assert cli.main(["work", "--config", str(tmp_path / "run.cfg"), *out]) == 2
+    assert "config error: --lambda-i: " in capsys.readouterr().err
+    assert cli.main(["eos", "--mu-grid", "1:2", *out]) == 2
+    assert "config error: --mu-grid: grid must be" in capsys.readouterr().err
+    assert cli.main(["work", "--threads", "1.5", *out]) == 2
+    assert "--threads: " in capsys.readouterr().err
+    # argparse has no choices to list, so the errors name what they accept
+    assert cli.main(["work", "--geometry", "bogus", *out]) == 2
+    assert "expected ring or box" in capsys.readouterr().err
+    assert cli.main(["work", "--protocol", "bogus", *out]) == 2
+    assert "sudden-coupling or ramp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["box-spectrum", "--lambda", "0", "--alpha", "1", "--m", "4"], "box width"),
+    (["fig1", "--lambda", "0", "--m", "4"], "box width"),
+    (["duality-check", "--lambda", "0", "--m", "4"], "box width"),
+    (["convergence", "--lambda", "0", "--m-list", "4"], "box width"),
+    (["eos", "--hbar-sweep", "0", "--mu-grid", "-2:-1:3"], "--hbar-sweep"),
+    (["eos", "--hbar-sweep", "inf", "--mu-grid", "-2:-1:3"], "--hbar-sweep"),
+    (["eos", "--density", "inf", "--hbar-sweep", "1", "--mu-grid", "-2:-1:3"],
+     "--density"),
+    (["fig1", "--n-x", "0", "--m", "4"], "n_x"),
+    (["fig1", "--n-x", "1", "--m", "4"], "n_x"),
+    (["fig1", "--n-k", "1", "--m", "4"], "n_k"),
+    (["fig1", "--n-grid", "1", "--m", "4"], "n_grid"),
+    (["fig1", "--m", "1"], "state 1"),
+    (["duality-check", "--m", "2", "--states", "10"], "state 3"),
+    (["box-spectrum", "--n-levels", "-1", "--alpha", "1", "--m", "4"],
+     "--n-levels: must be >= 0"),
+    (["convergence", "--n-levels", "-1", "--m-list", "4"],
+     "--n-levels: must be >= 0"),
+    (["ring-spectrum", "--lambda", "inf"], "circumference"),
+])
+def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert names in capsys.readouterr().err
+    if argv[0] == "eos":  # checked before the isotherm is written
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_merge_tol_not_finite_and_nonnegative_exits_two(tmp_path, capsys, tol):
+    argv = ["work", "--m", "6", "--merge-tol", tol, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "merge tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "work_summary.json").exists()
+
+
+# Small runs of every command (and of each work route) for the property.
+BASES = {
+    "ring-spectrum": [["--n", "2", "--imax", "2.5"]],
+    "box-spectrum": [["--alpha", "1", "--m", "4"], ["--c", "1", "--m", "4"]],
+    "fig1": [["--m", "4", "--n-grid", "9", "--n-k", "9", "--n-x", "9"]],
+    "work": [
+        ["--m", "4"],
+        ["--protocol", "ramp", "--m", "4", "--tau", "0.1"],
+        ["--protocol", "sudden-coupling", "--c-f", "2", "--m", "4"],
+        ["--protocol", "sudden-wall", "--m", "4"],
+        ["--geometry", "ring", "--imax", "2.5"],
+    ],
+    "fig2": [["--m", "4", "--c-list", "1,2", "--beta-list", "1"],
+             ["--protocol", "adiabatic", "--m", "4", "--c-list", "1,2",
+              "--beta-list", "1"]],
+    "duality-check": [["--m", "4"]],
+    "convergence": [["--m-list", "4,6", "--n-levels", "2"]],
+    "eos": [["--mu-grid", "-2:-1:3", "--hbar-sweep", "1"],
+            ["--mu-grid", "-2:-1:3"]],
+}
+HOSTILE = ["0", "-1", "nan", "inf", "x", ""]
+
+
+@st.composite
+def hostile_runs(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    base = draw(st.sampled_from(BASES[command]))
+    key = draw(st.sampled_from([*cli._COMMANDS[command][2], "threads", "hbar"]))
+    return [command, *base, cli._flag(key), draw(st.sampled_from(HOSTILE))]
+
+
+@given(hostile_runs())
+def test_hostile_value_exits_zero_two_or_three(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main([*argv, "--out-dir", out]) in (0, 2, 3)

@@ -101,6 +101,14 @@ def test_merge_atoms_bitwise_equals_reference(atoms):
         assert np.array_equal(g, r)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_merge_atoms_rejects_tolerance_not_finite_and_nonnegative(tol):
+    # nan or inf would merge every atom into one, a negative tol none
+    with pytest.raises(ConfigError, match="merge tolerance"):
+        wk.merge_atoms([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], tol)
+    assert wk.merge_atoms([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], 0.0)[0].size == 3
+
+
 def test_distribution_validation_and_mass():
     with pytest.raises(ConfigError):
         wk.WorkDistribution(works=[0.0, 1.0], probabilities=[1.0], beta=1.0)

@@ -49,11 +49,15 @@ _GLOBAL_SCHEMA = {
 }
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 0) -> int:
     n = int(text)
-    if n < 0:
-        raise ConfigError(f"must be >= 0, got {n}")
+    if n < least:
+        raise ConfigError(f"must be >= {least}, got {n}")
     return n
+
+
+def _positive_count(text: str) -> int:
+    return _count(text, 1)
 
 
 def _floats(text: str) -> List[float]:
@@ -217,22 +221,21 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
         raise ConfigError(f"n must be >= 1, got {n}")
     Ring(lam)  # rejects a circumference that is not positive and finite
     table = ringspec.enumerate_states(lam, c, n, imax, hbar=cfg.hbar)
-    states = table.states
     meta = cfg.metadata()
-    meta["state_count"] = len(states)
+    meta["state_count"] = len(table)
     write_csv(
         cfg.out_dir / "ring_spectrum.csv",
         {
-            "index": np.arange(len(states)),
-            "energy": [st.energy for st in states],
-            "momentum": [st.total_momentum for st in states],
-            "residual": [st.residual for st in states],
+            "index": np.arange(len(table)),
+            "energy": table.energies,
+            "momentum": table.hbar * table.rapidities.sum(axis=1),
+            "residual": table.residuals,
             "quantum_numbers": [
-                "|".join(format(q, "g") for q in st.quantum_numbers)
-                for st in states
+                "|".join(format(q, "g") for q in row)
+                for row in table.quantum_numbers
             ],
             "rapidities": [
-                "|".join(repr(float(k)) for k in st.rapidities) for st in states
+                "|".join(repr(float(k)) for k in row) for row in table.rapidities
             ],
         },
         meta,
@@ -608,7 +611,7 @@ _COMMANDS: Dict[str, Tuple[Callable[[RunConfig], None], str, Dict[str, tuple]]] 
         "verify bosonic and fermionized pair states share densities but "
         "not momentum distributions",
         {"alpha": (float, 5.0), "lam": (float, 1.0), "m": (int, 40),
-         "states": (int, 2)},
+         "states": (_positive_count, 2)},
     ),
     "convergence": (
         _cmd_convergence,

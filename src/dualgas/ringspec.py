@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -236,8 +235,8 @@ def spectral_tail_bound(
     the extremal I and the remaining grid points).  C > 0 only tightens the
     bound, so it is coupling-independent.
     """
-    if beta <= 0:
-        raise ConfigError("tail bound needs beta > 0")
+    if not (0 < beta < math.inf):  # also rejects nan
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
     n = n_particles
     step0 = 0.5 if n % 2 == 0 else 0.0
     # first grid value strictly above i_max
@@ -265,33 +264,27 @@ def spectral_tail_bound(
 
 @dataclass
 class SpectrumTable:
-    """Enumerated ring spectrum, sorted by energy."""
+    """Enumerated ring spectrum, one row per state, sorted by (energy, I)."""
 
-    states: list
+    quantum_numbers: np.ndarray  # (S, N)
+    rapidities: np.ndarray  # (S, N)
+    residuals: np.ndarray  # (S,)
+    energies: np.ndarray  # (S,)
     lam: float
     coupling: float
     hbar: float
-    n_particles: int
     i_max: float
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.states])
-
     def __len__(self) -> int:
-        return len(self.states)
+        return self.energies.size
 
     def partition_function(self, beta: float) -> float:
         return float(np.exp(-beta * self.energies).sum())
 
     def tail_bound(self, beta: float) -> float:
         return spectral_tail_bound(
-            self.lam, self.n_particles, self.i_max, beta, self.hbar
+            self.lam, self.quantum_numbers.shape[1], self.i_max, beta, self.hbar
         )
-
-    def relative_tail(self, beta: float) -> float:
-        """tail_bound / Z: enumeration truncation error on any thermal average."""
-        return self.tail_bound(beta) / self.partition_function(beta)
 
 
 def enumerate_states(
@@ -334,22 +327,13 @@ def enumerate_states(
         K, res = solve_bethe_batch(I, lam, coupling, hbar, tol=tol)
     energies = hbar**2 * np.sum(K**2, axis=1)
     order = np.lexsort(tuple(I[:, j] for j in range(n - 1, -1, -1)) + (energies,))
-    states = [
-        BetheState(
-            quantum_numbers=I[s],
-            rapidities=K[s],
-            lam=lam,
-            coupling=coupling,
-            hbar=hbar,
-            residual=float(res[s]),
-        )
-        for s in order
-    ]
     return SpectrumTable(
-        states=states,
+        quantum_numbers=I[order],
+        rapidities=K[order],
+        residuals=res[order],
+        energies=energies[order],
         lam=lam,
         coupling=coupling,
         hbar=hbar,
-        n_particles=n,
         i_max=i_max,
     )

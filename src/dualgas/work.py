@@ -14,6 +14,11 @@ Protocol routes
   box + LinearRamp        rescaled-frame propagation in the pair basis
 plus hard-core determinant routes (exact, no Galerkin) and ideal-gas
 references used as classical-limit and duality oracles.
+
+Every route only builds its levels and, unless populations ride their
+levels, the transition matrix P[f, i]; one assembly (`_two_point`) turns
+them into atoms, log-probabilities, ln Z and tail mass, so routes that
+should agree differ only in their physics.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ __all__ = [
     "tpm_distribution",
     "RampResult",
     "propagate_ramp",
-    "ground_survival",
     "tg_adiabatic_box_distribution",
     "tg_sudden_wall_distribution",
     "ndp_reference",
@@ -141,7 +145,6 @@ class WorkDistribution:
     works: np.ndarray
     probabilities: np.ndarray
     beta: float
-    protocol: object = None
     tail_mass: float = 0.0  # thermal weight provably outside the enumeration
     metadata: dict = field(default_factory=dict)
     # routes that know log p exactly pass it along: atoms whose linear
@@ -172,7 +175,6 @@ class WorkDistribution:
             works=w,
             probabilities=p,
             beta=self.beta,
-            protocol=self.protocol,
             tail_mass=self.tail_mass,
             metadata=dict(self.metadata),
             log_probabilities=lp,
@@ -266,10 +268,58 @@ def _thermal(energies, beta):
     return p, ln_z
 
 
-def _log_matrix_probs(P, energies_i, beta, ln_zi):
-    """log(P[f, i] * p_i) without underflow; log 0 = -inf is fine."""
-    with np.errstate(divide="ignore"):
-        return np.log(P) + (-beta * np.asarray(energies_i) - ln_zi)[None, :]
+def _two_point(e_i, e_f, beta, tail, P=None, diagnostics=None, **metadata):
+    """The TPM distribution of a drive from levels e_i to levels e_f.
+
+    P[f, i] is the transition matrix; None means every population rides its
+    level to the same index (adiabatic).  `tail` bounds the initial thermal
+    weight outside e_i, unnormalized.  diagnostics(P, p_i) returns the
+    route's truncation checks, which may weigh by the initial populations.
+    """
+    p_i, ln_zi = _thermal(e_i, beta)
+    if P is None:
+        works, probs, log_probs = e_f - e_i, p_i, -beta * e_i - ln_zi
+    else:
+        works = e_f[:, None] - e_i[None, :]
+        probs = P * p_i[None, :]
+        with np.errstate(divide="ignore"):  # log P[f, i] p_i without underflow
+            log_probs = np.log(P) + (-beta * e_i - ln_zi)[None, :]
+    metadata.update(ln_z_initial=ln_zi, ln_z_final=float(logsumexp(-beta * e_f)))
+    if diagnostics is not None:
+        metadata.update(diagnostics(P, p_i))
+    return WorkDistribution(
+        works=works,
+        probabilities=probs,
+        beta=beta,
+        tail_mass=float(tail * np.exp(-ln_zi)),
+        metadata=metadata,
+        log_probabilities=log_probs,
+    )
+
+
+def _unitarity_defect(P, p_i):
+    """Worst column-sum error of a transition matrix that should be unitary."""
+    return {"unitarity_defect": float(np.abs(P.sum(axis=0) - 1.0).max())}
+
+
+def _wall_deficits(P, p_i):
+    """Weight a sudden expansion loses past the final cutoff.
+
+    'transition_deficit' is the worst initial state's, max_i (1 - sum_f
+    P[f, i]); 'thermal_transition_deficit' the thermal average's.
+    """
+    col = P.sum(axis=0)
+    return {
+        "transition_deficit": float((1.0 - col).max()),
+        "thermal_transition_deficit": float(1.0 - (p_i * col).sum()),
+    }
+
+
+def _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f):
+    """cutoff_f, by default the one that keeps the top mode's momentum."""
+    if cutoff_f is None:
+        return int(math.ceil(cutoff_i * lam_f / lam_i))
+    return cutoff_f
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +338,16 @@ def adiabatic_ring_distribution(
 ) -> WorkDistribution:
     """Quasistatic ring rescaling: populations ride their quantum numbers."""
     table = ringspec.enumerate_states(lam_i, coupling, n_particles, i_max, hbar)
-    I = np.array([s.quantum_numbers for s in table.states])
-    e_i = table.energies
+    I = table.quantum_numbers
     if math.isinf(coupling):
         k_f = 2.0 * np.pi * I / lam_f
     else:
         k_f, _ = ringspec.solve_bethe_batch(I, lam_f, coupling, hbar)
     e_f = hbar**2 * (k_f**2).sum(axis=1)
-    p, ln_zi = _thermal(e_i, beta)
-    ln_zf = float(logsumexp(-beta * e_f))
-    tail = table.tail_bound(beta) * np.exp(-ln_zi)
-    return WorkDistribution(
-        works=e_f - e_i,
-        probabilities=p,
-        beta=beta,
-        protocol=Adiabatic(lam_i, lam_f),
-        tail_mass=float(tail),
-        log_probabilities=-beta * e_i - ln_zi,
-        metadata={
-            "route": "bethe-adiabatic",
-            "coupling": coupling,
-            "n_particles": n_particles,
-            "i_max": i_max,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": ln_zf,
-            "energies_initial": e_i,
-            "energies_final": e_f,
-        },
+    return _two_point(
+        table.energies, e_f, beta, table.tail_bound(beta),
+        route="bethe-adiabatic", coupling=coupling, n_particles=n_particles,
+        i_max=i_max,
     )
 
 
@@ -331,6 +364,8 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     summed window add at most int_K^inf e^{-g x^2} dx, since e^{-g x^2}
     decreases; that term is what keeps the bound at very small beta.
     """
+    if not (0 < beta < math.inf):  # also rejects nan
+        raise ConfigError(f"beta must be positive and finite, got {beta}")
     g = beta * hbar**2 * np.pi**2 / lam**2
     n = np.arange(1, cutoff + 2000)
     w = np.exp(-g * n.astype(float) ** 2)
@@ -356,23 +391,9 @@ def adiabatic_box_distribution(
     """Levels tracked by sorted index; no crossings for repulsive pairs."""
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
-    p, ln_zi = _thermal(sp_i.energies, beta)
-    return WorkDistribution(
-        works=sp_f.energies - sp_i.energies,
-        probabilities=p,
-        beta=beta,
-        protocol=Adiabatic(lam_i, lam_f),
-        tail_mass=box_tail_bound(lam_i, cutoff, beta, hbar) * np.exp(-ln_zi),
-        log_probabilities=-beta * sp_i.energies - ln_zi,
-        metadata={
-            "route": "galerkin-adiabatic",
-            "coupling": coupling,
-            "cutoff": cutoff,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * sp_f.energies)),
-            "energies_initial": sp_i.energies,
-            "energies_final": sp_f.energies,
-        },
+    return _two_point(
+        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
+        route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff,
     )
 
 
@@ -391,34 +412,15 @@ def sudden_wall_distribution(
     complete final basis; the deficit max_i (1 - sum_f P[f, i]) is reported
     in metadata as 'transition_deficit'.
     """
-    if cutoff_f is None:
-        cutoff_f = int(math.ceil(cutoff_i * lam_f / lam_i))
+    cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
-    amp = sp_f.vectors.T @ O2 @ sp_i.vectors
-    P = amp**2
-    p_i, ln_zi = _thermal(sp_i.energies, beta)
-    W = sp_f.energies[:, None] - sp_i.energies[None, :]
-    probs = P * p_i[None, :]
-    col = P.sum(axis=0)
-    return WorkDistribution(
-        works=W.ravel(),
-        probabilities=probs.ravel(),
-        beta=beta,
-        protocol=SuddenWall(lam_i, lam_f),
-        tail_mass=box_tail_bound(lam_i, cutoff_i, beta, hbar) * np.exp(-ln_zi),
-        log_probabilities=_log_matrix_probs(P, sp_i.energies, beta, ln_zi).ravel(),
-        metadata={
-            "route": "galerkin-sudden-wall",
-            "coupling": coupling,
-            "cutoff_i": cutoff_i,
-            "cutoff_f": cutoff_f,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * sp_f.energies)),
-            "transition_deficit": float((1.0 - col).max()),
-            "thermal_transition_deficit": float(1.0 - (p_i * col).sum()),
-        },
+    P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
+    return _two_point(
+        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam_i, cutoff_i, beta, hbar),
+        P, _wall_deficits, route="galerkin-sudden-wall", coupling=coupling,
+        cutoff_i=cutoff_i, cutoff_f=cutoff_f,
     )
 
 
@@ -433,24 +435,10 @@ def sudden_coupling_distribution(
     """Interaction quench at fixed walls; exact completeness in the model."""
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
-    amp = sp_f.vectors.T @ sp_i.vectors
-    P = amp**2
-    p_i, ln_zi = _thermal(sp_i.energies, beta)
-    W = sp_f.energies[:, None] - sp_i.energies[None, :]
-    return WorkDistribution(
-        works=W.ravel(),
-        probabilities=(P * p_i[None, :]).ravel(),
-        beta=beta,
-        protocol=SuddenCoupling(coupling_i, coupling_f),
-        tail_mass=box_tail_bound(lam, cutoff, beta, hbar) * np.exp(-ln_zi),
-        log_probabilities=_log_matrix_probs(P, sp_i.energies, beta, ln_zi).ravel(),
-        metadata={
-            "route": "galerkin-sudden-coupling",
-            "cutoff": cutoff,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * sp_f.energies)),
-            "unitarity_defect": float(np.abs(P.sum(axis=0) - 1.0).max()),
-        },
+    P = (sp_f.vectors.T @ sp_i.vectors) ** 2
+    return _two_point(
+        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam, cutoff, beta, hbar),
+        P, _unitarity_defect, route="galerkin-sudden-coupling", cutoff=cutoff,
     )
 
 
@@ -560,35 +548,12 @@ def ramp_distribution(
     res = result
     if res is None:
         res = propagate_ramp(ramp, coupling, cutoff, hbar, rtol=rtol, atol=atol)
-    P = res.transition_matrix
-    p_i, ln_zi = _thermal(res.energies_i, beta)
-    W = res.energies_f[:, None] - res.energies_i[None, :]
-    return WorkDistribution(
-        works=W.ravel(),
-        probabilities=(P * p_i[None, :]).ravel(),
-        beta=beta,
-        protocol=ramp,
-        tail_mass=box_tail_bound(ramp.lambda_initial, cutoff, beta, hbar)
-        * np.exp(-ln_zi),
-        log_probabilities=_log_matrix_probs(P, res.energies_i, beta, ln_zi).ravel(),
-        metadata={
-            "route": "ramp-propagation",
-            "coupling": coupling,
-            "cutoff": cutoff,
-            "norm_drift": res.norm_drift,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * res.energies_f)),
-            "unitarity_defect": float(np.abs(P.sum(axis=0) - 1.0).max()),
-        },
+    return _two_point(
+        res.energies_i, res.energies_f, beta,
+        box_tail_bound(ramp.lambda_initial, cutoff, beta, hbar),
+        res.transition_matrix, _unitarity_defect, route="ramp-propagation",
+        coupling=coupling, cutoff=cutoff, norm_drift=res.norm_drift,
     )
-
-
-def ground_survival(
-    ramp: LinearRamp, coupling: float, cutoff: int, hbar: float = 1.0, **kw
-) -> float:
-    """|<ground(L_f)| U |ground(L_i)>|^2 for a single wall ramp."""
-    res = propagate_ramp(ramp, coupling, cutoff, hbar, columns=[0], **kw)
-    return float(np.abs(res.amplitudes[0, 0]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -603,23 +568,11 @@ def tg_adiabatic_box_distribution(
     cutoff: int,
     hbar: float = 1.0,
 ) -> WorkDistribution:
-    table = boxspec.free_fermion_box_spectrum(lam_i, cutoff)
-    e_i = hbar**2 * np.pi**2 * (table.modes**2).sum(axis=1) / lam_i**2
-    e_f = hbar**2 * np.pi**2 * (table.modes**2).sum(axis=1) / lam_f**2
-    p, ln_zi = _thermal(e_i, beta)
-    return WorkDistribution(
-        works=e_f - e_i,
-        probabilities=p,
-        beta=beta,
-        protocol=Adiabatic(lam_i, lam_f),
-        tail_mass=box_tail_bound(lam_i, cutoff, beta, hbar) * np.exp(-ln_zi),
-        log_probabilities=-beta * e_i - ln_zi,
-        metadata={
-            "route": "hardcore-adiabatic",
-            "cutoff": cutoff,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * e_f)),
-        },
+    ti = boxspec.free_fermion_box_spectrum(lam_i, cutoff, hbar=hbar)
+    tf = boxspec.free_fermion_box_spectrum(lam_f, cutoff, hbar=hbar)
+    return _two_point(
+        ti.energies, tf.energies, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
+        route="hardcore-adiabatic", cutoff=cutoff,
     )
 
 
@@ -637,8 +590,7 @@ def tg_sudden_wall_distribution(
     sign map squares to one inside the overlap integral.  The default final
     cutoff is the Galerkin route's.
     """
-    if cutoff_f is None:
-        cutoff_f = int(math.ceil(cutoff_i * lam_f / lam_i))
+    cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
     ti = boxspec.free_fermion_box_spectrum(lam_i, cutoff_i, hbar=hbar)
     tf = boxspec.free_fermion_box_spectrum(lam_f, cutoff_f, hbar=hbar)
     o = boxspec.embed_overlaps(lam_i, lam_f, cutoff_i, cutoff_f)
@@ -646,26 +598,10 @@ def tg_sudden_wall_distribution(
     r_idx, s_idx = tf.modes[:, 0] - 1, tf.modes[:, 1] - 1
     amp = o[r_idx[:, None], p_idx[None, :]] * o[s_idx[:, None], q_idx[None, :]]
     amp -= o[r_idx[:, None], q_idx[None, :]] * o[s_idx[:, None], p_idx[None, :]]
-    P = amp**2
-    p_i, ln_zi = _thermal(ti.energies, beta)
-    W = tf.energies[:, None] - ti.energies[None, :]
-    col = P.sum(axis=0)
-    return WorkDistribution(
-        works=W.ravel(),
-        probabilities=(P * p_i[None, :]).ravel(),
-        beta=beta,
-        protocol=SuddenWall(lam_i, lam_f),
-        tail_mass=box_tail_bound(lam_i, cutoff_i, beta, hbar) * np.exp(-ln_zi),
-        log_probabilities=_log_matrix_probs(P, ti.energies, beta, ln_zi).ravel(),
-        metadata={
-            "route": "hardcore-sudden-wall",
-            "cutoff_i": cutoff_i,
-            "cutoff_f": cutoff_f,
-            "ln_z_initial": ln_zi,
-            "ln_z_final": float(logsumexp(-beta * tf.energies)),
-            "transition_deficit": float((1.0 - col).max()),
-            "thermal_transition_deficit": float(1.0 - (p_i * col).sum()),
-        },
+    return _two_point(
+        ti.energies, tf.energies, beta, box_tail_bound(lam_i, cutoff_i, beta, hbar),
+        amp**2, _wall_deficits, route="hardcore-sudden-wall", cutoff_i=cutoff_i,
+        cutoff_f=cutoff_f,
     )
 
 
@@ -733,7 +669,6 @@ def ndp_reference(
         works=works,
         probabilities=probs,
         beta=beta,
-        protocol=Adiabatic(lam_i, lam_f),
         tail_mass=0.0,
         metadata={"route": f"ideal-{statistics}", "n_particles": n_particles},
     )

@@ -128,7 +128,7 @@ def test_enumeration_count_and_order():
     assert len(table) == 190
     e = table.energies
     assert np.all(np.diff(e) >= -1e-12)
-    assert table.states[0].quantum_numbers == pytest.approx([-0.5, 0.5])
+    assert table.quantum_numbers[0] == pytest.approx([-0.5, 0.5])
 
 
 def test_enumeration_cap():
@@ -150,6 +150,12 @@ def test_tail_bound_decreases_and_dominates():
     outer = rs.enumerate_states(lam, 1e6, n, imax + 2)
     excluded = outer.partition_function(beta) - inner.partition_function(beta)
     assert rs.spectral_tail_bound(lam, n, imax, beta) >= excluded
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_tail_bound_rejects_beta_not_positive_and_finite(beta):
+    with pytest.raises(ConfigError, match="beta must be positive and finite"):
+        rs.spectral_tail_bound(1.0, 2, 3.5, beta)
 
 
 def test_theta_limits():

@@ -166,6 +166,13 @@ def test_box_tail_bound_holds_at_small_beta(beta):
     assert old < converged <= wk.box_tail_bound(1.0, cutoff, beta)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_box_tail_bound_rejects_beta_not_positive_and_finite(beta):
+    # 0 divided by zero, -1 took a square root of a negative, nan came back
+    with pytest.raises(ConfigError, match="beta must be positive and finite"):
+        wk.box_tail_bound(1.0, 14, beta)
+
+
 # ---------------------------------------------------------------------------
 # fluctuation relations per protocol
 # ---------------------------------------------------------------------------
@@ -342,6 +349,142 @@ def test_free_momentum_work_scaling():
     e100, e300 = rel_err(100), rel_err(300)
     assert e100 < 1e-3
     assert e300 < 0.4 * e100  # error falls off with the base quantum number
+
+
+# ---------------------------------------------------------------------------
+# one two-point-measurement assembly for every route
+# ---------------------------------------------------------------------------
+
+
+def assembly_reference(e_i, e_f, beta, tail, P=None):
+    """The assembly each route once wrote out by hand, kept as the oracle.
+
+    P = None: populations ride their levels; otherwise atoms sit at
+    E_f - E_i with weight P[f, i] p_i.  Returns works, probabilities,
+    log-probabilities, tail mass, the ln Z metadata and p_i.
+    """
+    ln_zi = float(logsumexp(-beta * e_i))
+    p_i = np.exp(-beta * e_i - ln_zi)
+    meta = {"ln_z_initial": ln_zi, "ln_z_final": float(logsumexp(-beta * e_f))}
+    tail_mass = tail * np.exp(-ln_zi)
+    if P is None:
+        return e_f - e_i, p_i, -beta * e_i - ln_zi, tail_mass, meta, p_i
+    W = e_f[:, None] - e_i[None, :]
+    with np.errstate(divide="ignore"):
+        lp = np.log(P) + (-beta * e_i - ln_zi)[None, :]
+    return W.ravel(), (P * p_i[None, :]).ravel(), lp.ravel(), tail_mass, meta, p_i
+
+
+def _pair_box(lam, coupling, cutoff, hbar):
+    return boxspec.diagonalize(ModelSpec(2, Box(lam), coupling, hbar), cutoff)
+
+
+def _wall_deficits(P, p_i):
+    col = P.sum(axis=0)
+    return {"transition_deficit": float((1.0 - col).max()),
+            "thermal_transition_deficit": float(1.0 - (p_i * col).sum())}
+
+
+def _unitarity_defect(P):
+    return {"unitarity_defect": float(np.abs(P.sum(axis=0) - 1.0).max())}
+
+
+def _ring_case():
+    lam_i, lam_f, c, n, beta, i_max, hbar = 1.0, 2.0, 1.0, 3, 0.5, 5.0, 0.8
+    table = rs.enumerate_states(lam_i, c, n, i_max, hbar)
+    k_f, _ = rs.solve_bethe_batch(table.quantum_numbers, lam_f, c, hbar)
+    tail = rs.spectral_tail_bound(lam_i, n, i_max, beta, hbar)
+    ref = assembly_reference(table.energies, hbar**2 * (k_f**2).sum(axis=1), beta, tail)
+    meta = {"route": "bethe-adiabatic", "coupling": c, "n_particles": n, "i_max": i_max}
+    return wk.adiabatic_ring_distribution(lam_i, lam_f, c, n, beta, i_max, hbar), ref, meta
+
+
+def _adiabatic_box_case():
+    lam_i, lam_f, c, beta, m, hbar = 1.0, 2.0, 1.0, 1.0, 8, 0.7
+    e_i, e_f = (_pair_box(lam, c, m, hbar).energies for lam in (lam_i, lam_f))
+    ref = assembly_reference(e_i, e_f, beta, wk.box_tail_bound(lam_i, m, beta, hbar))
+    meta = {"route": "galerkin-adiabatic", "coupling": c, "cutoff": m}
+    return wk.adiabatic_box_distribution(lam_i, lam_f, c, beta, m, hbar), ref, meta
+
+
+def _sudden_wall_case():
+    lam_i, lam_f, c, beta, m = 1.0, 2.0, 1.0, 1.0, 6
+    sp_i, sp_f = _pair_box(lam_i, c, m, 1.0), _pair_box(lam_f, c, 2 * m, 1.0)
+    O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
+    P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
+    ref = assembly_reference(sp_i.energies, sp_f.energies, beta,
+                             wk.box_tail_bound(lam_i, m, beta), P)
+    meta = {"route": "galerkin-sudden-wall", "coupling": c, "cutoff_i": m,
+            "cutoff_f": 2 * m, **_wall_deficits(P, ref[-1])}
+    return wk.sudden_wall_distribution(lam_i, lam_f, c, beta, m), ref, meta
+
+
+def _sudden_coupling_case():
+    lam, c_i, c_f, beta, m, hbar = 1.0, 1.0, 5.0, 0.5, 8, 1.3
+    sp_i, sp_f = _pair_box(lam, c_i, m, hbar), _pair_box(lam, c_f, m, hbar)
+    P = (sp_f.vectors.T @ sp_i.vectors) ** 2
+    ref = assembly_reference(sp_i.energies, sp_f.energies, beta,
+                             wk.box_tail_bound(lam, m, beta, hbar), P)
+    meta = {"route": "galerkin-sudden-coupling", "cutoff": m, **_unitarity_defect(P)}
+    return wk.sudden_coupling_distribution(lam, c_i, c_f, beta, m, hbar), ref, meta
+
+
+def _ramp_case():
+    ramp, c, beta, m = LinearRamp(1.0, 5.0, 0.2), 1.0, 1.0, 6
+    res = wk.propagate_ramp(ramp, c, m)
+    P = res.transition_matrix
+    ref = assembly_reference(res.energies_i, res.energies_f, beta,
+                             wk.box_tail_bound(1.0, m, beta), P)
+    meta = {"route": "ramp-propagation", "coupling": c, "cutoff": m,
+            "norm_drift": res.norm_drift, **_unitarity_defect(P)}
+    return wk.ramp_distribution(ramp, c, beta, m), ref, meta
+
+
+def _tg_adiabatic_case():
+    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 0.2, 12, 0.6
+    modes = boxspec.free_fermion_box_spectrum(lam_i, m).modes
+    e_i, e_f = (hbar**2 * np.pi**2 * (modes**2).sum(axis=1) / lam**2
+                for lam in (lam_i, lam_f))
+    ref = assembly_reference(e_i, e_f, beta, wk.box_tail_bound(lam_i, m, beta, hbar))
+    meta = {"route": "hardcore-adiabatic", "cutoff": m}
+    return wk.tg_adiabatic_box_distribution(lam_i, lam_f, beta, m, hbar), ref, meta
+
+
+def _tg_sudden_wall_case():
+    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 8, 0.9
+    ti = boxspec.free_fermion_box_spectrum(lam_i, m, hbar=hbar)
+    tf = boxspec.free_fermion_box_spectrum(lam_f, 2 * m, hbar=hbar)
+    o = boxspec.embed_overlaps(lam_i, lam_f, m, 2 * m)
+    (p, q), (r, s) = (ti.modes - 1).T, (tf.modes - 1).T
+    amp = o[r[:, None], p[None, :]] * o[s[:, None], q[None, :]]
+    amp -= o[r[:, None], q[None, :]] * o[s[:, None], p[None, :]]
+    P = amp**2
+    ref = assembly_reference(ti.energies, tf.energies, beta,
+                             wk.box_tail_bound(lam_i, m, beta, hbar), P)
+    meta = {"route": "hardcore-sudden-wall", "cutoff_i": m, "cutoff_f": 2 * m,
+            **_wall_deficits(P, ref[-1])}
+    return wk.tg_sudden_wall_distribution(lam_i, lam_f, beta, m, hbar=hbar), ref, meta
+
+
+ASSEMBLY_CASES = {
+    "adiabatic_ring": _ring_case,
+    "adiabatic_box": _adiabatic_box_case,
+    "sudden_wall": _sudden_wall_case,
+    "sudden_coupling": _sudden_coupling_case,
+    "ramp": _ramp_case,
+    "tg_adiabatic_box": _tg_adiabatic_case,
+    "tg_sudden_wall": _tg_sudden_wall_case,
+}
+
+
+@pytest.mark.parametrize("route", list(ASSEMBLY_CASES))
+def test_route_assembly_equals_hand_written_reference(route):
+    dist, (works, probs, log_probs, tail, ln_z, _), meta = ASSEMBLY_CASES[route]()
+    assert np.array_equal(dist.works, works)
+    assert np.array_equal(dist.probabilities, probs)
+    assert np.array_equal(dist.log_probabilities, log_probs)
+    assert dist.tail_mass == tail
+    assert dist.metadata == {**meta, **ln_z}  # same keys, same values
 
 
 # ---------------------------------------------------------------------------

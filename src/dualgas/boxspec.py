@@ -83,22 +83,6 @@ class PairBasis:
         return row_start + (q - p)
 
 
-def _delta_sum(p, q, m, n):
-    """Eight-delta combination in the four-sine product integral."""
-    # bra pair (p, q), ket pair (m, n); all broadcastable integer arrays
-    s = (
-        (p - q - m + n == 0).astype(float)
-        + (p - q + m - n == 0)
-        - (p - q - m - n == 0)
-        - (p - q + m + n == 0)
-        - (p + q - m + n == 0)
-        - (p + q + m - n == 0)
-        + (p + q - m - n == 0)
-        + (p + q + m + n == 0)  # never fires for positive modes; kept for the identity
-    )
-    return s
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -115,9 +99,23 @@ def _pair_operators(cutoff: int) -> tuple:
     c = basis.norms()
     k1 = np.pi**2 * (p**2 + q**2).astype(float)
 
-    P, Q = p[:, None], q[:, None]
-    Mm, Nn = p[None, :], q[None, :]
-    v1 = 2.0 * c[:, None] * c[None, :] * _delta_sum(P, Q, Mm, Nn)
+    # The four-sine product integral of bra (p, q) and ket (m, n) is a sum
+    # of eight Kronecker deltas; p + q + m + n = 0 never fires for positive
+    # modes, and the other seven compare p -+ q with -+(m -+ n).  They are
+    # counted in int8, so no dense float temporary is made.
+    d, s = p - q, p + q
+    cnt = np.zeros((basis.dim, basis.dim), dtype=np.int8)
+    for bra, ket, sign in (
+        (d, d, 1), (d, -d, 1), (d, s, -1), (d, -s, -1),
+        (s, d, -1), (s, -d, -1), (s, s, 1),
+    ):
+        fired = np.equal.outer(bra, ket)
+        if sign > 0:
+            cnt += fired
+        else:
+            cnt -= fired
+    v1 = np.multiply.outer(2.0 * c, c)
+    v1 *= cnt
     return basis, _frozen(k1), _frozen(v1)
 
 
@@ -182,7 +180,8 @@ def dilation_matrix(cutoff: int) -> np.ndarray:
     return d
 
 
-def build_hamiltonian(model: ModelSpec, cutoff: int) -> np.ndarray:
+def _check_pair_model(model: ModelSpec) -> None:
+    """The pair Galerkin basis takes two particles in a box at finite C."""
     if not isinstance(model.geometry, Box):
         raise ConfigError("pair Galerkin basis is for box geometry")
     if model.n_particles != 2:
@@ -192,6 +191,10 @@ def build_hamiltonian(model: ModelSpec, cutoff: int) -> np.ndarray:
             "hard-core limit has no finite contact matrix; "
             "use free_fermion_box_spectrum for the dual spectrum"
         )
+
+
+def build_hamiltonian(model: ModelSpec, cutoff: int) -> np.ndarray:
+    _check_pair_model(model)
     ops = unit_pair_operators(cutoff)
     lam = model.length
     H = (model.coupling / lam) * ops["v1"]
@@ -229,14 +232,49 @@ class BoxSpectrum:
         return float(np.exp(-beta * self.energies).sum())
 
 
+def _parity_block(v1, g, kin, b):
+    """H restricted to the pairs b: the entries of build_hamiltonian, bit for bit."""
+    h = v1[np.ix_(b, b)]
+    h *= g
+    h[np.diag_indices_from(h)] += kin[b]
+    return h
+
+
 def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
-    H = build_hamiltonian(model, cutoff)
-    evals, evecs = scipy.linalg.eigh(H)
-    # spot-check the factorization on the low end of the spectrum
+    """Levels ascending, each eigenvector of pure centre-reflection parity.
+
+    Reflection about the box centre maps |pq> to (-1)^(p+q) |pq> and
+    commutes with H, so v1 vanishes exactly between the p+q-even and
+    p+q-odd pairs.  Each block is solved on its own; its eigenvectors are
+    written at their sorted columns in the full basis, zero on the other
+    block's rows.
+    """
+    _check_pair_model(model)
+    ops = unit_pair_operators(cutoff)
+    basis, k1, v1 = ops["basis"], ops["k1"], ops["v1"]
+    lam = model.length
+    g = model.coupling / lam
+    kin = model.hbar**2 * k1 / lam**2
+    p, q = basis.labels()
+    odd = (p + q) % 2 == 1
+    blocks = [b for b in (np.flatnonzero(~odd), np.flatnonzero(odd)) if b.size]
+    solved = [scipy.linalg.eigh(_parity_block(v1, g, kin, b)) for b in blocks]
+    levels = np.concatenate([w for w, _ in solved])
+    order = np.argsort(levels, kind="stable")
+    evals = levels[order]
+    column = np.empty_like(order)  # sorted position of each block level
+    column[order] = np.arange(order.size)
+    evecs = np.zeros((basis.dim, basis.dim))
+    start = 0
+    for b, (_, x) in zip(blocks, solved):
+        evecs[b[:, None], column[start:start + b.size]] = x
+        start += b.size
+    # spot-check the whole factorization on the low end of the spectrum
     k = min(n_check, evals.size)
-    R = H[:, :] @ evecs[:, :k] - evecs[:, :k] * evals[:k]
+    X = evecs[:, :k]
+    R = g * (v1 @ X) + kin[:, None] * X - X * evals[:k]
     res = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:k]).max()))
-    return BoxSpectrum(model=model, basis=PairBasis(cutoff), energies=evals, vectors=evecs, residual=res)
+    return BoxSpectrum(model=model, basis=basis, energies=evals, vectors=evecs, residual=res)
 
 
 @dataclass

@@ -457,6 +457,8 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
             "spatial_identical": spatial_equal,
             "spatial_l1": spatial_l1,
             "momentum_l1": momentum_l1,
+            "momentum_mass_boson": mb.mass,
+            "momentum_mass_fermion": mf.mass,
         }
     report = dict(
         config=meta,

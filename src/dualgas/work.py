@@ -410,7 +410,9 @@ def sudden_wall_distribution(
 
     Transition weights per initial state sum to 1 only in the limit of a
     complete final basis; the deficit max_i (1 - sum_f P[f, i]) is reported
-    in metadata as 'transition_deficit'.
+    in metadata as 'transition_deficit'.  The small box sits at the left end
+    of the big one, so the embedding is not centre-symmetric and connects
+    levels of opposite centre-reflection parity.
     """
     cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
@@ -432,7 +434,11 @@ def sudden_coupling_distribution(
     cutoff: int,
     hbar: float = 1.0,
 ) -> WorkDistribution:
-    """Interaction quench at fixed walls; exact completeness in the model."""
+    """Interaction quench at fixed walls; exact completeness in the model.
+
+    Both Hamiltonians commute with reflection about the box centre, so
+    P[f, i] is exactly 0 between levels of opposite parity.
+    """
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
     P = (sp_f.vectors.T @ sp_i.vectors) ** 2
@@ -480,7 +486,10 @@ def propagate_ramp(
     moving-wall problem into dc/dt = -(i/hbar) H(L) c + (v/L) D c with D the
     (antisymmetric) pair dilation generator, so the flow is exactly unitary
     in the truncated basis and overlaps with the instantaneous eigenvectors
-    at t = 0 and t = tau are the TPM transition amplitudes.
+    at t = 0 and t = tau are the TPM transition amplitudes.  Only the right
+    wall moves, so the flow is not centre-symmetric: D, like the chirp
+    exp(i v x^2 / (4 hbar L)) that removes it in a comoving gauge, couples
+    levels of opposite centre-reflection parity.
     """
     ops = boxspec.unit_pair_operators(cutoff)
     k1 = ops["k1"]

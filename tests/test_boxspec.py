@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dualgas import boxspec as bs
-from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec
+from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec, Ring
 
 LAM = 1.0
 
@@ -87,6 +88,57 @@ def test_dilation_matrix_antisymmetric_and_matches_quadrature():
         assert d[n - 1, m - 1] == pytest.approx(lam * val, abs=1e-6)
 
 
+def delta_sum_reference(p, q, m, n):
+    """The eight-delta sum as float temporaries, as v1 was first assembled."""
+    return (
+        (p - q - m + n == 0).astype(float)
+        + (p - q + m - n == 0)
+        - (p - q - m - n == 0)
+        - (p - q + m + n == 0)
+        - (p + q - m + n == 0)
+        - (p + q + m - n == 0)
+        + (p + q - m - n == 0)
+        + (p + q + m + n == 0)
+    )
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 26), 60])
+def test_contact_matrix_bitwise_equals_float_delta_sum(cutoff):
+    basis = bs.PairBasis(cutoff)
+    p, q = basis.labels()
+    c = basis.norms()
+    ref = 2.0 * c[:, None] * c[None, :] * delta_sum_reference(
+        p[:, None], q[:, None], p[None, :], q[None, :]
+    )
+    v1 = bs.unit_pair_operators(cutoff)["v1"]
+    assert np.array_equal(v1, ref)
+    assert np.array_equal(np.signbit(v1), np.signbit(ref))
+
+
+def test_contact_matrix_build_memory_peak():
+    # v1 itself is 25.6 MiB at M = 60; the float delta sum peaked at 102 MiB
+    bs._pair_operators.cache_clear()
+    tracemalloc.start()
+    try:
+        bs.unit_pair_operators(60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def parity_odd(basis: bs.PairBasis) -> np.ndarray:
+    p, q = basis.labels()
+    return (p + q) % 2 == 1
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 31), 60])
+def test_contact_matrix_vanishes_between_parity_blocks(cutoff):
+    ops = bs.unit_pair_operators(cutoff)
+    odd = parity_odd(ops["basis"])
+    assert np.all(ops["v1"][np.ix_(~odd, odd)] == 0.0)
+
+
 def test_pair_dilation_antisymmetric():
     d2 = bs.pair_dilation(8)
     assert np.allclose(d2, -d2.T, atol=1e-13)
@@ -138,7 +190,7 @@ def test_spectra_never_build_the_dilation_generator(monkeypatch):
 
 
 def test_diagonalize_memory_peak_without_dilation_generator():
-    # v1 and eigh need about 21 MiB here; building d2 as well needs about 62
+    # v1 and eigh need about 13 MiB here; building d2 as well needs about 62
     bs._pair_operators.cache_clear()
     tracemalloc.start()
     try:
@@ -160,6 +212,35 @@ def test_diagonalize_residual_and_order():
     assert np.all(np.diff(sp.energies) >= -1e-10)
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 11, 30])  # cutoff 1: no odd pair
+def test_diagonalize_by_parity_block_matches_full_eigh(cutoff):
+    sp = bs.diagonalize(model(5.0), cutoff)
+    full = scipy.linalg.eigh(bs.build_hamiltonian(model(5.0), cutoff), eigvals_only=True)
+    assert np.all(np.diff(sp.energies) >= 0.0)
+    assert np.abs(sp.energies - full).max() <= 1e-12 * np.abs(full).max()
+    eye = np.eye(sp.basis.dim)
+    assert np.abs(sp.vectors.T @ sp.vectors - eye).max() < 1e-12
+    odd = parity_odd(sp.basis)
+    on_odd = np.any(sp.vectors[odd] != 0.0, axis=0)
+    on_even = np.any(sp.vectors[~odd] != 0.0, axis=0)
+    assert np.all(on_odd != on_even)  # every eigenvector in exactly one block
+    assert sp.residual < 1e-12
+
+
+def test_diagonalize_forms_no_dense_hamiltonian():
+    # warm, at M = 40: the blocks, their eigenvectors and the full vectors
+    # take about 8 MiB; one eigh of a dense H, with its copy, took about 16
+    m = model(5.0)
+    bs.diagonalize(m, 40)
+    tracemalloc.start()
+    try:
+        bs.diagonalize(m, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_weak_coupling_first_order_shift():
     # E0(C) = 2 pi^2 + C * <delta>_0 + O(C^2) with <delta>_0 = 3/(2 lam)
     C = 1e-4
@@ -175,8 +256,15 @@ def test_strong_coupling_approaches_free_fermions():
 
 
 def test_hard_core_model_rejected_by_galerkin():
-    with pytest.raises(ConfigError):
-        bs.build_hamiltonian(ModelSpec(2, Box(LAM), math.inf), 10)
+    # and any model outside the pair basis: one particle count, box, finite C
+    for bad in (
+        ModelSpec(2, Box(LAM), math.inf),
+        ModelSpec(3, Box(LAM), 1.0),
+        ModelSpec(2, Ring(LAM), 1.0),
+    ):
+        for build in (bs.build_hamiltonian, bs.diagonalize):
+            with pytest.raises(ConfigError):
+                build(bad, 10)
 
 
 def test_free_fermion_spectrum_values():

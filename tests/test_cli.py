@@ -1,11 +1,13 @@
 import json
 import tempfile
+import warnings
 
 import pytest
 
 from conftest import run_cli as run
 from conftest import run_python
-from dualgas import cli
+from dualgas import boxspec, cli
+from dualgas.core import Box, ModelSpec
 
 
 def test_ring_spectrum_artifacts_and_determinism(tmp_path):
@@ -168,6 +170,23 @@ def test_duality_check_passes(tmp_path):
     rep = json.loads((tmp_path / "duality_report.json").read_text())
     assert rep["passed"] is True
     assert rep["max_spatial_l1"] < 1e-10
+
+
+def test_duality_report_carries_momentum_window_masses(tmp_path):
+    r = run(["duality-check", "--m", "16", "--states", "2"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads((tmp_path / "duality_report.json").read_text())
+    spec = boxspec.diagonalize(ModelSpec(2, Box(1.0), rep["config"]["coupling"]), 16)
+    for i in range(2):
+        entry = rep[f"state={i}"]
+        for stat in ("boson", "fermion"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mass = boxspec.momentum_density(spec.state(i, stat)).mass
+            assert entry[f"momentum_mass_{stat}"] == pytest.approx(mass, rel=1e-12)
+        # the fermionic window falls short of 2, as the warning says
+        assert f"captures {entry['momentum_mass_fermion']:.6f} of 2" in r.stderr
+        assert abs(entry["momentum_mass_boson"] - 2.0) < 1e-4
 
 
 def test_convergence_report(tmp_path):

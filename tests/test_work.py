@@ -196,6 +196,40 @@ def test_jarzynski_exact_for_ramp():
     assert d.metadata["norm_drift"] < 1e-6
 
 
+def level_parity(lam, coupling, cutoff):
+    """True where a box level's eigenvector lives on the p+q-odd pairs."""
+    sp = boxspec.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff)
+    p, q = sp.basis.labels()
+    odd = (p + q) % 2 == 1
+    on_odd = np.any(sp.vectors[odd] != 0.0, axis=0)
+    assert np.all(on_odd != np.any(sp.vectors[~odd] != 0.0, axis=0))
+    return on_odd
+
+
+def cross_parity(parity_f, parity_i):
+    return parity_f[:, None] != parity_i[None, :]
+
+
+def test_sudden_coupling_keeps_centre_reflection_parity():
+    d = wk.sudden_coupling_distribution(1.0, 1.0, 5.0, 0.5, 14)
+    cross = cross_parity(level_parity(1.0, 5.0, 14), level_parity(1.0, 1.0, 14))
+    probs = d.probabilities.reshape(cross.shape)
+    log_probs = d.log_probabilities.reshape(cross.shape)
+    assert np.all(probs[cross] == 0.0)
+    assert np.all(log_probs[cross] == -np.inf)  # P itself, not an underflow
+    assert np.all(probs[~cross] >= 0.0) and probs[~cross].max() > 0.5
+
+
+def test_wall_routes_mix_centre_reflection_parity():
+    # the small box and the moving wall both sit off the big box's centre
+    d = wk.sudden_wall_distribution(1.0, 2.0, 1.0, 1.0, 6)
+    cross = cross_parity(level_parity(2.0, 1.0, 12), level_parity(1.0, 1.0, 6))
+    assert d.probabilities.reshape(cross.shape)[cross].max() > 1e-3
+    res = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), 1.0, 6)
+    cross = cross_parity(level_parity(2.0, 1.0, 6), level_parity(1.0, 1.0, 6))
+    assert res.transition_matrix[cross].max() > 1e-3
+
+
 def test_ramp_reuses_external_propagation():
     res = wk.propagate_ramp(LinearRamp(1.0, 1.0, 0.5), 1.0, 10)
     d1 = wk.ramp_distribution(LinearRamp(1.0, 1.0, 0.5), 1.0, 2.0, 10, result=res)

@@ -199,6 +199,16 @@ def _bar_raster(values: np.ndarray, rows: int = 48) -> np.ndarray:
     return np.where(u[None, :] >= thresh[:, None], u[None, :], 0.0)
 
 
+def _atom_columns(merged: work.WorkDistribution) -> Dict[str, np.ndarray]:
+    """Work and probability columns of the atoms that carry mass.
+
+    Atoms whose probability is exactly 0 (forbidden transitions, or masses
+    below the smallest double) are not written.
+    """
+    keep = merged.probabilities > 0.0
+    return {"work": merged.works[keep], "probability": merged.probabilities[keep]}
+
+
 def _jarzynski_residual(dist: work.WorkDistribution) -> Optional[float]:
     meta = dist.metadata or {}
     if "ln_z_initial" not in meta or "ln_z_final" not in meta:
@@ -340,15 +350,11 @@ def _cmd_work(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
     protocol = _protocol_from(cfg)
     dist = work.tpm_distribution(model, protocol, beta, **kwargs)
-    merged = dist.merged(float(cfg.values["merge_tol"]))
+    atoms = _atom_columns(dist.merged(float(cfg.values["merge_tol"])))
     meta = cfg.metadata()
     meta.update({k: v for k, v in (dist.metadata or {}).items()
                  if isinstance(v, (int, float, str))})
-    write_csv(
-        cfg.out_dir / "work_atoms.csv",
-        {"work": merged.works, "probability": merged.probabilities},
-        meta,
-    )
+    write_csv(cfg.out_dir / "work_atoms.csv", atoms, meta)
     m1, m2 = dist.moments(2)
     summary = dict(
         meta,
@@ -358,7 +364,7 @@ def _cmd_work(cfg: RunConfig) -> None:
         second_moment=m2,
         jarzynski_average=dist.jarzynski_average(),
         jarzynski_residual=_jarzynski_residual(dist),
-        atom_count=merged.works.size,
+        atom_count=atoms["work"].size,
     )
     write_json(cfg.out_dir / "work_summary.json", summary)
 
@@ -397,21 +403,18 @@ def _cmd_fig2(cfg: RunConfig) -> None:
         entry: Dict[str, object] = {}
         for beta in beta_list:
             dist = dists[beta]
-            merged = dist.merged()
+            atoms = _atom_columns(dist.merged())
             head = dict(meta, c=coupling, beta=beta)
             head.update({k: val for k, val in (dist.metadata or {}).items()
                          if isinstance(val, (int, float, str))})
-            write_csv(
-                cfg.out_dir / f"fig2_C{coupling:g}_beta{beta:g}.csv",
-                {"work": merged.works, "probability": merged.probabilities},
-                head,
-            )
+            write_csv(cfg.out_dir / f"fig2_C{coupling:g}_beta{beta:g}.csv",
+                      atoms, head)
             m1, m2 = dist.moments(2)
             entry[f"beta={beta:g}"] = {
                 "mean_work": m1,
                 "second_moment": m2,
                 "jarzynski_residual": _jarzynski_residual(dist),
-                "atom_count": merged.works.size,
+                "atom_count": atoms["work"].size,
             }
         report[f"c={coupling:g}"] = entry
 

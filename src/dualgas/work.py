@@ -453,6 +453,21 @@ def sudden_coupling_distribution(
 # ---------------------------------------------------------------------------
 
 
+# Blanes & Moan's S6 (J. Comput. Appl. Math. 142, 313 (2002)), a symmetric
+# fourth-order partitioned splitting of dc/ds = (A + K(s)) c: seven clocked
+# diagonal K stages around six dense A stages,
+# K a1 A b1 K a2 A b2 K a3 A b3 K a4 A b3 K a3 A b2 K a2 A b1 K a1
+_S6_K = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+_S6_K += (1.0 - 2.0 * sum(_S6_K),)
+_S6_A = (0.209515106613362, -0.143851773179818)
+_S6_A += (0.5 - sum(_S6_A),)
+_S6_K_STAGES = np.array(_S6_K + _S6_K[2::-1])  # a1 a2 a3 a4 a3 a2 a1
+_S6_A_STAGES = (0, 1, 2, 2, 1, 0)  # b1 b2 b3 b3 b2 b1, as indices into _S6_A
+# one step per this much of the ramp's total phase: the fastest kinetic
+# mode's plus max|eig(iA)| over the whole span in s
+_STEP_PHASE = 0.5
+
+
 @dataclass
 class RampResult:
     ramp: LinearRamp
@@ -464,11 +479,22 @@ class RampResult:
     amplitudes: np.ndarray  # (n_final, n_columns), complex
     columns: np.ndarray  # initial eigenstate indices propagated
     norm_drift: float
-    n_rhs_evals: int
+    n_rhs_evals: int  # dense sub-flow products, six per splitting step
 
     @property
     def transition_matrix(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _unitary_flow(mu: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
+    """exp(-i x H) from H = w diag(mu) w^H, polished toward unitarity.
+
+    One Newton-Schulz step E(3I - E^H E)/2 removes the roundoff that the
+    eigenvector product leaves, which would otherwise accumulate over
+    thousands of steps.
+    """
+    e = (w * np.exp(-1j * x * mu)) @ w.conj().T
+    return 1.5 * e - 0.5 * (e @ (e.conj().T @ e))
 
 
 def propagate_ramp(
@@ -477,10 +503,8 @@ def propagate_ramp(
     cutoff: int,
     hbar: float = 1.0,
     columns: Optional[Sequence[int]] = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> RampResult:
-    """Integrate the pair coefficients through L(t) = L_i + v t.
+    """Propagate the pair coefficients through L(t) = L_i + v t.
 
     Expanding the wavefunction over instantaneous box modes turns the
     moving-wall problem into dc/dt = -(i/hbar) H(L) c + (v/L) D c with D the
@@ -490,11 +514,17 @@ def propagate_ramp(
     wall moves, so the flow is not centre-symmetric: D, like the chirp
     exp(i v x^2 / (4 hbar L)) that removes it in a comoving gauge, couples
     levels of opposite centre-reflection parity.
+
+    In s = int dt / L the flow is dc/ds = [A - i (hbar / L(s)) K] c with the
+    constant A = v D - (i C / hbar) v1 and K = diag(k1).  Both parts have
+    exact unitary flows: exp(x A) from one eigendecomposition of the
+    Hermitian iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
+    carries the clock.  A symmetric fourth-order splitting (S6) composes
+    them in n equal steps in s, with n set by the total phases of the two
+    parts, so only the time-integration error depends on the step.
     """
     ops = boxspec.unit_pair_operators(cutoff)
     k1 = ops["k1"]
-    v1 = ops["v1"]
-    d2 = boxspec.pair_dilation(cutoff)
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
@@ -502,33 +532,39 @@ def propagate_ramp(
         cols = np.arange(len(sp_i))
     else:
         cols = np.asarray(list(columns), dtype=int)
-    y0 = sp_i.vectors[:, cols].astype(complex)
-    dim, ncol = y0.shape
     speed = ramp.speed
-    # generator -(i/hbar) H(L) + (v/L) D, refilled in place on every call
-    gen = np.empty((dim, dim), dtype=complex)
-    diag = np.arange(dim)
+    # iA = i v D + (C / hbar) v1, Hermitian since D is real antisymmetric
+    herm = (coupling / hbar) * ops["v1"] + 1j * (speed * boxspec.pair_dilation(cutoff))
+    mu, w = np.linalg.eigh(herm)
+    span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
+    phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
+             + float(np.abs(mu).max()) * span)
+    n_steps = math.ceil(phase / _STEP_PHASE)
+    h = span / n_steps
+    flows = [_unitary_flow(mu, w, b * h) for b in _S6_A]
 
-    def rhs(t, y):
-        lam = lam_i + speed * t
-        np.multiply(d2, speed / lam, out=gen.real)
-        np.multiply(v1, -coupling / (hbar * lam), out=gen.imag)
-        gen.imag[diag, diag] -= (hbar / lam**2) * k1
-        return (gen @ y.reshape(dim, ncol)).ravel()
+    # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
+    # per step the stages shift by h, which scales these by exp(-v h)
+    widths = _S6_K_STAGES * h
+    starts = np.cumsum(widths) - widths
+    if speed:
+        clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
+    else:
+        clock = widths / lam_i
 
-    import scipy.integrate  # not at import: it slows every start-up
+    y = sp_i.vectors[:, cols].astype(complex)
+    buf = np.empty_like(y)
+    kin = -hbar * k1
+    for step in range(n_steps):
+        phases = np.exp(1j * np.multiply.outer(clock * math.exp(-speed * h * step), kin))
+        for ph, b in zip(phases, _S6_A_STAGES):
+            y *= ph[:, None]
+            np.matmul(flows[b], y, out=buf)
+            y, buf = buf, y
+        y *= phases[-1][:, None]
 
-    # solve_ivp's own DOP853 step sequence, without keeping every step
-    solver = scipy.integrate.DOP853(
-        rhs, 0.0, y0.ravel(), float(ramp.duration), rtol=rtol, atol=atol
-    )
-    while solver.status == "running":
-        message = solver.step()
-    if solver.status == "failed":
-        raise RuntimeError(f"ramp integration failed: {message}")
-    yT = solver.y.reshape(dim, ncol)
-    drift = float(np.abs((np.abs(yT) ** 2).sum(axis=0) - 1.0).max())
-    amplitudes = sp_f.vectors.T @ yT
+    drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())
+    amplitudes = sp_f.vectors.T @ y
     return RampResult(
         ramp=ramp,
         coupling=coupling,
@@ -539,7 +575,7 @@ def propagate_ramp(
         amplitudes=amplitudes,
         columns=cols,
         norm_drift=drift,
-        n_rhs_evals=int(solver.nfev),
+        n_rhs_evals=len(_S6_A_STAGES) * n_steps,
     )
 
 
@@ -549,14 +585,12 @@ def ramp_distribution(
     beta: float,
     cutoff: int,
     hbar: float = 1.0,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     result: Optional[RampResult] = None,
 ) -> WorkDistribution:
     # `result` lets callers reweight one propagation across several beta.
     res = result
     if res is None:
-        res = propagate_ramp(ramp, coupling, cutoff, hbar, rtol=rtol, atol=atol)
+        res = propagate_ramp(ramp, coupling, cutoff, hbar)
     return _two_point(
         res.energies_i, res.energies_f, beta,
         box_tail_bound(ramp.lambda_initial, cutoff, beta, hbar),
@@ -774,7 +808,8 @@ def tpm_distribution(
     """Route a (model, protocol) pair to its work-distribution engine.
 
     kwargs forward to the route: i_max for ring enumeration, cutoff /
-    cutoff_i / cutoff_f for box bases, rtol/atol for ramps.
+    cutoff_i / cutoff_f for box bases; a ramp's step count follows from
+    its generator and takes no option.
     """
     geom = model.geometry
     if isinstance(geom, Ring):

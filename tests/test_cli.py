@@ -70,6 +70,20 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     ] == []
 
 
+def test_ramp_propagation_leaves_scipy_integrate_unloaded(tmp_path):
+    # the split-step ramp needs no ODE solver, so a ramp process skips its import
+    code = (
+        "import sys\n"
+        "from dualgas import work\n"
+        "from dualgas.core import LinearRamp\n"
+        "work.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), 1.0, 4)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    r = run_python(["-c", code], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]
+
+
 def test_failed_solve_exits_three(tmp_path):
     # mu past the degenerate edge: the dressed-energy sheet has terminated
     r = run(["eos", "--beta", "1", "--c", "1", "--mu-grid", "3:3:1"], tmp_path)
@@ -109,6 +123,33 @@ def test_work_summary_contents(tmp_path):
         assert key in summary
     assert summary["jarzynski_residual"] < 1e-10
     assert (tmp_path / "work_atoms.csv").exists()
+
+
+def _atom_rows(path):
+    body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in body[1:]]
+
+
+def test_work_atoms_written_only_where_they_carry_mass(tmp_path):
+    # the coupling quench keeps centre-reflection parity, so most of its
+    # transitions have probability exactly 0
+    argv = ["work", "--protocol", "sudden-coupling", "--c-f", "5", "--m", "8",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = _atom_rows(tmp_path / "work_atoms.csv")
+    summary = json.loads((tmp_path / "work_summary.json").read_text())
+    assert len(rows) == summary["atom_count"] > 0
+    assert all(float(p) > 0.0 for _, p in rows)
+    assert sum(float(p) for _, p in rows) == pytest.approx(summary["mass"], abs=1e-12)
+
+    fig2 = tmp_path / "fig2"
+    argv = ["fig2", "--m", "4", "--c-list", "1", "--beta-list", "1",
+            "--tau", "0.1", "--out-dir", str(fig2)]
+    assert cli.main(argv) == 0
+    rows = _atom_rows(fig2 / "fig2_C1_beta1.csv")
+    report = json.loads((fig2 / "fig2_report.json").read_text())
+    assert len(rows) == report["c=1"]["beta=1"]["atom_count"]
+    assert all(float(p) > 0.0 for _, p in rows)
 
 
 @pytest.mark.parametrize(

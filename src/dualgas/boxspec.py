@@ -5,8 +5,9 @@ Basis: symmetrized products of box modes u_n(x) = sqrt(2/lam) sin(n pi x/lam),
     |pq> = c_pq [u_p(x1) u_q(x2) + u_q(x1) u_p(x2)],   1 <= p <= q <= cutoff,
 
 with c_pq = 1/sqrt(2) for p < q and 1/2 for p = q.  The contact matrix is
-exact in this basis (a finite combination of Kronecker deltas), so the only
-approximation is the mode cutoff.  Fermionic duals share every eigenvector;
+exact in this basis, the Gram matrix of the pairs' harmonics at x1 = x2, so
+the only approximation is the mode cutoff; the ramp generator and the wall
+embedding lift one-body matrices.  Fermionic duals share every eigenvector;
 they differ downstream of the sign map sign(x2 - x1) only.
 
 Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2.
@@ -99,23 +100,18 @@ def _pair_operators(cutoff: int) -> tuple:
     c = basis.norms()
     k1 = np.pi**2 * (p**2 + q**2).astype(float)
 
-    # The four-sine product integral of bra (p, q) and ket (m, n) is a sum
-    # of eight Kronecker deltas; p + q + m + n = 0 never fires for positive
-    # modes, and the other seven compare p -+ q with -+(m -+ n).  They are
-    # counted in int8, so no dense float temporary is made.
-    d, s = p - q, p + q
-    cnt = np.zeros((basis.dim, basis.dim), dtype=np.int8)
-    for bra, ket, sign in (
-        (d, d, 1), (d, -d, 1), (d, s, -1), (d, -s, -1),
-        (s, d, -1), (s, -d, -1), (s, s, 1),
-    ):
-        fired = np.equal.outer(bra, ket)
-        if sign > 0:
-            cnt += fired
-        else:
-            cnt -= fired
+    # At x1 = x2 = x, 2 u_p u_q = (2/lam) [cos((q-p) pi x/lam) - cos((p+q) pi x/lam)],
+    # so the coincidence factor S ((2M+1) x dim, rank 2M-1) has S[q-p, pq] = 1 and
+    # S[p+q, pq] = -1.  The harmonics are orthogonal on [0, lam], the constant one
+    # (row 0) twice as heavy, so with DS = diag(2, 1, ..., 1) S the count S^T DS has
+    # row pq = DS[q-p] - DS[p+q]: exact small integers, 8 rows at a time (no dim^2 temporary).
+    d, s = q - p, p + q
+    DS = np.zeros((2 * cutoff + 1, basis.dim))
+    DS[d, np.arange(basis.dim)] = np.where(d == 0, 2.0, 1.0)
+    DS[s, np.arange(basis.dim)] = -1.0
     v1 = np.multiply.outer(2.0 * c, c)
-    v1 *= cnt
+    for r in range(0, basis.dim, 8):
+        v1[r:r + 8] *= DS[d[r:r + 8]] - DS[s[r:r + 8]]
     return basis, _frozen(k1), _frozen(v1)
 
 
@@ -127,6 +123,8 @@ def unit_pair_operators(cutoff: int) -> dict:
       'k1': diag vector, kinetic = hbar^2 * k1 / lam^2, k1 = pi^2 (p^2 + q^2)
       'v1': contact matrix at unit strength, H_contact = (C / lam) * v1;
             <delta(x1-x2)> = v.T @ v1 @ v / lam
+    v1 = 2 c_pq c_mn (S^T diag(2, 1, ..., 1) S) from the pairs' harmonics S
+    at x1 = x2; `pair_dilation` and `pair_embed_overlaps` lift one-body matrices.
     The arrays are built once per cutoff (the last four are kept) and are
     read-only; the dict is a new one on every call.
     """
@@ -146,22 +144,26 @@ def pair_dilation(cutoff: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _pair_dilation(cutoff: int) -> np.ndarray:
     basis = PairBasis(cutoff)
-    p, q = basis.labels()
-    c = basis.norms()
-    d1 = dilation_matrix(cutoff)
-    # <(pq)| lam d/dlam |(mn)> assembled from the one-body generator
-    dp_m = d1[p[:, None] - 1, p[None, :] - 1]
-    dq_n = d1[q[:, None] - 1, q[None, :] - 1]
-    dp_n = d1[p[:, None] - 1, q[None, :] - 1]
-    dq_m = d1[q[:, None] - 1, p[None, :] - 1]
-    del_pm = (p[:, None] == p[None, :]).astype(float)
-    del_qn = (q[:, None] == q[None, :]).astype(float)
-    del_pn = (p[:, None] == q[None, :]).astype(float)
-    del_qm = (q[:, None] == p[None, :]).astype(float)
-    d2 = 2.0 * c[:, None] * c[None, :] * (
-        dp_m * del_qn + del_pm * dq_n + dp_n * del_qm + del_pn * dq_m
-    )
-    return _frozen(d2)
+    # d1 (x) 1 + 1 (x) d1 lifts to twice the lift of one term
+    return _frozen(2.0 * _pair_lift(dilation_matrix(cutoff), np.eye(cutoff), basis, basis))
+
+
+def _pair_lift(x, y, bra: PairBasis, ket: PairBasis) -> np.ndarray:
+    """<(pq)| x (x) y |(mn)> = c_pq c_mn [(x_pm y_qn + x_pn y_qm) + (y_pm x_qn + y_pn x_qm)].
+
+    Filled one m at a time, whose kets (m, n >= m) are contiguous, so no
+    temporary of the bra x ket size is made; for x is y the halves are equal.
+    """
+    p, q = bra.labels()
+    xp, xq, yp, yq = x[p - 1], x[q - 1], y[p - 1], y[q - 1]
+    cb, ck = bra.norms(), ket.norms()
+    out = np.empty((bra.dim, ket.dim))
+    for j in range(ket.cutoff):  # m = j + 1
+        cols = slice(ket.index_of(j + 1, j + 1), ket.index_of(j + 1, ket.cutoff) + 1)
+        s = xp[:, j, None] * yq[:, j:] + xp[:, j:] * yq[:, j, None]
+        s += s if x is y else yp[:, j, None] * xq[:, j:] + yp[:, j:] * xq[:, j, None]
+        out[:, cols] = np.multiply.outer(cb, ck[cols]) * s
+    return out
 
 
 def dilation_matrix(cutoff: int) -> np.ndarray:
@@ -560,10 +562,4 @@ def pair_embed_overlaps(
 ) -> np.ndarray:
     """<(pq)_f | (mn)_i> for symmetrized pairs across a box expansion."""
     o = embed_overlaps(lam_i, lam_f, basis_i.cutoff, basis_f.cutoff)
-    p, q = basis_f.labels()
-    m, n = basis_i.labels()
-    cf = basis_f.norms()
-    ci = basis_i.norms()
-    O2 = o[p[:, None] - 1, m[None, :] - 1] * o[q[:, None] - 1, n[None, :] - 1]
-    O2 = O2 + o[p[:, None] - 1, n[None, :] - 1] * o[q[:, None] - 1, m[None, :] - 1]
-    return 2.0 * cf[:, None] * ci[None, :] * O2
+    return _pair_lift(o, o, basis_f, basis_i)

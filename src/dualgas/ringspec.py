@@ -320,11 +320,7 @@ def enumerate_states(
             f"{n_combo} states exceed max_states={max_states}; lower i_max"
         )
     I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
-    if math.isinf(coupling):
-        K = 2.0 * np.pi * I / lam
-        res = np.zeros(I.shape[0])
-    else:
-        K, res = solve_bethe_batch(I, lam, coupling, hbar, tol=tol)
+    K, res = solve_bethe_batch(I, lam, coupling, hbar, tol=tol)
     energies = hbar**2 * np.sum(K**2, axis=1)
     order = np.lexsort(tuple(I[:, j] for j in range(n - 1, -1, -1)) + (energies,))
     return SpectrumTable(

@@ -118,6 +118,7 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
     np.average of its works weighted by them (the plain mean for a cluster
     without mass) and its log-probability scipy's logsumexp, all to the
     last bit; the clusters are reduced as segments of the sorted atoms.
+    A cluster of subnormal mass takes its weights from log_probabilities.
     """
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"merge tolerance must be finite and >= 0, got {tol}")
@@ -137,7 +138,13 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
     out_w = np.where(out_p > 0, weighted, _segment_sums(w, starts, sizes) / sizes)
     if lp is None:
         return out_w, out_p
-    return out_w, out_p, _segment_logsumexp(lp[order], starts, sizes)
+    lp = lp[order]
+    out_lp = _segment_logsumexp(lp, starts, sizes)
+    faint = (out_p > 0) & (out_p < np.finfo(float).tiny) & np.isfinite(out_lp)
+    for g in np.flatnonzero(faint):
+        sl = slice(starts[g], starts[g] + sizes[g])
+        out_w[g] = np.average(w[sl], weights=np.exp(lp[sl] - out_lp[g]))
+    return out_w, out_p, out_lp
 
 
 @dataclass
@@ -338,11 +345,7 @@ def adiabatic_ring_distribution(
 ) -> WorkDistribution:
     """Quasistatic ring rescaling: populations ride their quantum numbers."""
     table = ringspec.enumerate_states(lam_i, coupling, n_particles, i_max, hbar)
-    I = table.quantum_numbers
-    if math.isinf(coupling):
-        k_f = 2.0 * np.pi * I / lam_f
-    else:
-        k_f, _ = ringspec.solve_bethe_batch(I, lam_f, coupling, hbar)
+    k_f, _ = ringspec.solve_bethe_batch(table.quantum_numbers, lam_f, coupling, hbar)
     e_f = hbar**2 * (k_f**2).sum(axis=1)
     return _two_point(
         table.energies, e_f, beta, table.tail_bound(beta),
@@ -739,6 +742,11 @@ def free_momentum_work(quantum_numbers, lam_i: float, lam_f: float, hbar: float 
 # ---------------------------------------------------------------------------
 
 
+def _contact_form(ops, V):
+    """The unit contact form v.T @ v1 @ v of every column v of V."""
+    return np.einsum("ai,ab,bi->i", V, ops["v1"], V)
+
+
 def sudden_wall_mean_work(
     lam_i: float,
     lam_f: float,
@@ -764,7 +772,7 @@ def sudden_wall_mean_work(
     # quadratic form of H_f on embedded states = same integrals over [0, lam_i]
     form = (
         hbar**2 * (ops["k1"][:, None] * V * V).sum(axis=0) / lam_i**2
-        + (coupling / lam_i) * np.einsum("ai,ab,bi->i", V, ops["v1"], V)
+        + (coupling / lam_i) * _contact_form(ops, V)
     )
     identity_value = float(np.sum(p_i * (form - sp_i.energies)))
     out = {"identity": identity_value}
@@ -789,8 +797,7 @@ def sudden_coupling_mean_work(
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     ops = boxspec.unit_pair_operators(cutoff)
     p_i, _ = _thermal(sp_i.energies, beta)
-    V = sp_i.vectors
-    delta_exp = np.einsum("ai,ab,bi->i", V, ops["v1"], V) / lam
+    delta_exp = _contact_form(ops, sp_i.vectors) / lam
     return {
         "identity": float((coupling_f - coupling_i) * np.sum(p_i * delta_exp)),
         "thermal_contact": float(np.sum(p_i * delta_exp)),

@@ -131,6 +131,13 @@ def test_enumeration_count_and_order():
     assert table.quantum_numbers[0] == pytest.approx([-0.5, 0.5])
 
 
+@pytest.mark.parametrize("coupling", [1.0, math.inf])
+def test_enumeration_rejects_nonpositive_circumference(coupling):
+    # the hard-core enumeration goes through the same checks as any other
+    with pytest.raises(ConfigError, match="circumference"):
+        rs.enumerate_states(-1.0, coupling, 2, 3)
+
+
 def test_enumeration_cap():
     with pytest.raises(ConfigError):
         rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=10)

@@ -101,6 +101,21 @@ def test_merge_atoms_bitwise_equals_reference(atoms):
         assert np.array_equal(g, r)
 
 
+def test_merge_atoms_places_subnormal_cluster_by_log_probabilities():
+    # the linear weights carry 15 and 13 significant bits: their weighted
+    # mean landed at 1.23455378, 1.4e-5 off the atoms
+    w = np.array([1.2345678, 1.2345678 + 1e-10])
+    p = np.array([1.5e-319, 4e-320])
+    mw, mp, _ = wk.merge_atoms(w, p, 1e-9, log_probabilities=np.log(p))
+    assert mp.size == 1
+    assert mw[0] == pytest.approx(np.average(w, weights=[15.0, 4.0]), abs=1e-15)
+    # clusters of normal mass in the same call keep their bits
+    w2, p2 = np.append(w, [3.0, 3.0 + 1e-10]), np.append(p, [0.3, 0.7])
+    mw2, mp2, _ = wk.merge_atoms(w2, p2, 1e-9, log_probabilities=np.log(p2))
+    assert mw2[0] == mw[0]
+    assert mw2[1] == wk.merge_atoms(w2, p2, 1e-9)[0][1]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_merge_atoms_rejects_tolerance_not_finite_and_nonnegative(tol):
     # nan or inf would merge every atom into one, a negative tol none

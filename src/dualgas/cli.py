@@ -49,15 +49,11 @@ _GLOBAL_SCHEMA = {
 }
 
 
-def _count(text: str, least: int = 0) -> int:
-    n = int(text)
-    if n < least:
-        raise ConfigError(f"must be >= {least}, got {n}")
-    return n
-
-
 def _positive_count(text: str) -> int:
-    return _count(text, 1)
+    n = int(text)
+    if n < 1:
+        raise ConfigError(f"must be >= 1, got {n}")
+    return n
 
 
 def _floats(text: str) -> List[float]:
@@ -530,8 +526,7 @@ def _cmd_eos(cfg: RunConfig) -> None:
 
     def point(mu: float):
         sol = eos.solve_yang_yang(beta, mu, coupling, cfg.hbar)
-        dens = eos.density(beta, mu, coupling, cfg.hbar)
-        return sol.pressure, dens, sol.iterations
+        return sol.pressure, sol.density, sol.iterations
 
     rows = _pmap(point, [float(m) for m in mu_grid], cfg.threads)
     write_csv(
@@ -583,7 +578,7 @@ _COMMANDS: Dict[str, Tuple[Callable[[RunConfig], None], str, Dict[str, tuple]]] 
         _cmd_box_spectrum,
         "pair levels in a hard-wall box",
         {"lam": (float, 1.0), "m": (int, 30), "c": (float, None),
-         "alpha": (float, None), "n_levels": (_count, 10)},
+         "alpha": (float, None), "n_levels": (_positive_count, 10)},
     ),
     "fig1": (
         _cmd_fig1,
@@ -622,7 +617,7 @@ _COMMANDS: Dict[str, Tuple[Callable[[RunConfig], None], str, Dict[str, tuple]]] 
         _cmd_convergence,
         "basis-size scan: levels and cusp residuals",
         {"alpha": (float, 5.0), "lam": (float, 1.0),
-         "m_list": (_ints, [20, 40, 60]), "n_levels": (_count, 6)},
+         "m_list": (_ints, [20, 40, 60]), "n_levels": (_positive_count, 6)},
     ),
     "eos": (
         _cmd_eos,

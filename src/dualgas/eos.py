@@ -1,28 +1,32 @@
-"""Finite-temperature equation of state from the dressed-energy fixed point.
+"""Finite-temperature equation of state from the Yang-Yang dressed energy.
 
 The pressure of the homogeneous gas in the thermodynamic limit follows from
-a single dressed excitation energy eps(k) satisfying
+a single dressed excitation energy eps(k) satisfying the Yang-Yang equation
 
     eps(k) = -mu + hbar^2 k^2
-             - (2 C / (pi beta)) int hbar^3 ln(1 + e^{-beta eps(q)})
-                                      / (C^2 + hbar^4 (k - q)^2) dq
+             - (1 / (2 pi beta)) int 2c / (c^2 + (k - k')^2)
+                                     ln(1 + e^{-beta eps(k')}) dk' ,
 
-with the convolution taken over the whole line, and
+    c = C / (2 hbar^2) ,
+
+whose kernel is the derivative of the ring's two-body phase shift
+2 arctan(2 hbar^2 k / C) (see `ringspec`), and
 
     P(mu, beta) = (1 / (2 pi beta)) int ln(1 + e^{-beta eps(k)}) dk .
 
-The kernel carries one more power of hbar than the textbook Yang-Yang form;
-its q-integral is pi hbar / C, so the bracket prefactor scales like
-2 hbar / beta and the interaction term vanishes in the hard-core limit
-C -> inf, where eps reduces to the free-fermion dispersion.  The weak
-coupling limit C -> 0 of this kernel does *not* reduce to the ideal Bose
-branch unless hbar = 1/2; callers probing C << hbar^2 / thermal length
-should treat the output as the literal fixed point of the equation above,
-nothing more.
+The kernel 2c / (c^2 + u^2) integrates to 2 pi, so the map contracts: its
+linearization has norm at most the largest filling
+f = 1 / (1 + e^{beta eps}) < 1.  The number density is
 
-Number density is obtained as D = dP/dmu by Richardson-extrapolated central
-differences, and the small-fugacity structure (a1, a2, b1, b2) is exposed
-for cross-checking against the cluster expansion.
+    D = dP/dmu = (1 / 2 pi) int f(k) q(k) dk ,
+
+with the dressed charge q = -d eps / d mu solving the linear equation
+
+    q(k) = 1 + (1 / 2 pi) int 2c / (c^2 + (k - k')^2) f(k') q(k') dk' .
+
+The hard-core limit C -> inf drops the kernel: eps is the free-fermion
+dispersion and q = 1.  The small-fugacity structure (a1, a2, b1, b2) is
+exposed for cross-checking against the cluster expansion.
 """
 
 from __future__ import annotations
@@ -59,9 +63,12 @@ def default_grid(
 ) -> tuple[float, int]:
     """Momentum window and point count for the dressed-energy solve.
 
-    The window is set so the Fermi-type weight at the edge is below
-    e^{-34}; the step resolves both the thermal scale 1/(sqrt(beta) hbar)
-    and, when narrower, the Lorentzian kernel width C / hbar^2.  The
+    The window edge sits where hbar^2 k^2 exceeds 2 mu by 36 / beta.
+    Repulsion pushes the dressed Fermi point out from sqrt(mu) / hbar
+    (hard core) toward sqrt(2 mu) / hbar (weak coupling), so the
+    Fermi-type weight at the edge stays below about e^{-34}.  The step
+    resolves both the thermal scale 1/(sqrt(beta) hbar) and, when
+    narrower, the Lorentzian kernel width C / hbar^2.  The
     discrete convolution only needs the *kernel* resolved -- the solution
     itself stays thermally smooth.
     """
@@ -69,7 +76,7 @@ def default_grid(
         raise ConfigError(f"beta must be positive and finite, got {beta}")
     if hbar <= 0.0:
         raise ConfigError(f"hbar must be positive, got {hbar}")
-    k_max = math.sqrt((36.0 + max(beta * mu, 0.0)) / beta) / hbar
+    k_max = math.sqrt((36.0 + max(2.0 * beta * mu, 0.0)) / beta) / hbar
     h = 1.0 / (20.0 * math.sqrt(beta) * hbar)
     if math.isfinite(coupling) and coupling > 0.0:
         h = min(h, coupling / (8.0 * hbar**2))
@@ -80,7 +87,7 @@ def default_grid(
 
 @dataclass(frozen=True)
 class EosSolution:
-    """Converged dressed energy on a symmetric k-grid."""
+    """Converged dressed energy on a symmetric k-grid, with P and D = dP/dmu."""
 
     beta: float
     mu: float
@@ -89,6 +96,7 @@ class EosSolution:
     k: np.ndarray = field(repr=False)
     epsilon: np.ndarray = field(repr=False)
     pressure: float
+    density: float
     iterations: int
     residual: float
 
@@ -100,11 +108,16 @@ class EosSolution:
     @property
     def filling(self) -> np.ndarray:
         """Fermi-type weight 1 / (1 + e^{beta eps(k)})."""
-        return 0.5 * (1.0 - np.tanh(0.5 * self.beta * self.epsilon))
+        return _filling(self.beta, self.epsilon)
+
+
+def _filling(beta: float, eps: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 - np.tanh(0.5 * beta * eps))
 
 
 def _kernel(u: np.ndarray, coupling: float, hbar: float) -> np.ndarray:
-    return hbar**3 / (coupling**2 + hbar**4 * u * u)
+    """Yang-Yang kernel without its prefactor 2C/pi: hbar^2 / (C^2 + 4 hbar^4 u^2)."""
+    return hbar**2 / (coupling**2 + 4.0 * hbar**4 * u * u)
 
 
 def _same_convolution(
@@ -138,16 +151,14 @@ def solve_yang_yang(
     tol: float = 1e-12,
     max_iter: int = 500,
 ) -> EosSolution:
-    """Solve the dressed-energy equation by damped fixed-point iteration.
+    """Solve the dressed-energy equation, then its dressed charge.
 
     Starts from the free dispersion eps0 = -mu + hbar^2 k^2 and iterates
     the defining map, evaluating the Lorentzian convolution with an FFT.
-    Plain iteration contracts only while the filling is small -- the
-    linearized map is positive with norm ~ 2 hbar <f>, so no mixing factor
-    rescues it in the degenerate regime -- hence a Newton fallback on the
-    full Toeplitz-times-diagonal Jacobian takes over when the residual
-    stops shrinking.  C = inf is the hard-core point: the interaction term
-    is dropped and eps0 is returned exactly.
+    C = inf is the hard-core point: the interaction term is dropped and
+    eps0 is returned exactly.  The density is the trapezoid integral of
+    f q on the same grid, so it is the exact mu-derivative of the returned
+    (discrete) pressure.
     """
     if not (coupling >= 0.0):  # also rejects nan
         raise ConfigError(f"coupling must be nonnegative, got {coupling}")
@@ -159,34 +170,16 @@ def solve_yang_yang(
     if n % 2 == 0:
         n += 1
     k = np.linspace(-km, km, n)
-    eps0 = -mu + hbar**2 * k * k
-
     if math.isinf(coupling):
-        lng = np.logaddexp(0.0, -beta * eps0)
-        p = float(np.trapezoid(lng, k)) / (2.0 * math.pi * beta)
-        return EosSolution(beta, mu, coupling, hbar, k, eps0, p, 0, 0.0)
-
-    eps, it, res = _solve_on_grid(beta, mu, coupling, hbar, k, tol, max_iter)
-    if eps is None:
-        # Continuation: walk mu up from a dilute anchor, warm-starting each
-        # step, so Newton always launches inside its basin.
-        mu_anchor = min(mu, math.log(0.1) / beta)
-        seed = -mu_anchor + hbar**2 * k * k
-        total = 0
-        for m in np.linspace(mu_anchor, mu, 9)[1:]:
-            seed, it, res = _solve_on_grid(
-                beta, float(m), coupling, hbar, k, tol, max_iter, seed
-            )
-            if seed is None:
-                raise EosConvergenceError(
-                    f"dressed energy not converged: residual {res:.3e} at "
-                    f"beta={beta}, mu={m}, C={coupling} (continuation)"
-                )
-            total += it
-        eps, it = seed, total
+        eps, charge, it, res = -mu + hbar**2 * k * k, 1.0, 0, 0.0
+    else:
+        eps, charge, it, res = _solve_on_grid(
+            beta, mu, coupling, hbar, k, tol, max_iter
+        )
     lng = np.logaddexp(0.0, -beta * eps)
     p = float(np.trapezoid(lng, k)) / (2.0 * math.pi * beta)
-    return EosSolution(beta, mu, coupling, hbar, k, eps, p, it, res)
+    d = float(np.trapezoid(_filling(beta, eps) * charge, k)) / (2.0 * math.pi)
+    return EosSolution(beta, mu, coupling, hbar, k, eps, p, d, it, res)
 
 
 def _solve_on_grid(
@@ -197,79 +190,49 @@ def _solve_on_grid(
     k: np.ndarray,
     tol: float,
     max_iter: int,
-    seed: Optional[np.ndarray] = None,
 ):
-    """One grid-level solve: plain iteration, then Newton with line search.
+    """Plain iteration for eps, then for the dressed charge q at that eps.
 
-    Returns (eps, iterations, residual); eps is None on failure so the
-    caller can try continuation.
+    Both maps have the linearization (2C/pi) h K * (f .), of norm at most
+    max f < 1, so both contract.  Returns (eps, q, iterations, residual),
+    the count and residual being those of eps; raises EosConvergenceError
+    when either stalls at max_iter or turns non-finite.
     """
     n = k.size
     h = k[1] - k[0]
     eps0 = -mu + hbar**2 * k * k
-    kern = _kernel(h * (np.arange(n) - n // 2), coupling, hbar)
-    pref = 2.0 * coupling / (math.pi * beta)
-    scale = max(1.0, float(np.abs(eps0).max()))
+    weight = 2.0 * coupling / math.pi * h
+    # the kernel spans every difference of two grid points, so the sum is
+    # the whole-window integral even when the Fermi sea fills the window
+    kern = _kernel(h * np.arange(1 - n, n), coupling, hbar)
     conv = _same_convolution(kern, n)
 
-    def apply_map(e: np.ndarray) -> np.ndarray:
-        return eps0 - pref * h * conv(np.logaddexp(0.0, -beta * e))
-
-    eps = eps0.copy() if seed is None else seed.copy()
-    best = math.inf
-    best_eps = eps
-    stalls = 0
-    res = math.inf
-    for it in range(1, max_iter + 1):
-        new = apply_map(eps)
-        res = float(np.abs(new - eps).max()) / scale
-        if not math.isfinite(res):
-            break
-        eps = new
-        if res < tol:
-            return eps, it, res
-        if res < 0.7 * best:
-            best, best_eps, stalls = res, eps, 0
-        else:
-            stalls += 1
-        if stalls >= 4 or res > 1e3:
-            break
-
-    if n > 6000:
-        return None, max_iter, res
-    # Newton-Kantorovich on G(eps) = map(eps) - eps with a dense
-    # Toeplitz-times-diagonal Jacobian; the plain map is expansive once
-    # 2 hbar <filling> crosses 1, Newton is not.
-    eps = best_eps if math.isfinite(best) else eps0.copy()
-    kidx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    ktab = _kernel(h * np.arange(n, dtype=float), coupling, hbar)[kidx]
-    g = apply_map(eps) - eps
-    gnorm = float(np.linalg.norm(g))
-    for it in range(1, 60):
-        filling = 0.5 * (1.0 - np.tanh(0.5 * beta * eps))
-        jac = (pref * h * beta) * ktab * filling[None, :]
-        np.fill_diagonal(jac, jac.diagonal() - 1.0)
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            trial = eps + step * delta
-            g_try = apply_map(trial) - trial
-            gn_try = float(np.linalg.norm(g_try))
-            if gn_try < (1.0 - 1e-4 * step) * gnorm:
-                eps, g, gnorm = trial, g_try, gn_try
-                improved = True
+    def iterate(apply_map, x, scale, name):
+        res = math.inf
+        for it in range(1, max_iter + 1):
+            new = apply_map(x)
+            res = float(np.abs(new - x).max()) / scale
+            x = new
+            if res < tol:
+                return x, it, res
+            if not math.isfinite(res):
                 break
-            step *= 0.5
-        res = float(np.abs(g).max()) / scale
-        if res < tol:
-            return eps, it, res
-        if not improved:
-            break
-    return None, max_iter, res
+        raise EosConvergenceError(
+            f"{name} not converged: residual {res:.3e} at "
+            f"beta={beta}, mu={mu}, C={coupling}"
+        )
+
+    eps, it, res = iterate(
+        lambda e: eps0 - weight / beta * conv(np.logaddexp(0.0, -beta * e)),
+        eps0,
+        max(1.0, float(np.abs(eps0).max())),
+        "dressed energy",
+    )
+    filling = _filling(beta, eps)
+    charge, _, _ = iterate(
+        lambda q: 1.0 + weight * conv(filling * q), np.ones(n), 1.0, "dressed charge"
+    )
+    return eps, charge, it, res
 
 
 def pressure(
@@ -288,29 +251,10 @@ def density(
     mu: float,
     coupling: float,
     hbar: float = 1.0,
-    rel_step: float = 1e-4,
-    k_max: Optional[float] = None,
-    n_k: Optional[int] = None,
+    **grid: float,
 ) -> float:
-    """Number density D = dP/dmu by Richardson-extrapolated central differences.
-
-    All four pressure evaluations share one grid (sized for the base mu) so
-    the difference quotient sees a smooth function of mu.
-    """
-    if k_max is None or n_k is None:
-        km, n = default_grid(beta, max(mu, 0.0) + 2.0 / beta, coupling, hbar)
-        k_max = km if k_max is None else k_max
-        n_k = n if n_k is None else n_k
-    step = rel_step * max(1.0 / beta, abs(mu))
-
-    def p_of(m: float) -> float:
-        return solve_yang_yang(
-            beta, m, coupling, hbar, k_max=k_max, n_k=n_k
-        ).pressure
-
-    d1 = (p_of(mu + step) - p_of(mu - step)) / (2.0 * step)
-    d2 = (p_of(mu + 0.5 * step) - p_of(mu - 0.5 * step)) / step
-    return (4.0 * d2 - d1) / 3.0
+    """D = dP/dmu from a fresh dressed-energy solve and its dressed charge."""
+    return solve_yang_yang(beta, mu, coupling, hbar, **grid).density
 
 
 def a1_profile(k: np.ndarray, beta: float, hbar: float = 1.0) -> np.ndarray:
@@ -330,7 +274,7 @@ def a2_profile(
     reading="q" is the coefficient generated by the implemented fixed
     point: expanding ln(1 + z e^{-beta eps}) to O(z^2) gives
 
-        a2(k) = a1(k) (2C/pi) int hbar^3 a1(q) / (C^2 + hbar^4 (k-q)^2) dq .
+        a2(k) = a1(k) (2C/pi) int hbar^2 a1(q) / (C^2 + 4 hbar^4 (k-q)^2) dq .
 
     reading="k" evaluates the convolution integrand at q = k instead,
     which collapses the integral to the closed form -2 hbar a1(k)^2 /
@@ -345,15 +289,11 @@ def a2_profile(
         out = -2.0 * hbar * a1
     elif reading == "q":
         vals = np.empty_like(karr)
-        c2 = coupling**2
-        h4 = hbar**4
-        h3 = hbar**3
         lim = 8.0 / (math.sqrt(beta) * hbar)
         for i, kk in enumerate(karr):
             vals[i], _ = quad(
-                lambda q: h3
-                * math.exp(-beta * hbar**2 * q * q)
-                / (c2 + h4 * (kk - q) ** 2),
+                lambda q: math.exp(-beta * hbar**2 * q * q)
+                * _kernel(kk - q, coupling, hbar),
                 -lim,
                 lim,
                 limit=400,
@@ -419,14 +359,7 @@ def virial_ratio(
     mu0 = math.log(z0) / beta
 
     def gap(m: float) -> float:
-        # Past the degenerate edge the kernel's net attraction collapses
-        # the sheet; treat a failed solve as "density above target" so the
-        # bracket stays on the physical branch (roots probed here sit well
-        # inside it, and the result is verified after the solve).
-        try:
-            return density(beta, m, coupling, hbar) - density_target
-        except EosConvergenceError:
-            return density_target
+        return density(beta, m, coupling, hbar) - density_target
 
     half = 4.0 / beta
     lo, hi = mu0 - half, mu0 + half
@@ -443,13 +376,13 @@ def virial_ratio(
     else:
         raise EosConvergenceError("could not bracket the chemical potential")
     mu = brentq(gap, lo, hi, xtol=1e-12 / beta, rtol=8.9e-16)
-    check = density(beta, mu, coupling, hbar)
-    if abs(check - density_target) > 1e-6 * density_target:
+    sol = solve_yang_yang(beta, mu, coupling, hbar)
+    if abs(sol.density - density_target) > 1e-6 * density_target:
         raise EosConvergenceError(
-            f"density inversion landed at D={check:.6e}, "
+            f"density inversion landed at D={sol.density:.6e}, "
             f"target {density_target:.6e}"
         )
-    p = pressure(beta, mu, coupling, hbar)
+    p = sol.pressure
     full = p * beta / density_target
     expansion = 1.0 - 2.0 * math.pi * density_target * co["b2"] / co["b1"] ** 2
     tabulated = 1.0 - co["b2"] * math.sqrt(beta) * density_target

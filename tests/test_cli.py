@@ -1,6 +1,8 @@
 import json
+import math
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +58,8 @@ def test_negative_grid_start_after_a_space(tmp_path):
 
 def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     # scipy.signal (and the scipy.stats it imports) cost most of a start-up;
-    # scipy.integrate and scipy.optimize are imported where they are called
+    # scipy.integrate and scipy.optimize are imported where they are called,
+    # and the dressed charge needs no scipy.sparse solver
     r = run_python(
         ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
         tmp_path,
@@ -64,7 +67,8 @@ def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
     assert r.returncode == 0, r.stderr
     loaded = r.stdout.split()
     assert "dualgas.cli" in loaded and "scipy.fft" in loaded
-    late = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize")
+    late = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize",
+            "scipy.sparse")
     assert [
         m for m in loaded if m in late or m.startswith(tuple(p + "." for p in late))
     ] == []
@@ -85,8 +89,9 @@ def test_ramp_propagation_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 def test_failed_solve_exits_three(tmp_path):
-    # mu past the degenerate edge: the dressed-energy sheet has terminated
-    r = run(["eos", "--beta", "1", "--c", "1", "--mu-grid", "3:3:1"], tmp_path)
+    # so deep in the degenerate regime that the contraction is too slow to
+    # converge within the iteration cap
+    r = run(["eos", "--beta", "1", "--c", "1", "--mu-grid", "400:400:1"], tmp_path)
     assert r.returncode == 3
     assert "converged" in r.stderr or "residual" in r.stderr
 
@@ -295,7 +300,7 @@ def test_parser_declares_every_flag_once_with_its_dest():
 
 
 # a value every parser accepts, by parser
-SAMPLE = {int: "3", cli._count: "3", cli._positive_count: "3", float: "0.5",
+SAMPLE = {int: "3", cli._positive_count: "3", float: "0.5",
           str: "ring", cli._floats: "0.5,2", cli._ints: "4,8", cli._grid: "0:1:3"}
 KEYS = [
     (name, key) for name, (_, _, schema) in cli._COMMANDS.items()
@@ -356,9 +361,9 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
     (["fig1", "--m", "1"], "state 1"),
     (["duality-check", "--m", "2", "--states", "10"], "state 3"),
     (["box-spectrum", "--n-levels", "-1", "--alpha", "1", "--m", "4"],
-     "--n-levels: must be >= 0"),
+     "--n-levels: must be >= 1"),
     (["convergence", "--n-levels", "-1", "--m-list", "4"],
-     "--n-levels: must be >= 0"),
+     "--n-levels: must be >= 1"),
     (["ring-spectrum", "--lambda", "inf"], "circumference"),
     (["duality-check", "--m", "4", "--states", "0"], "--states: must be >= 1"),
 ])
@@ -400,9 +405,42 @@ BASES = {
 HOSTILE = ["0", "-1", "nan", "inf", "x", ""]
 
 
+def _finite(value):
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return True  # not a number
+
+
+def _non_finite_values(path, skip):
+    """(file, key, value) for each non-finite CSV data cell or JSON value."""
+    if path.suffix == ".csv":
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        return [(path.name, None, cell) for ln in lines[1:]
+                for cell in ln.split(",") if not _finite(cell)]
+    found = []
+
+    def walk(obj, key):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                if k not in skip:
+                    walk(v, k)
+        elif isinstance(obj, list):
+            for v in obj:
+                walk(v, key)
+        elif not isinstance(obj, bool) and not _finite(obj):
+            found.append((path.name, key, obj))
+
+    if path.suffix == ".json":
+        walk(json.loads(path.read_text()), None)
+    return found
+
+
 def test_hostile_value_exits_zero_two_or_three():
     # every (command, base run, key, value): a crash confined to one key
-    # slips past any sample of the combinations
+    # slips past any sample of the combinations.  A run that exits 0 must
+    # leave only finite numbers, apart from the configuration it echoes and
+    # the hard-core coupling C = inf it was asked for.
     failed = []
     for command, bases in BASES.items():
         for base in bases:
@@ -414,6 +452,14 @@ def test_hostile_value_exits_zero_two_or_three():
                             code = cli.main([*argv, "--out-dir", out])
                         except Exception as exc:
                             code = repr(exc)
+                        if code == 0:
+                            hard_core = (key, value) == ("c", "inf")
+                            allowed = {"coupling": "inf"} if hard_core else {}
+                            for path in sorted(Path(out).iterdir()):
+                                skip = {"config", key}
+                                for name, k, v in _non_finite_values(path, skip):
+                                    if allowed.get(k) != v:
+                                        failed.append((argv, name, k, v))
                     if code not in (0, 2, 3):
                         failed.append((argv, code))
     assert failed == []

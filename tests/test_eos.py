@@ -7,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dualgas import eos
+from dualgas import eos, ringspec
 from dualgas.core import ConfigError
+
+# b2 of free bosons at beta = hbar = 1; the hard-core value is minus this
+FREE_BOSON_B2 = 0.5 * math.sqrt(math.pi / 2.0)
 
 
 def test_coupling_validation():
@@ -61,7 +64,7 @@ def test_large_coupling_converges_to_hard_core():
     assert s_num.pressure == pytest.approx(s_inf.pressure, rel=1e-5)
 
 
-def test_degenerate_point_needs_newton_and_converges():
+def test_degenerate_point_converges():
     sol = eos.solve_yang_yang(1.0, 0.0, 1.0)
     assert sol.residual < 1e-10
     assert sol.pressure > 0
@@ -78,11 +81,72 @@ def test_dressed_energy_even_and_increasing_outward():
     assert e[-1] > e[mid]  # free quadratic growth wins at the edge
 
 
-def test_solution_sheet_terminates_past_degenerate_edge():
-    # the dressing kernel carries net weight 2 hbar: deep in the degenerate
-    # regime the self-consistent sheet collapses and the solve must say so
-    with pytest.raises(eos.EosConvergenceError):
-        eos.solve_yang_yang(1.0, 3.0, 1.0)
+def test_deeply_degenerate_point_converges():
+    # the Yang-Yang map contracts at every filling, so plain iteration
+    # reaches the solution deep in the degenerate regime too
+    sol = eos.solve_yang_yang(1.0, 3.0, 1.0)
+    assert sol.residual < 1e-10
+    assert 0.0 < sol.pressure < math.inf
+    assert 0.0 < sol.density < math.inf
+
+
+def _richardson_density(beta, mu, coupling, hbar):
+    # D = dP/dmu by Richardson-extrapolated central differences, all four
+    # pressures on one grid sized past the base mu
+    km, n = eos.default_grid(beta, max(mu, 0.0) + 2.0 / beta, coupling, hbar)
+    step = 1e-4 * max(1.0 / beta, abs(mu))
+
+    def p_of(m):
+        return eos.pressure(beta, m, coupling, hbar, k_max=km, n_k=n)
+
+    d1 = (p_of(mu + step) - p_of(mu - step)) / (2.0 * step)
+    d2 = (p_of(mu + 0.5 * step) - p_of(mu - 0.5 * step)) / step
+    return (4.0 * d2 - d1) / 3.0, km, n
+
+
+@pytest.mark.parametrize("beta, mu, hbar", [
+    (1.0, -2.0, 1.0), (1.0, 0.0, 1.0), (10.0, 0.1, 1.0), (1.0, 0.0, 0.1),
+    (1.0, 3.0, 1.0),
+])
+def test_density_is_the_mu_derivative_of_pressure(beta, mu, hbar):
+    ref, km, n = _richardson_density(beta, mu, 1.0, hbar)
+    got = eos.solve_yang_yang(beta, mu, 1.0, hbar, k_max=km, n_k=n).density
+    assert got == pytest.approx(ref, rel=1e-8)
+    assert eos.density(beta, mu, 1.0, hbar) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("coupling", [0.5, 1.0])
+def test_default_window_holds_the_dressed_fermi_sea(coupling):
+    # repulsion spreads the Fermi sea past sqrt(mu): at beta = 10, mu = 5 it
+    # must still sit inside the default window and the kernel's reach
+    beta, mu = 10.0, 5.0
+    km, n = eos.default_grid(beta, mu, coupling)
+    wide = eos.solve_yang_yang(beta, mu, coupling, k_max=2.0 * km, n_k=2 * n - 1)
+    assert eos.density(beta, mu, coupling) == pytest.approx(wide.density, rel=1e-8)
+
+
+def _ring_b2(lam, coupling, beta=1.0):
+    # Beth-Uhlenbeck b2 = 2 pi (Z2 - Z1^2 / 2) / L from the ring's pair and
+    # one-body spectra, cut where e^{-beta hbar^2 k^2} is below e^{-49}
+    i_max = 7.0 * lam / (2.0 * math.pi) + 0.5
+    z2 = ringspec.enumerate_states(lam, coupling, 2, i_max).partition_function(beta)
+    n = np.arange(-math.floor(i_max), math.floor(i_max) + 1)
+    z1 = float(np.exp(-beta * (2.0 * math.pi * n / lam) ** 2).sum())
+    return 2.0 * math.pi * (z2 - 0.5 * z1 * z1) / lam
+
+
+@pytest.mark.parametrize("coupling", [0.1, 1.0, 10.0])
+def test_second_cluster_integral_matches_ring_spectrum(coupling):
+    # the EOS kernel is the derivative of the ring's phase shift, so the
+    # cluster expansion and the Bethe spectrum describe one gas
+    b2 = eos.fugacity_coefficients(1.0, coupling)["b2"]
+    assert b2 == pytest.approx(_ring_b2(20.0, coupling), abs=1e-9)
+
+
+@pytest.mark.parametrize("coupling", [0.01, 1.0, 100.0])
+def test_second_cluster_integral_between_hard_core_and_free_bosons(coupling):
+    b2 = eos.fugacity_coefficients(1.0, coupling)["b2"]
+    assert -FREE_BOSON_B2 < b2 < FREE_BOSON_B2
 
 
 def test_density_positive_and_monotone_in_mu():
@@ -100,7 +164,7 @@ def test_first_cluster_integral_is_gaussian():
 
 
 def test_second_cluster_integral_reaches_free_fermion_limit():
-    exact = -0.5 * math.sqrt(math.pi / 2.0)
+    exact = -FREE_BOSON_B2
     assert eos.fugacity_coefficients(1.0, math.inf)["b2"] == pytest.approx(exact, rel=1e-12)
     assert eos.fugacity_coefficients(1.0, 1e8)["b2"] == pytest.approx(exact, rel=1e-6)
     # moderate repulsion keeps the bosonic (positive) sign

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import Box, ConfigError, ModelSpec, exchange_sign_grid
 
@@ -260,7 +259,8 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     p, q = basis.labels()
     odd = (p + q) % 2 == 1
     blocks = [b for b in (np.flatnonzero(~odd), np.flatnonzero(odd)) if b.size]
-    solved = [scipy.linalg.eigh(_parity_block(v1, g, kin, b)) for b in blocks]
+    # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
+    solved = [np.linalg.eigh(_parity_block(v1, g, kin, b)) for b in blocks]
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")
     evals = levels[order]

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy.fft
 
 from .core import ConfigError
 
@@ -120,23 +119,36 @@ def _kernel(u: np.ndarray, coupling: float, hbar: float) -> np.ndarray:
     return hbar**2 / (coupling**2 + 4.0 * hbar**4 * u * u)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, as scipy.fft.next_fast_len(n, True) gives."""
+    best = 1 << (n - 1).bit_length()  # the power of two at or above n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _same_convolution(
     kern: np.ndarray, n: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """f -> scipy.signal.fftconvolve(f, kern, mode="same") for real f of size n.
 
-    Makes the scipy.fft calls fftconvolve makes for 1-D real input, so the
-    bits agree, but transforms the kernel once for every f.
+    fftconvolve pads 1-D real input to next_fast_len(n + m - 1, True) and
+    calls scipy.fft.rfftn and irfftn; np.fft.rfft and irfft at that length
+    run the same pocketfft transforms, so the bits agree.  The kernel is
+    transformed once for every f.
     """
-    nfft = scipy.fft.next_fast_len(n + kern.size - 1, True)
-    kern_hat = scipy.fft.rfftn(kern, [nfft], axes=[0])
+    nfft = _next_fast_len(n + kern.size - 1)
+    kern_hat = np.fft.rfft(kern, nfft)
     lo = (kern.size - 1) // 2  # start of the centred n of the full n+m-1
 
     def conv(f: np.ndarray) -> np.ndarray:
-        full = scipy.fft.irfftn(
-            scipy.fft.rfftn(f, [nfft], axes=[0]) * kern_hat, [nfft], axes=[0]
-        )
-        return full[lo : lo + n]
+        return np.fft.irfft(np.fft.rfft(f, nfft) * kern_hat, nfft)[lo : lo + n]
 
     return conv
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import TG_COUPLING, ConfigError
 
@@ -218,6 +217,11 @@ class BetheState:
         return float(self.hbar * np.sum(self.rapidities))
 
 
+def _log_comb(n: int, k: int) -> float:
+    """log C(n, k) of the exact integer binomial; -inf where there is none."""
+    return math.log(math.comb(n, k)) if 0 <= k <= n else -math.inf
+
+
 def spectral_tail_bound(
     lam: float,
     n_particles: int,
@@ -247,9 +251,8 @@ def spectral_tail_bound(
     prev = None
     for _ in range(max_terms):
         kmin = max(0.0, (2.0 * np.pi * v - np.pi * n) / lam)
-        L = 2.0 * v + 1.0
-        logc = gammaln(L + 1.0) - gammaln(n) - gammaln(L - n + 2.0)
-        logterm = math.log(2.0) + logc - beta * (hbar * kmin) ** 2
+        L = int(2.0 * v + 1.0)
+        logterm = math.log(2.0) + _log_comb(L, n - 1) - beta * (hbar * kmin) ** 2
         term = math.exp(min(logterm, 700.0))
         total += term
         if prev is not None and term < prev and term < 1e-30 * max(total, 1.0):

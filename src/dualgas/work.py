@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import boxspec, ringspec
 from .core import (
@@ -93,22 +92,38 @@ def _segment_sums(x, starts, sizes):
     return out
 
 
-def _segment_logsumexp(lp, starts, sizes):
-    """scipy.special.logsumexp of every segment, equal to it bit for bit.
+def _segment_logsumexp(lp, starts, sizes, b=None):
+    """scipy.special.logsumexp(lp, b=b) of every segment, equal to it bit for bit.
 
-    scipy takes out the maximum m times (m entries equal it), sums the
-    rest as s = sum exp(lp - max) and returns log1p(s/m) + log(m) + max;
-    a segment whose maximum is not finite returns that maximum.
+    scipy gives zero-weight entries -inf and takes the maxima out of the
+    sum: m is their summed weight (their count without weights), the rest
+    sum to s = sum b exp(lp - max), and it returns log1p(s/m) + log(m) +
+    max; a segment whose maximum is not finite returns that maximum.
+    Weights must be non-negative.
     """
+    if b is not None:
+        lp = np.where(b == 0, -np.inf, lp)
     top = np.maximum.reduceat(lp, starts)
     top_at = np.repeat(top, sizes)
     is_top = lp == top_at
-    m = np.add.reduceat(is_top.astype(float), starts)
+    if b is None:
+        m = np.add.reduceat(is_top.astype(float), starts)
+    else:
+        m = _segment_sums(b * is_top, starts, sizes)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = _segment_sums(np.exp(np.where(is_top, -np.inf, lp) - top_at), starts, sizes)
+        rest = np.exp(np.where(is_top, -np.inf, lp) - top_at)
+        s = _segment_sums(rest if b is None else b * rest, starts, sizes)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + top
     return np.where(np.isfinite(top), out, top)
+
+
+def _logsumexp(a, b=None) -> float:
+    """scipy.special.logsumexp(a, b=b) of a non-empty a, equal to it bit for bit."""
+    a = np.asarray(a, dtype=float).ravel()
+    if b is not None:
+        b = np.asarray(b, dtype=float).ravel()
+    return float(_segment_logsumexp(a, np.zeros(1, dtype=int), np.array([a.size]), b)[0])
 
 
 def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None):
@@ -202,16 +217,12 @@ class WorkDistribution:
             keep = np.isfinite(arg)
             if not keep.any():
                 return 0.0
-            return float(np.exp(logsumexp(arg[keep])))
+            return float(np.exp(_logsumexp(arg[keep])))
         keep = self.probabilities > 0
         if not keep.any():
             return 0.0
         return float(
-            np.exp(
-                logsumexp(
-                    -self.beta * self.works[keep], b=self.probabilities[keep]
-                )
-            )
+            np.exp(_logsumexp(-self.beta * self.works[keep], b=self.probabilities[keep]))
         )
 
     def characteristic_function(self, nu) -> np.ndarray:
@@ -270,7 +281,7 @@ def _thermal(energies, beta):
     if not (0 < beta < math.inf):  # also rejects nan
         raise ConfigError(f"beta must be positive and finite, got {beta}")
     e = np.asarray(energies, dtype=float)
-    ln_z = float(logsumexp(-beta * e))
+    ln_z = _logsumexp(-beta * e)
     p = np.exp(-beta * e - ln_z)
     return p, ln_z
 
@@ -291,7 +302,7 @@ def _two_point(e_i, e_f, beta, tail, P=None, diagnostics=None, **metadata):
         probs = P * p_i[None, :]
         with np.errstate(divide="ignore"):  # log P[f, i] p_i without underflow
             log_probs = np.log(P) + (-beta * e_i - ln_zi)[None, :]
-    metadata.update(ln_z_initial=ln_zi, ln_z_final=float(logsumexp(-beta * e_f)))
+    metadata.update(ln_z_initial=ln_zi, ln_z_final=_logsumexp(-beta * e_f))
     if diagnostics is not None:
         metadata.update(diagnostics(P, p_i))
     return WorkDistribution(

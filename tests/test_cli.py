@@ -56,36 +56,52 @@ def test_negative_grid_start_after_a_space(tmp_path):
         assert (spaced / name).read_bytes() == (joined / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded(tmp_path):
-    # scipy.signal (and the scipy.stats it imports) cost most of a start-up;
-    # scipy.integrate and scipy.optimize are imported where they are called,
-    # and the dressed charge needs no scipy.sparse solver
+def test_cli_import_loads_no_scipy(tmp_path):
+    # importing any scipy subpackage costs about 0.4 s of every start-up;
+    # only eos's quadrature and root finding import it, where they are called
     r = run_python(
         ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
     loaded = r.stdout.split()
-    assert "dualgas.cli" in loaded and "scipy.fft" in loaded
-    late = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize",
-            "scipy.sparse")
-    assert [
-        m for m in loaded if m in late or m.startswith(tuple(p + "." for p in late))
-    ] == []
+    assert "dualgas.cli" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
-def test_ramp_propagation_leaves_scipy_integrate_unloaded(tmp_path):
-    # the split-step ramp needs no ODE solver, so a ramp process skips its import
+BOX_AND_RING_COMMANDS = {
+    "box-spectrum": ["box-spectrum", "--alpha", "5", "--m", "6", "--n-levels", "3"],
+    "convergence": ["convergence", "--m-list", "4,6"],
+    "duality-check": ["duality-check", "--m", "6", "--states", "2"],
+    "fig1": ["fig1", "--m", "6"],
+    "work-ramp": ["work", "--geometry", "box", "--protocol", "ramp", "--v", "5",
+                  "--tau", "0.2", "--m", "4"],
+    "work-sudden-coupling": ["work", "--geometry", "box", "--protocol",
+                             "sudden-coupling", "--c", "1", "--c-f", "10", "--m", "6"],
+    "work-box-adiabatic": ["work", "--geometry", "box", "--protocol", "adiabatic",
+                           "--m", "6"],
+    "fig2": ["fig2", "--c-list", "1", "--beta-list", "1", "--m", "4", "--tau", "0.2"],
+    "ring-spectrum": ["ring-spectrum", "--n", "2", "--imax", "3.5"],
+    "work-ring-adiabatic": ["work", "--geometry", "ring", "--protocol", "adiabatic",
+                            "--n", "2", "--imax", "3.5"],
+}
+
+
+@pytest.mark.parametrize("argv", BOX_AND_RING_COMMANDS.values(), ids=BOX_AND_RING_COMMANDS)
+def test_box_and_ring_commands_load_no_scipy(argv, tmp_path):
+    # every box and ring route runs on numpy alone, so a module-level scipy
+    # import anywhere on their path fails here and names the module
     code = (
         "import sys\n"
-        "from dualgas import work\n"
-        "from dualgas.core import LinearRamp\n"
-        "work.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), 1.0, 4)\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "from dualgas import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print('scipy:', *sorted(m for m in sys.modules\n"
+        "                         if m == 'scipy' or m.startswith('scipy.')))\n"
+        "raise SystemExit(rc)\n"
     )
-    r = run_python(["-c", code], tmp_path)
+    r = run_python(["-c", code, *argv, "--out-dir", str(tmp_path)], tmp_path)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["False"]
+    assert r.stdout.splitlines()[-1] == "scipy:"
 
 
 def test_failed_solve_exits_three(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +38,17 @@ def test_same_convolution_bitwise_equals_fftconvolve(n, seed, decades, h, coupli
     kern = eos._kernel(h * (np.arange(n) - n // 2), coupling, hbar)
     got = eos._same_convolution(kern, n)(f)
     assert np.array_equal(got, scipy.signal.fftconvolve(f, kern, mode="same"))
+
+
+def test_next_fast_len_equals_scipy():
+    # every small length, then a spread up to the grid cap's full length:
+    # n = 400001 points convolved with 2n - 1 kernel taps
+    cap = 400001 + 2 * 400001 - 1
+    rng = np.random.default_rng(0)
+    sizes = [*range(1, 3000), *rng.integers(3000, cap, 300).tolist(),
+             2**20, 2**20 + 1, 3**12, 5**8 + 1, cap - 1, cap]
+    for n in sizes:
+        assert eos._next_fast_len(n) == scipy.fft.next_fast_len(n, True), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 801, 4096, 4097])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from dualgas import ringspec as rs
 from dualgas.core import ConfigError
@@ -157,6 +158,18 @@ def test_tail_bound_decreases_and_dominates():
     outer = rs.enumerate_states(lam, 1e6, n, imax + 2)
     excluded = outer.partition_function(beta) - inner.partition_function(beta)
     assert rs.spectral_tail_bound(lam, n, imax, beta) >= excluded
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tail_bound_log_count_matches_gammaln(n):
+    # the extremal-number count C(L, N-1), L = 2v+1, over every grid value
+    # v the bounds above visit; the gammaln difference loses its last digits
+    # to cancellation as L grows, the exact integer binomial does not
+    for L in range(n - 1, 41):
+        want = gammaln(L + 1.0) - gammaln(n) - gammaln(L - n + 2.0)
+        assert rs._log_comb(L, n - 1) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert rs._log_comb(5000, 1) == math.log(5000)
+    assert rs._log_comb(n - 2, n - 1) == -math.inf  # no such states
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])

@@ -101,6 +101,37 @@ def test_merge_atoms_bitwise_equals_reference(atoms):
         assert np.array_equal(g, r)
 
 
+@st.composite
+def logsumexp_inputs(draw):
+    """Exponents drawn from a few values, so maxima tie, with -inf entries,
+    and weights that are often zero, sometimes all of them.  Arrays reach
+    past the eight terms from which np.sum adds pairwise."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=3))
+    pool += [-np.inf]
+    a = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                               min_size=n, max_size=n)))
+    return a, b
+
+
+@given(logsumexp_inputs())
+def test_logsumexp_bitwise_equals_scipy(inputs):
+    a, b = inputs
+    for got, want in ((wk._logsumexp(a), logsumexp(a)),
+                      (wk._logsumexp(a, b=b), logsumexp(a, b=b))):
+        assert np.array_equal(np.float64(got), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("a", [[2.5], [-np.inf], [-np.inf, -np.inf], [3.0, 3.0, 3.0],
+                               [3.0] * 30 + [-1.0] * 30])
+def test_logsumexp_edge_cases_bitwise_equal_scipy(a):
+    # the last case sums thirty tied weights at the maximum, pairwise
+    spread = np.random.default_rng(1).uniform(0.1, 10.0, len(a))
+    for b in (None, np.ones(len(a)), np.zeros(len(a)), np.full(len(a), 0.3), spread):
+        assert np.array_equal(np.float64(wk._logsumexp(a, b=b)), logsumexp(a, b=b))
+
+
 def test_merge_atoms_places_subnormal_cluster_by_log_probabilities():
     # the linear weights carry 15 and 13 significant bits: their weighted
     # mean landed at 1.23455378, 1.4e-5 off the atoms

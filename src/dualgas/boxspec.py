@@ -209,6 +209,7 @@ class BoxSpectrum:
     basis: PairBasis
     energies: np.ndarray
     vectors: np.ndarray  # columns are eigenvectors
+    parity: np.ndarray  # (p + q) % 2 of each level's pairs: its reflection block
     residual: float
 
     def __len__(self) -> int:
@@ -248,7 +249,7 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     commutes with H, so v1 vanishes exactly between the p+q-even and
     p+q-odd pairs.  Each block is solved on its own; its eigenvectors are
     written at their sorted columns in the full basis, zero on the other
-    block's rows.
+    block's rows, and `parity` names each level's block.
     """
     _check_pair_model(model)
     ops = unit_pair_operators(cutoff)
@@ -257,8 +258,8 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     g = model.coupling / lam
     kin = model.hbar**2 * k1 / lam**2
     p, q = basis.labels()
-    odd = (p + q) % 2 == 1
-    blocks = [b for b in (np.flatnonzero(~odd), np.flatnonzero(odd)) if b.size]
+    pair_parity = (p + q) % 2
+    blocks = [b for b in (np.flatnonzero(pair_parity == s) for s in (0, 1)) if b.size]
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
     solved = [np.linalg.eigh(_parity_block(v1, g, kin, b)) for b in blocks]
     levels = np.concatenate([w for w, _ in solved])
@@ -267,16 +268,18 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     column = np.empty_like(order)  # sorted position of each block level
     column[order] = np.arange(order.size)
     evecs = np.zeros((basis.dim, basis.dim))
+    parity = np.empty(basis.dim, dtype=np.int8)
     start = 0
     for b, (_, x) in zip(blocks, solved):
         evecs[b[:, None], column[start:start + b.size]] = x
+        parity[column[start:start + b.size]] = pair_parity[b[0]]
         start += b.size
     # spot-check the whole factorization on the low end of the spectrum
     k = min(n_check, evals.size)
     X = evecs[:, :k]
     R = g * (v1 @ X) + kin[:, None] * X - X * evals[:k]
     res = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:k]).max()))
-    return BoxSpectrum(model=model, basis=basis, energies=evals, vectors=evecs, residual=res)
+    return BoxSpectrum(model, basis, evals, evecs, parity, res)
 
 
 @dataclass

@@ -191,7 +191,8 @@ def _bar_raster(values: np.ndarray, rows: int = 48) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     top = float(v.max())
     u = v / top if top > 0 else np.zeros_like(v)
-    thresh = (rows - np.arange(rows, dtype=float)) / rows
+    # 1e-12 below each row, so peaks equal up to roundoff (mirror images) fill alike
+    thresh = (rows - np.arange(rows, dtype=float)) / rows * (1.0 - 1e-12)
     return np.where(u[None, :] >= thresh[:, None], u[None, :], 0.0)
 
 

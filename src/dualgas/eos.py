@@ -24,9 +24,19 @@ with the dressed charge q = -d eps / d mu solving the linear equation
 
     q(k) = 1 + (1 / 2 pi) int 2c / (c^2 + (k - k')^2) f(k') q(k') dk' .
 
+Differentiating both equations once more gives the slope
+
+    dD/dmu = (1 / 2 pi) int beta f(k) (1 - f(k)) q(k)^3 dk .
+
 The hard-core limit C -> inf drops the kernel: eps is the free-fermion
 dispersion and q = 1.  The small-fugacity structure (a1, a2, b1, b2) is
-exposed for cross-checking against the cluster expansion.
+exposed for cross-checking against the cluster expansion.  The pair
+cluster integral is a Gaussian in k + q times a Lorentzian in k - q, so
+
+    b2 = sqrt(pi / (2 beta)) / hbar * (erfcx(x) - 1/2) ,
+    x = C sqrt(beta) / (2 sqrt(2) hbar) ,
+
+with erfcx(x) = e^{x^2} erfc(x): 1 for free bosons, 0 at the hard core.
 """
 
 from __future__ import annotations
@@ -45,9 +55,7 @@ __all__ = [
     "a1_profile",
     "a2_profile",
     "default_grid",
-    "density",
     "fugacity_coefficients",
-    "pressure",
     "solve_yang_yang",
     "virial_ratio",
 ]
@@ -86,7 +94,7 @@ def default_grid(
 
 @dataclass(frozen=True)
 class EosSolution:
-    """Converged dressed energy on a symmetric k-grid, with P and D = dP/dmu."""
+    """Converged dressed energy on a symmetric k-grid, with P, D and dD/dmu."""
 
     beta: float
     mu: float
@@ -96,13 +104,9 @@ class EosSolution:
     epsilon: np.ndarray = field(repr=False)
     pressure: float
     density: float
+    density_slope: float
     iterations: int
     residual: float
-
-    @property
-    def log_occupancy(self) -> np.ndarray:
-        """ln(1 + e^{-beta eps(k)}) on the stored grid."""
-        return np.logaddexp(0.0, -self.beta * self.epsilon)
 
     @property
     def filling(self) -> np.ndarray:
@@ -170,7 +174,7 @@ def solve_yang_yang(
     C = inf is the hard-core point: the interaction term is dropped and
     eps0 is returned exactly.  The density is the trapezoid integral of
     f q on the same grid, so it is the exact mu-derivative of the returned
-    (discrete) pressure.
+    (discrete) pressure; its slope dD/dmu integrates beta f (1 - f) q^3.
     """
     if not (coupling >= 0.0):  # also rejects nan
         raise ConfigError(f"coupling must be nonnegative, got {coupling}")
@@ -190,8 +194,10 @@ def solve_yang_yang(
         )
     lng = np.logaddexp(0.0, -beta * eps)
     p = float(np.trapezoid(lng, k)) / (2.0 * math.pi * beta)
-    d = float(np.trapezoid(_filling(beta, eps) * charge, k)) / (2.0 * math.pi)
-    return EosSolution(beta, mu, coupling, hbar, k, eps, p, d, it, res)
+    f = _filling(beta, eps)
+    d = float(np.trapezoid(f * charge, k)) / (2.0 * math.pi)
+    slope = beta * float(np.trapezoid(f * (1.0 - f) * charge**3, k)) / (2.0 * math.pi)
+    return EosSolution(beta, mu, coupling, hbar, k, eps, p, d, slope, it, res)
 
 
 def _solve_on_grid(
@@ -247,28 +253,6 @@ def _solve_on_grid(
     return eps, charge, it, res
 
 
-def pressure(
-    beta: float,
-    mu: float,
-    coupling: float,
-    hbar: float = 1.0,
-    **grid: float,
-) -> float:
-    """P(mu, beta) from a fresh dressed-energy solve."""
-    return solve_yang_yang(beta, mu, coupling, hbar, **grid).pressure
-
-
-def density(
-    beta: float,
-    mu: float,
-    coupling: float,
-    hbar: float = 1.0,
-    **grid: float,
-) -> float:
-    """D = dP/dmu from a fresh dressed-energy solve and its dressed charge."""
-    return solve_yang_yang(beta, mu, coupling, hbar, **grid).density
-
-
 def a1_profile(k: np.ndarray, beta: float, hbar: float = 1.0) -> np.ndarray:
     """Leading cluster profile a1(k) = e^{-beta hbar^2 k^2}."""
     return np.exp(-beta * hbar**2 * np.asarray(k) ** 2)
@@ -316,6 +300,18 @@ def a2_profile(
     return out if np.ndim(k) else float(out[0])
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0."""
+    if x < 3.0:
+        return math.exp(x * x) * math.erfc(x)
+    # Laplace's continued fraction, summed from its 40th level: converged to
+    # roundoff for x >= 3, and finite where erfc(x) underflows
+    t = x
+    for n in range(40, 0, -1):
+        t = x + 0.5 * n / t
+    return 1.0 / (math.sqrt(math.pi) * t)
+
+
 def fugacity_coefficients(
     beta: float, coupling: float, hbar: float = 1.0
 ) -> Dict[str, float]:
@@ -324,27 +320,19 @@ def fugacity_coefficients(
     b1 integrates a1 over k (Gaussian, sqrt(pi / beta) / hbar); the entry
     "b1_tabulated" keeps the 2 pi (sqrt(beta) hbar)^{-1} shorthand that
     differs from the integral by sqrt(4 pi).  b2 integrates
-    a2(q-reading) - a1^2 / 2 and goes to the free-fermion value
-    -sqrt(pi/2)/(2 sqrt(beta) hbar) as C -> inf.
+    a2(q-reading) - a1^2 / 2 in closed form (module docstring), from the
+    free-boson value at C = 0 to the free-fermion value
+    -sqrt(pi/2)/(2 sqrt(beta) hbar) at C = inf.
     """
-    from scipy.integrate import quad  # not at import: it slows every start-up
-
+    if not coupling >= 0.0:  # also rejects nan
+        raise ConfigError(f"coupling must be nonnegative, got {coupling}")
     if not 0.0 < hbar < math.inf:
         raise ConfigError(f"hbar must be positive and finite, got {hbar}")
     b1 = math.sqrt(math.pi / beta) / hbar
     b1_tab = 2.0 * math.pi / (math.sqrt(beta) * hbar)
-    lim = 8.0 / (math.sqrt(beta) * hbar)
-    if math.isinf(coupling):
-        b2 = -0.5 * math.sqrt(math.pi / (2.0 * beta)) / hbar
-    else:
-        b2, _ = quad(
-            lambda kk: float(a2_profile(kk, beta, coupling, hbar))
-            - 0.5 * math.exp(-2.0 * beta * hbar**2 * kk * kk),
-            -lim,
-            lim,
-            limit=400,
-        )
-    return {"b1": b1, "b1_tabulated": b1_tab, "b2": float(b2)}
+    x = coupling * math.sqrt(beta) / (2.0 * math.sqrt(2.0) * hbar)
+    b2 = math.sqrt(math.pi / (2.0 * beta)) / hbar * (_erfcx(x) - 0.5)
+    return {"b1": b1, "b1_tabulated": b1_tab, "b2": b2}
 
 
 def virial_ratio(
@@ -355,54 +343,49 @@ def virial_ratio(
 ) -> Dict[str, float]:
     """P beta / D at fixed density, with its two-term virial estimates.
 
-    "full" inverts D(mu) = density_target with brentq and evaluates the
-    converged pressure there.  "expansion" is the consistent two-term
-    result 1 - 2 pi D b2 / b1^2; "tabulated" is the shorthand
-    1 - b2 sqrt(beta) D kept for comparison.
+    "full" inverts D(mu) = density_target by Newton steps on ln D, each
+    taking dD/dmu from its own solve, from the classical start
+    mu0 = ln(2 pi D / b1) / beta.  The mu values on either side of the
+    target bracket the root; a step that leaves the bracket bisects it
+    instead.  The pressure is that of the last solve.  "expansion" is the
+    consistent two-term result 1 - 2 pi D b2 / b1^2; "tabulated" is the
+    shorthand 1 - b2 sqrt(beta) D kept for comparison.
     """
-    from scipy.optimize import brentq  # not at import: it slows every start-up
-
     if not 0.0 < density_target < math.inf:
         raise ConfigError(
             f"density_target must be positive and finite, got {density_target}"
         )
     co = fugacity_coefficients(beta, coupling, hbar)
-    z0 = 2.0 * math.pi * density_target / co["b1"]
-    mu0 = math.log(z0) / beta
-
-    def gap(m: float) -> float:
-        return density(beta, m, coupling, hbar) - density_target
-
-    half = 4.0 / beta
-    lo, hi = mu0 - half, mu0 + half
-    g_lo, g_hi = gap(lo), gap(hi)
-    for _ in range(6):
-        if g_lo < 0.0 < g_hi:
+    mu = math.log(2.0 * math.pi * density_target / co["b1"]) / beta
+    lo, hi = -math.inf, math.inf  # mu below and above the target density
+    for _ in range(40):
+        sol = solve_yang_yang(beta, mu, coupling, hbar)
+        d, slope = sol.density, sol.density_slope
+        if not (0.0 < d < math.inf and 0.0 < slope < math.inf):
+            raise EosConvergenceError(
+                f"density inversion met D={d:.6e}, dD/dmu={slope:.6e} at mu={mu}"
+            )
+        gap = math.log(d) - math.log(density_target)
+        lo, hi = (mu, hi) if gap < 0.0 else (lo, mu)
+        # D to the solve's own roundoff, or the root pinned between two
+        # solves whose roundoff alternates the sign of the gap
+        if abs(gap) <= 1e-13 or hi - lo <= 1e-12 * (1.0 / beta + abs(mu)):
             break
-        if g_lo >= 0.0:
-            lo -= 2.0 * half
-            g_lo = gap(lo)
-        if g_hi <= 0.0:
-            hi += 2.0 * half
-            g_hi = gap(hi)
+        mu -= gap * d / slope
+        if not math.isfinite(mu):
+            raise EosConvergenceError(f"density inversion stepped to mu={mu}")
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
     else:
-        raise EosConvergenceError("could not bracket the chemical potential")
-    mu = brentq(gap, lo, hi, xtol=1e-12 / beta, rtol=8.9e-16)
-    sol = solve_yang_yang(beta, mu, coupling, hbar)
-    if abs(sol.density - density_target) > 1e-6 * density_target:
         raise EosConvergenceError(
-            f"density inversion landed at D={sol.density:.6e}, "
+            f"density inversion not converged: D={d:.6e}, "
             f"target {density_target:.6e}"
         )
-    p = sol.pressure
-    full = p * beta / density_target
-    expansion = 1.0 - 2.0 * math.pi * density_target * co["b2"] / co["b1"] ** 2
-    tabulated = 1.0 - co["b2"] * math.sqrt(beta) * density_target
     return {
-        "full": full,
-        "expansion": expansion,
-        "tabulated": tabulated,
-        "mu": mu,
-        "pressure": p,
-        "z": math.exp(beta * mu),
+        "full": sol.pressure * beta / density_target,
+        "expansion": 1.0 - 2.0 * math.pi * density_target * co["b2"] / co["b1"] ** 2,
+        "tabulated": 1.0 - co["b2"] * math.sqrt(beta) * density_target,
+        "mu": sol.mu,
+        "pressure": sol.pressure,
+        "z": math.exp(beta * sol.mu),
     }

@@ -402,11 +402,18 @@ def adiabatic_box_distribution(
     cutoff: int,
     hbar: float = 1.0,
 ) -> WorkDistribution:
-    """Levels tracked by sorted index; no crossings for repulsive pairs."""
+    """Each level rides to the level of its rank in its reflection-parity block.
+
+    Levels of opposite parity cross as the box grows; followed by overlap,
+    those of one block keep their order.
+    """
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
+    e_f = np.empty_like(sp_f.energies)
+    for block in (0, 1):
+        e_f[sp_i.parity == block] = sp_f.energies[sp_f.parity == block]
     return _two_point(
-        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
+        sp_i.energies, e_f, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
         route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff,
     )
 

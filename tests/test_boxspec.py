@@ -289,7 +289,8 @@ def test_diagonalize_by_parity_block_matches_full_eigh(cutoff):
     odd = parity_odd(sp.basis)
     on_odd = np.any(sp.vectors[odd] != 0.0, axis=0)
     on_even = np.any(sp.vectors[~odd] != 0.0, axis=0)
-    assert np.all(on_odd != on_even)  # every eigenvector in exactly one block
+    assert np.array_equal(on_odd, sp.parity == 1)  # each eigenvector in its block
+    assert np.array_equal(on_even, sp.parity == 0)
     assert sp.residual < 1e-12
 
 

@@ -4,6 +4,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import run_cli as run
@@ -58,7 +59,7 @@ def test_negative_grid_start_after_a_space(tmp_path):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing any scipy subpackage costs about 0.4 s of every start-up;
-    # only eos's quadrature and root finding import it, where they are called
+    # only eos.a2_profile, a test oracle no command calls, imports quad
     r = run_python(
         ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
         tmp_path,
@@ -87,10 +88,13 @@ BOX_AND_RING_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("argv", BOX_AND_RING_COMMANDS.values(), ids=BOX_AND_RING_COMMANDS)
-def test_box_and_ring_commands_load_no_scipy(argv, tmp_path):
-    # every box and ring route runs on numpy alone, so a module-level scipy
-    # import anywhere on their path fails here and names the module
+# the isotherm, the cluster coefficients and the density inversion
+EOS_ARGV = ["eos", "--mu-grid=-1:0:3", "--hbar-sweep", "1,0.5", "--density", "0.1"]
+
+
+def assert_loads_no_scipy(argv, tmp_path):
+    # every command runs on numpy alone, so a scipy import anywhere on its
+    # path fails here and names the module
     code = (
         "import sys\n"
         "from dualgas import cli\n"
@@ -104,12 +108,42 @@ def test_box_and_ring_commands_load_no_scipy(argv, tmp_path):
     assert r.stdout.splitlines()[-1] == "scipy:"
 
 
+@pytest.mark.parametrize("argv", BOX_AND_RING_COMMANDS.values(), ids=BOX_AND_RING_COMMANDS)
+def test_box_and_ring_commands_load_no_scipy(argv, tmp_path):
+    assert_loads_no_scipy(argv, tmp_path)
+
+
+def test_eos_command_loads_no_scipy(tmp_path):
+    assert_loads_no_scipy(EOS_ARGV, tmp_path)
+
+
+def test_scipy_guard_covers_every_command():
+    guarded = {argv[0] for argv in [*BOX_AND_RING_COMMANDS.values(), EOS_ARGV]}
+    assert guarded == set(cli._COMMANDS)
+
+
+def test_bar_raster_fills_mirror_peaks_alike():
+    # a mirror-symmetric density whose right peak lost one ulp to roundoff
+    x = np.linspace(0.0, 1.0, 41)
+    curve = np.sin(2.0 * np.pi * x) ** 2
+    right = int(np.argmax(curve[20:])) + 20
+    curve[right] = np.nextafter(curve[right], 0.0)
+    raster = cli._bar_raster(curve)
+    assert np.flatnonzero(raster[0]).tolist() == [40 - right, right]
+    assert np.array_equal(raster != 0.0, raster[:, ::-1] != 0.0)
+
+
 def test_failed_solve_exits_three(tmp_path):
     # so deep in the degenerate regime that the contraction is too slow to
     # converge within the iteration cap
     r = run(["eos", "--beta", "1", "--c", "1", "--mu-grid", "400:400:1"], tmp_path)
     assert r.returncode == 3
     assert "converged" in r.stderr or "residual" in r.stderr
+    # so dilute that D(mu) underflows to 0 before the inversion reaches it
+    r = run(["eos", "--mu-grid=-1:0:2", "--hbar-sweep", "1", "--density", "1e-300"],
+            tmp_path)
+    assert r.returncode == 3
+    assert "density inversion" in r.stderr
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from dualgas import eos, ringspec
 from dualgas.core import ConfigError
@@ -20,6 +22,9 @@ def test_coupling_validation():
         eos.solve_yang_yang(1.0, 0.0, -1.0)
     with pytest.raises(ConfigError):
         eos.solve_yang_yang(1.0, 0.0, 0.0)
+    for coupling in (-1.0, math.nan):
+        with pytest.raises(ConfigError):
+            eos.fugacity_coefficients(1.0, coupling)
 
 
 @given(
@@ -102,18 +107,21 @@ def test_deeply_degenerate_point_converges():
     assert 0.0 < sol.density < math.inf
 
 
-def _richardson_density(beta, mu, coupling, hbar):
-    # D = dP/dmu by Richardson-extrapolated central differences, all four
-    # pressures on one grid sized past the base mu
+def _richardson_slopes(beta, mu, coupling, hbar):
+    # dP/dmu and dD/dmu by Richardson-extrapolated central differences, all
+    # solves on one grid sized past the base mu
     km, n = eos.default_grid(beta, max(mu, 0.0) + 2.0 / beta, coupling, hbar)
     step = 1e-4 * max(1.0 / beta, abs(mu))
+    sols = [eos.solve_yang_yang(beta, mu + s * step, coupling, hbar, k_max=km, n_k=n)
+            for s in (-1.0, -0.5, 0.5, 1.0)]
 
-    def p_of(m):
-        return eos.pressure(beta, m, coupling, hbar, k_max=km, n_k=n)
+    def slope(name):
+        lo, half_lo, half_hi, hi = (getattr(s, name) for s in sols)
+        d1 = (hi - lo) / (2.0 * step)
+        d2 = (half_hi - half_lo) / step
+        return (4.0 * d2 - d1) / 3.0
 
-    d1 = (p_of(mu + step) - p_of(mu - step)) / (2.0 * step)
-    d2 = (p_of(mu + 0.5 * step) - p_of(mu - 0.5 * step)) / step
-    return (4.0 * d2 - d1) / 3.0, km, n
+    return slope("pressure"), slope("density"), km, n
 
 
 @pytest.mark.parametrize("beta, mu, hbar", [
@@ -121,10 +129,12 @@ def _richardson_density(beta, mu, coupling, hbar):
     (1.0, 3.0, 1.0),
 ])
 def test_density_is_the_mu_derivative_of_pressure(beta, mu, hbar):
-    ref, km, n = _richardson_density(beta, mu, 1.0, hbar)
-    got = eos.solve_yang_yang(beta, mu, 1.0, hbar, k_max=km, n_k=n).density
-    assert got == pytest.approx(ref, rel=1e-8)
-    assert eos.density(beta, mu, 1.0, hbar) == pytest.approx(ref, rel=1e-8)
+    ref, ref_slope, km, n = _richardson_slopes(beta, mu, 1.0, hbar)
+    got = eos.solve_yang_yang(beta, mu, 1.0, hbar, k_max=km, n_k=n)
+    assert got.density == pytest.approx(ref, rel=1e-8)
+    assert got.density_slope == pytest.approx(ref_slope, rel=1e-8)
+    own = eos.solve_yang_yang(beta, mu, 1.0, hbar)  # on the default grid
+    assert own.density == pytest.approx(ref, rel=1e-8)
 
 
 @pytest.mark.parametrize("coupling", [0.5, 1.0])
@@ -134,7 +144,8 @@ def test_default_window_holds_the_dressed_fermi_sea(coupling):
     beta, mu = 10.0, 5.0
     km, n = eos.default_grid(beta, mu, coupling)
     wide = eos.solve_yang_yang(beta, mu, coupling, k_max=2.0 * km, n_k=2 * n - 1)
-    assert eos.density(beta, mu, coupling) == pytest.approx(wide.density, rel=1e-8)
+    own = eos.solve_yang_yang(beta, mu, coupling)
+    assert own.density == pytest.approx(wide.density, rel=1e-8)
 
 
 def _ring_b2(lam, coupling, beta=1.0):
@@ -161,8 +172,37 @@ def test_second_cluster_integral_between_hard_core_and_free_bosons(coupling):
     assert -FREE_BOSON_B2 < b2 < FREE_BOSON_B2
 
 
+def test_erfcx_matches_scipy():
+    # both branches, the switch between them at x = 3, and the limits
+    xs = [0.0, *np.geomspace(1e-8, 1e10, 2001), *np.linspace(2.9, 3.1, 2001), math.inf]
+    for x in xs:
+        want = scipy.special.erfcx(x)
+        assert abs(eos._erfcx(x) - want) <= 1e-13 * want, x
+
+
+def _quad_b2(beta, coupling, hbar):
+    # b2 as the integral of a2(q-reading) - a1^2 / 2, the cluster profile
+    # itself an adaptive quadrature
+    lim = 8.0 / (math.sqrt(beta) * hbar)
+    b2, _ = quad(
+        lambda k: eos.a2_profile(k, beta, coupling, hbar)
+        - 0.5 * math.exp(-2.0 * beta * hbar**2 * k * k),
+        -lim, lim, limit=400,
+    )
+    return b2
+
+
+@pytest.mark.parametrize("beta, coupling, hbar", [
+    (1.0, 0.01, 1.0), (1.0, 1.0, 1.0), (10.0, 0.3, 1.0), (0.1, 10.0, 0.5),
+    (10.0, 1e8, 0.1),
+])
+def test_second_cluster_integral_closed_form_matches_quadrature(beta, coupling, hbar):
+    b2 = eos.fugacity_coefficients(beta, coupling, hbar)["b2"]
+    assert b2 == pytest.approx(_quad_b2(beta, coupling, hbar), rel=1e-11)
+
+
 def test_density_positive_and_monotone_in_mu():
-    d = [eos.density(1.0, m, 1.0) for m in (-2.0, -1.0, 0.0)]
+    d = [eos.solve_yang_yang(1.0, m, 1.0).density for m in (-2.0, -1.0, 0.0)]
     assert all(x > 0 for x in d)
     assert d[0] < d[1] < d[2]
 
@@ -204,6 +244,27 @@ def test_virial_ratio_coherent_at_low_density():
     assert out["pressure"] > 0 and out["z"] > 0
     with pytest.raises(ConfigError):
         eos.virial_ratio(1.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("beta, coupling, target", [
+    (1.0, 1.0, 0.1), (10.0, 1.0, 0.1), (10.0, 1.0, 5.0),
+    (1.0, 0.3, 2.0),  # a wide bracket above the root meets a slow contraction
+])
+def test_virial_ratio_newton_inversion_matches_brentq(monkeypatch, beta, coupling, target):
+    solve = eos.solve_yang_yang
+    mus = []
+
+    def counted(b, mu, *args, **kwargs):
+        mus.append(mu)
+        return solve(b, mu, *args, **kwargs)
+
+    monkeypatch.setattr(eos, "solve_yang_yang", counted)
+    out = eos.virial_ratio(beta, coupling, target)
+    assert len(mus) <= 8
+    assert out["mu"] == mus[-1]  # the pressure of the last solve, no extra one
+    ref = brentq(lambda m: solve(beta, m, coupling).density - target,
+                 out["mu"] - 1.0, out["mu"] + 1.0, xtol=1e-14 / beta)
+    assert abs(out["mu"] - ref) <= 1e-12 / beta
 
 
 def test_default_grid_tracks_coupling_resolution():

@@ -243,17 +243,41 @@ def test_jarzynski_exact_for_ramp():
 
 
 def level_parity(lam, coupling, cutoff):
-    """True where a box level's eigenvector lives on the p+q-odd pairs."""
-    sp = boxspec.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff)
-    p, q = sp.basis.labels()
-    odd = (p + q) % 2 == 1
-    on_odd = np.any(sp.vectors[odd] != 0.0, axis=0)
-    assert np.all(on_odd != np.any(sp.vectors[~odd] != 0.0, axis=0))
-    return on_odd
+    """Each box level's centre-reflection block, 1 for the p+q-odd pairs."""
+    return boxspec.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff).parity
 
 
 def cross_parity(parity_f, parity_i):
     return parity_f[:, None] != parity_i[None, :]
+
+
+def tracked_levels(coupling, lam_i, lam_f, cutoff, steps=400):
+    """The final level each initial level reaches, followed by overlap.
+
+    The eigenvector coefficients in the box's own sine basis depend on the
+    length alone, so each state is matched, step by step, to the level
+    whose eigenvector overlaps it most.
+    """
+    sp = _pair_box(lam_i, coupling, cutoff, 1.0)
+    vectors, level = sp.vectors, np.arange(len(sp))
+    for lam in np.linspace(lam_i, lam_f, steps + 1)[1:]:
+        sp = _pair_box(lam, coupling, cutoff, 1.0)
+        level = np.abs(sp.vectors.T @ vectors).argmax(axis=0)
+        assert np.unique(level).size == level.size  # no two states merge
+        vectors = sp.vectors[:, level]
+    return level
+
+
+@pytest.mark.parametrize("coupling, lam_f, n_cross", [(10.0, 2.0, 14), (5.0, 3.0, 10)])
+def test_adiabatic_box_levels_follow_their_parity_block(coupling, lam_f, n_cross):
+    # levels of opposite parity cross as the box grows, so the sorted index
+    # alone would pair n_cross of them with a level of the other block
+    cutoff = 20
+    sp_i, sp_f = (_pair_box(lam, coupling, cutoff, 1.0) for lam in (1.0, lam_f))
+    assert np.sum(sp_i.parity != sp_f.parity) == n_cross
+    level = tracked_levels(coupling, 1.0, lam_f, cutoff)
+    d = wk.adiabatic_box_distribution(1.0, lam_f, coupling, 1.0, cutoff)
+    assert np.array_equal(d.works, sp_f.energies[level] - sp_i.energies)
 
 
 def test_sudden_coupling_keeps_centre_reflection_parity():

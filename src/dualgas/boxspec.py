@@ -6,7 +6,7 @@ Basis: symmetrized products of box modes u_n(x) = sqrt(2/lam) sin(n pi x/lam),
 
 with c_pq = 1/sqrt(2) for p < q and 1/2 for p = q.  The contact matrix is
 exact in this basis, the Gram matrix of the pairs' harmonics at x1 = x2, so
-the only approximation is the mode cutoff; the ramp generator and the wall
+the only approximation is the mode cutoff; the ramp's chirp and the wall
 embedding lift one-body matrices.  Fermionic duals share every eigenvector;
 they differ downstream of the sign map sign(x2 - x1) only.
 
@@ -32,7 +32,6 @@ __all__ = [
     "DensityGrid",
     "FreeFermionTable",
     "unit_pair_operators",
-    "pair_dilation",
     "build_hamiltonian",
     "diagonalize",
     "box_modes",
@@ -47,7 +46,8 @@ __all__ = [
     "free_fermion_box_spectrum",
     "embed_overlaps",
     "pair_embed_overlaps",
-    "dilation_matrix",
+    "chirp_matrix",
+    "pair_chirp",
 ]
 
 
@@ -73,6 +73,14 @@ class PairBasis:
     def norms(self) -> np.ndarray:
         p, q = self.labels()
         return np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
+
+    def parity_blocks(self) -> list:
+        """Indices of the p+q-even, then the p+q-odd pairs (none at cutoff 1).
+
+        Reflection about the box centre maps |pq> to (-1)^(p+q) |pq>.
+        """
+        p, q = self.labels()
+        return [b for b in (np.flatnonzero((p + q) % 2 == s) for s in (0, 1)) if b.size]
 
     def index_of(self, p: int, q: int) -> int:
         if not (1 <= p <= q <= self.cutoff):
@@ -123,7 +131,7 @@ def unit_pair_operators(cutoff: int) -> dict:
       'v1': contact matrix at unit strength, H_contact = (C / lam) * v1;
             <delta(x1-x2)> = v.T @ v1 @ v / lam
     v1 = 2 c_pq c_mn (S^T diag(2, 1, ..., 1) S) from the pairs' harmonics S
-    at x1 = x2; `pair_dilation` and `pair_embed_overlaps` lift one-body matrices.
+    at x1 = x2; `pair_chirp` and `pair_embed_overlaps` lift one-body matrices.
     The arrays are built once per cutoff (the last four are kept) and are
     read-only; the dict is a new one on every call.
     """
@@ -131,54 +139,23 @@ def unit_pair_operators(cutoff: int) -> dict:
     return {"basis": basis, "k1": k1, "v1": v1}
 
 
-def pair_dilation(cutoff: int) -> np.ndarray:
-    """Pair dilation generator d2, antisymmetric; only a wall ramp needs it.
-
-    A wall ramp evolves dc/dt = -(i/hbar) H(t) c + (lam_dot/lam) d2 c.
-    Built once per cutoff (the last four are kept) and read-only.
-    """
-    return _pair_dilation(cutoff)
-
-
-@functools.lru_cache(maxsize=4)
-def _pair_dilation(cutoff: int) -> np.ndarray:
-    basis = PairBasis(cutoff)
-    # d1 (x) 1 + 1 (x) d1 lifts to twice the lift of one term
-    return _frozen(2.0 * _pair_lift(dilation_matrix(cutoff), np.eye(cutoff), basis, basis))
-
-
 def _pair_lift(x, y, bra: PairBasis, ket: PairBasis) -> np.ndarray:
     """<(pq)| x (x) y |(mn)> = c_pq c_mn [(x_pm y_qn + x_pn y_qm) + (y_pm x_qn + y_pn x_qm)].
 
     Filled one m at a time, whose kets (m, n >= m) are contiguous, so no
     temporary of the bra x ket size is made; for x is y the halves are equal.
+    Real or complex, the result takes the type of x and y.
     """
     p, q = bra.labels()
     xp, xq, yp, yq = x[p - 1], x[q - 1], y[p - 1], y[q - 1]
     cb, ck = bra.norms(), ket.norms()
-    out = np.empty((bra.dim, ket.dim))
+    out = np.empty((bra.dim, ket.dim), dtype=np.result_type(x, y))
     for j in range(ket.cutoff):  # m = j + 1
         cols = slice(ket.index_of(j + 1, j + 1), ket.index_of(j + 1, ket.cutoff) + 1)
         s = xp[:, j, None] * yq[:, j:] + xp[:, j:] * yq[:, j, None]
         s += s if x is y else yp[:, j, None] * xq[:, j:] + yp[:, j:] * xq[:, j, None]
         out[:, cols] = np.multiply.outer(cb, ck[cols]) * s
     return out
-
-
-def dilation_matrix(cutoff: int) -> np.ndarray:
-    """One-body ramp generator d[n, m] = <u_m| lam d/dlam |u_n>.
-
-    Equals (-1)^(n+m) 2nm/(m^2 - n^2), antisymmetric with zero diagonal
-    (mode norms are lam-independent); the index order is chosen so the
-    generator enters the comoving-frame ODE with a plus sign.
-    """
-    n = np.arange(1, cutoff + 1, dtype=float)
-    num = 2.0 * n[:, None] * n[None, :] * ((-1.0) ** (n[:, None] + n[None, :]))
-    den = n[None, :] ** 2 - n[:, None] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = num / den
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def _check_pair_model(model: ModelSpec) -> None:
@@ -257,9 +234,7 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     lam = model.length
     g = model.coupling / lam
     kin = model.hbar**2 * k1 / lam**2
-    p, q = basis.labels()
-    pair_parity = (p + q) % 2
-    blocks = [b for b in (np.flatnonzero(pair_parity == s) for s in (0, 1)) if b.size]
+    blocks = basis.parity_blocks()
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
     solved = [np.linalg.eigh(_parity_block(v1, g, kin, b)) for b in blocks]
     levels = np.concatenate([w for w, _ in solved])
@@ -270,9 +245,9 @@ def diagonalize(model: ModelSpec, cutoff: int, n_check: int = 6) -> BoxSpectrum:
     evecs = np.zeros((basis.dim, basis.dim))
     parity = np.empty(basis.dim, dtype=np.int8)
     start = 0
-    for b, (_, x) in zip(blocks, solved):
+    for block, (b, (_, x)) in enumerate(zip(blocks, solved)):
         evecs[b[:, None], column[start:start + b.size]] = x
-        parity[column[start:start + b.size]] = pair_parity[b[0]]
+        parity[column[start:start + b.size]] = block
         start += b.size
     # spot-check the whole factorization on the low end of the spectrum
     k = min(n_check, evals.size)
@@ -566,3 +541,33 @@ def pair_embed_overlaps(
     """<(pq)_f | (mn)_i> for symmetrized pairs across a box expansion."""
     o = embed_overlaps(lam_i, lam_f, basis_i.cutoff, basis_f.cutoff)
     return _pair_lift(o, o, basis_f, basis_i)
+
+
+def chirp_matrix(a: float, cutoff: int) -> np.ndarray:
+    """X[p, q] = <u_p| exp(i a y^2) |u_q> on the unit box, complex symmetric.
+
+    2 sin(p pi y) sin(q pi y) = cos((p - q) pi y) - cos((p + q) pi y), so
+    X[p, q] = g(p - q) - g(p + q) with g(k) = int_0^1 cos(k pi y) exp(i a y^2) dy,
+    by Gauss-Legendre with 24 nodes more than the integrands' largest phase
+    rate, pi M + |a| radians per unit of the rule's interval [-1, 1].
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    t, wt = leggauss(math.ceil(np.pi * cutoff + abs(a)) + 24)
+    y = 0.5 * (t + 1.0)
+    g = np.cos(np.pi * np.outer(np.arange(2 * cutoff + 1), y)) @ (0.5 * wt * np.exp(1j * a * y * y))
+    n = np.arange(1, cutoff + 1)
+    return g[np.abs(n[:, None] - n[None, :])] - g[n[:, None] + n[None, :]]
+
+
+def pair_chirp(a: float, cutoff: int) -> np.ndarray:
+    """The chirp exp(i a (y1^2 + y2^2)) on the symmetrized pairs, made unitary.
+
+    A truncated X is not unitary: the modes past the cutoff take part of
+    its top columns.  The lift takes the polar factor W = U V^H of X = U S V^H
+    instead, the unitary nearest to X, so W (x) W keeps every norm.
+    """
+    u, _, vh = np.linalg.svd(chirp_matrix(a, cutoff))
+    w = u @ vh
+    basis = PairBasis(cutoff)
+    return _pair_lift(w, w, basis, basis)

@@ -115,7 +115,11 @@ class EosSolution:
 
 
 def _filling(beta: float, eps: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 - np.tanh(0.5 * beta * eps))
+    """1 / (1 + e^x) at x = beta eps, as e^{-x} / (1 + e^{-x}) for x > 0, so
+    the dilute tail keeps its relative precision instead of cancelling."""
+    x = beta * eps
+    e = np.exp(-np.abs(x))
+    return np.where(x > 0.0, e, 1.0) / (1.0 + e)
 
 
 def _kernel(u: np.ndarray, coupling: float, hbar: float) -> np.ndarray:

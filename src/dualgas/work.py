@@ -11,7 +11,7 @@ Protocol routes
   box + Adiabatic         Galerkin spectra paired by level index
   box + SuddenWall        embedding overlaps (expansion only)
   box + SuddenCoupling    two diagonalizations in the shared basis
-  box + LinearRamp        rescaled-frame propagation in the pair basis
+  box + LinearRamp        comoving chirp-gauge propagation in the pair basis
 plus hard-core determinant routes (exact, no Galerkin) and ideal-gas
 references used as classical-limit and duality oracles.
 
@@ -470,7 +470,7 @@ def sudden_coupling_distribution(
 
 
 # ---------------------------------------------------------------------------
-# Moving wall: rescaled-frame propagation
+# Moving wall: comoving chirp-gauge propagation
 # ---------------------------------------------------------------------------
 
 
@@ -518,6 +518,24 @@ def _unitary_flow(mu: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
     return 1.5 * e - 0.5 * (e @ (e.conj().T @ e))
 
 
+def _split_steps(y, kin, mu, w, clock, speed, h, n_steps):
+    """n_steps S6 steps of length h of dy/ds = [A - i K(s)] y on one parity block.
+
+    iA = w diag(mu) w^H; the K stages of the first step carry the phases
+    kin * clock, and each later step's clock is scaled by exp(-v h).
+    """
+    flows = [_unitary_flow(mu, w, b * h) for b in _S6_A]
+    buf = np.empty_like(y)
+    for step in range(n_steps):
+        phases = np.exp(1j * np.multiply.outer(clock * math.exp(-speed * h * step), kin))
+        for ph, b in zip(phases, _S6_A_STAGES):
+            y *= ph[:, None]
+            np.matmul(flows[b], y, out=buf)
+            y, buf = buf, y
+        y *= phases[-1][:, None]
+    return y
+
+
 def propagate_ramp(
     ramp: LinearRamp,
     coupling: float,
@@ -527,25 +545,33 @@ def propagate_ramp(
 ) -> RampResult:
     """Propagate the pair coefficients through L(t) = L_i + v t.
 
-    Expanding the wavefunction over instantaneous box modes turns the
-    moving-wall problem into dc/dt = -(i/hbar) H(L) c + (v/L) D c with D the
-    (antisymmetric) pair dilation generator, so the flow is exactly unitary
-    in the truncated basis and overlaps with the instantaneous eigenvectors
-    at t = 0 and t = tau are the TPM transition amplitudes.  Only the right
-    wall moves, so the flow is not centre-symmetric: D, like the chirp
-    exp(i v x^2 / (4 hbar L)) that removes it in a comoving gauge, couples
-    levels of opposite centre-reflection parity.
+    A linear wall has an exact comoving gauge (Doescher & Rice, Am. J.
+    Phys. 37, 1246 (1969); Makowski & Dembinski, Phys. Lett. A 154, 217
+    (1991)).  With 2m = 1 and y = x / L,
 
-    In s = int dt / L the flow is dc/ds = [A - i (hbar / L(s)) K] c with the
-    constant A = v D - (i C / hbar) v1 and K = diag(k1).  Both parts have
-    exact unitary flows: exp(x A) from one eigendecomposition of the
-    Hermitian iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
+        psi(x, t) = exp(i v (x1^2 + x2^2) / (4 hbar L)) Phi(y, t) / L,
+
+    and Phi obeys i hbar dPhi/dt = [hbar^2 K / L^2 + (C / L) v1] Phi on the
+    unit box, K = diag(k1): no dilation term is left.  The amplitudes are
+    V_f^T X2(a_f) U X2(-a_i) V_i with a = v L / (4 hbar), X2 the pair
+    chirp (`boxspec.pair_chirp`, unitary in the truncated basis) and U the
+    flow of Phi.  The chirp sits off the box centre, so the amplitudes
+    connect levels of opposite centre-reflection parity, but U does not:
+    K and v1 keep the p+q-even and p+q-odd pairs apart, and each block is
+    propagated on its own.
+
+    In s = int dt / L the flow is dPhi/ds = [A - i (hbar / L(s)) K] Phi with
+    the constant A = -(i C / hbar) v1.  Both parts have exact unitary
+    flows: exp(x A) from one eigendecomposition of each block of the real
+    symmetric iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
     carries the clock.  A symmetric fourth-order splitting (S6) composes
     them in n equal steps in s, with n set by the total phases of the two
-    parts, so only the time-integration error depends on the step.
+    parts, so only the time-integration error depends on the step.  At
+    C = 0, U is the phase exp(-i hbar k1 tau / (L_i L_f)) alone, and no
+    step is taken.
     """
     ops = boxspec.unit_pair_operators(cutoff)
-    k1 = ops["k1"]
+    k1, v1 = ops["k1"], ops["v1"]
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
@@ -554,35 +580,31 @@ def propagate_ramp(
     else:
         cols = np.asarray(list(columns), dtype=int)
     speed = ramp.speed
-    # iA = i v D + (C / hbar) v1, Hermitian since D is real antisymmetric
-    herm = (coupling / hbar) * ops["v1"] + 1j * (speed * boxspec.pair_dilation(cutoff))
-    mu, w = np.linalg.eigh(herm)
-    span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
-    phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
-             + float(np.abs(mu).max()) * span)
-    n_steps = math.ceil(phase / _STEP_PHASE)
-    h = span / n_steps
-    flows = [_unitary_flow(mu, w, b * h) for b in _S6_A]
-
-    # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
-    # per step the stages shift by h, which scales these by exp(-v h)
-    widths = _S6_K_STAGES * h
-    starts = np.cumsum(widths) - widths
-    if speed:
-        clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
-    else:
-        clock = widths / lam_i
-
-    y = sp_i.vectors[:, cols].astype(complex)
-    buf = np.empty_like(y)
+    y = boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), cutoff) @ sp_i.vectors[:, cols]
     kin = -hbar * k1
-    for step in range(n_steps):
-        phases = np.exp(1j * np.multiply.outer(clock * math.exp(-speed * h * step), kin))
-        for ph, b in zip(phases, _S6_A_STAGES):
-            y *= ph[:, None]
-            np.matmul(flows[b], y, out=buf)
-            y, buf = buf, y
-        y *= phases[-1][:, None]
+    n_steps = 0
+    if coupling == 0.0:
+        y *= np.exp(1j * kin * (ramp.duration / (lam_i * lam_f)))[:, None]
+    else:
+        blocks = ops["basis"].parity_blocks()
+        # iA = (C / hbar) v1, real symmetric on each block
+        spectra = [np.linalg.eigh((coupling / hbar) * v1[np.ix_(b, b)]) for b in blocks]
+        span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
+        phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
+                 + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
+        n_steps = math.ceil(phase / _STEP_PHASE)
+        h = span / n_steps
+        # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
+        # per step the stages shift by h, which scales these by exp(-v h)
+        widths = _S6_K_STAGES * h
+        starts = np.cumsum(widths) - widths
+        if speed:
+            clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
+        else:
+            clock = widths / lam_i
+        for b, (mu, w) in zip(blocks, spectra):
+            y[b] = _split_steps(y[b], kin[b], mu, w, clock, speed, h, n_steps)
+    y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), cutoff) @ y
 
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())
     amplitudes = sp_f.vectors.T @ y

@@ -207,9 +207,9 @@ def test_jarzynski_identity_for_unitary_protocols(ramp_v5):
 
 
 def test_ramp_unitary_to_roundoff(ramp_v5):
-    # the 847 split steps are unitary to roundoff, so the norm and the
-    # Jarzynski identity hold far below the 1e-6 gates above at every beta
-    # (DOP853 at rtol 1e-10 drifted 1.7e-8 here)
+    # the two pair chirps and the 778 split steps are unitary to roundoff,
+    # so the norm and the Jarzynski identity hold far below the 1e-6 gates
+    # above at every beta (DOP853 at rtol 1e-10 drifted 1.7e-8 here)
     assert ramp_v5.norm_drift <= 1e-10
     for beta in (1.0, 0.1, 0.01):
         d = work.ramp_distribution(

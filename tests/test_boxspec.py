@@ -73,19 +73,37 @@ def test_contact_block_matches_quadrature():
         assert ops["v1"][i, j] == pytest.approx(LAM * val, abs=1e-12)
 
 
-def test_dilation_matrix_antisymmetric_and_matches_quadrature():
-    d = bs.dilation_matrix(6)
-    assert np.allclose(d, -d.T)
-    assert d[0, 1] == pytest.approx(-4.0 / 3.0)
-    # oracle: d[n, m] = <u_m | lam d/dlam u_n> via central difference in lam
-    lam, eps = 1.0, 1e-6
-    for n, m in ((1, 2), (2, 5), (3, 4)):
-        def integrand(x):
-            bra = u(m, lam)(x)
-            dn = (u(n, lam + eps)(x) - u(n, lam - eps)(x)) / (2.0 * eps)
-            return bra * dn
-        val, _ = quad(integrand, 0.0, lam, limit=200)
-        assert d[n - 1, m - 1] == pytest.approx(lam * val, abs=1e-6)
+def test_chirp_matrix_matches_fresnel_integrals():
+    # X[p, q] = g(p - q) - g(p + q); g by Fresnel integrals, apart from the
+    # route's Gauss-Legendre rule
+    from scipy.special import fresnel
+
+    for a, cutoff in ((1.25, 14), (-2.5, 8), (5.0, 40), (40.0, 20)):
+        b = abs(a)
+        s = math.sqrt(2.0 * b / math.pi)
+        k = np.pi * np.arange(2 * cutoff + 1)
+        g = 0.0
+        for c in (k / (2.0 * b), -k / (2.0 * b)):
+            s1, c1 = fresnel(s * (1.0 + c))
+            s0, c0 = fresnel(s * c)
+            g = g + 0.5 * np.exp(-1j * b * c * c) * ((c1 - c0) + 1j * (s1 - s0)) / s
+        g = g if a > 0 else g.conj()
+        n = np.arange(1, cutoff + 1)
+        ref = g[np.abs(n[:, None] - n[None, :])] - g[n[:, None] + n[None, :]]
+        assert np.abs(bs.chirp_matrix(a, cutoff) - ref).max() <= 1e-13
+
+
+def test_pair_chirp_is_the_unitary_lift_of_the_polar_factor():
+    x = bs.chirp_matrix(2.5, 10)
+    assert np.abs(x.conj().T @ x - np.eye(10)).max() > 0.1  # truncated: not unitary
+    u, _, vh = np.linalg.svd(x)
+    w = u @ vh
+    x2 = bs.pair_chirp(2.5, 10)
+    assert x2.dtype == complex
+    assert_bitwise(x2, lift_reference(w, bs.PairBasis(10), bs.PairBasis(10)))
+    assert np.abs(x2.conj().T @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
+    assert np.abs(bs.pair_chirp(-2.5, 10) @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
+    assert np.abs(bs.pair_chirp(0.0, 6) - np.eye(21)).max() <= 1e-14
 
 
 def delta_sum_reference(p, q, m, n):
@@ -127,12 +145,24 @@ def test_contact_matrix_build_memory_peak():
     assert peak < 48 * 2**20
 
 
+def one_body_dilation(cutoff):
+    """d[n, m] = <u_m| lam d/dlam |u_n> = (-1)^(n+m) 2nm/(m^2 - n^2): a real
+    antisymmetric one-body matrix, lifted with the identity below."""
+    n = np.arange(1, cutoff + 1, dtype=float)
+    num = 2.0 * n[:, None] * n[None, :] * ((-1.0) ** (n[:, None] + n[None, :]))
+    den = n[None, :] ** 2 - n[:, None] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = num / den
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def pair_dilation_reference(cutoff):
     """d2 gathered and multiplied by Kronecker deltas, as it was first assembled."""
     basis = bs.PairBasis(cutoff)
     p, q = basis.labels()
     c = basis.norms()
-    d1 = bs.dilation_matrix(cutoff)
+    d1 = one_body_dilation(cutoff)
     dp_m = d1[p[:, None] - 1, p[None, :] - 1]
     dq_n = d1[q[:, None] - 1, q[None, :] - 1]
     dp_n = d1[p[:, None] - 1, q[None, :] - 1]
@@ -146,26 +176,34 @@ def pair_dilation_reference(cutoff):
     )
 
 
+def lift_reference(x, bra, ket):
+    """<(pq)| x (x) x |(mn)> from four gathers of the one-body matrix."""
+    p, q = bra.labels()
+    m, n = ket.labels()
+    s = x[p[:, None] - 1, m[None, :] - 1] * x[q[:, None] - 1, n[None, :] - 1]
+    s = s + x[p[:, None] - 1, n[None, :] - 1] * x[q[:, None] - 1, m[None, :] - 1]
+    return 2.0 * bra.norms()[:, None] * ket.norms()[None, :] * s
+
+
 def pair_embed_reference(lam_i, lam_f, basis_i, basis_f):
     """O2 from four gathers of the one-body overlaps, as it was first assembled."""
     o = bs.embed_overlaps(lam_i, lam_f, basis_i.cutoff, basis_f.cutoff)
-    p, q = basis_f.labels()
-    m, n = basis_i.labels()
-    cf = basis_f.norms()
-    ci = basis_i.norms()
-    O2 = o[p[:, None] - 1, m[None, :] - 1] * o[q[:, None] - 1, n[None, :] - 1]
-    O2 = O2 + o[p[:, None] - 1, n[None, :] - 1] * o[q[:, None] - 1, m[None, :] - 1]
-    return 2.0 * cf[:, None] * ci[None, :] * O2
+    return lift_reference(o, basis_f, basis_i)
 
 
 def assert_bitwise(got, want):
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 @pytest.mark.parametrize("cutoff", range(1, 26))
 def test_pair_dilation_bitwise_equals_delta_gathers(cutoff):
-    assert_bitwise(bs.pair_dilation(cutoff), pair_dilation_reference(cutoff))
+    # the lift of two different one-body matrices: the pair dilation
+    # generator d2 = d (x) 1 + 1 (x) d lifts to twice one term
+    basis = bs.PairBasis(cutoff)
+    d2 = 2.0 * bs._pair_lift(one_body_dilation(cutoff), np.eye(cutoff), basis, basis)
+    assert_bitwise(d2, pair_dilation_reference(cutoff))
 
 
 @pytest.mark.parametrize(
@@ -205,11 +243,6 @@ def test_contact_matrix_vanishes_between_parity_blocks(cutoff):
     assert np.all(ops["v1"][np.ix_(~odd, odd)] == 0.0)
 
 
-def test_pair_dilation_antisymmetric():
-    d2 = bs.pair_dilation(8)
-    assert np.allclose(d2, -d2.T, atol=1e-13)
-
-
 def test_pair_operators_built_once_per_cutoff_and_read_only():
     a, b = bs.unit_pair_operators(7), bs.unit_pair_operators(7)
     assert a is not b
@@ -218,10 +251,6 @@ def test_pair_operators_built_once_per_cutoff_and_read_only():
         assert a[key] is b[key]
         with pytest.raises(ValueError):
             a[key][0] = 1.0
-    d2 = bs.pair_dilation(7)
-    assert bs.pair_dilation(7) is d2
-    with pytest.raises(ValueError):
-        d2[0, 1] = 1.0
     # rebinding a key of the returned dict leaves the cache alone
     a["v1"] = np.zeros_like(a["v1"])
     assert bs.unit_pair_operators(7)["v1"] is b["v1"]
@@ -236,27 +265,27 @@ def test_build_hamiltonian_leaves_cached_contact_matrix_unchanged():
     assert not np.array_equal(h_weak, h_strong)
 
 
-def test_spectra_never_build_the_dilation_generator(monkeypatch):
+def test_spectra_never_build_the_chirp(monkeypatch):
     calls = []
 
     def counted(real):
-        def call(cutoff):
+        def call(a, cutoff):
             calls.append(cutoff)
-            return real(cutoff)
+            return real(a, cutoff)
         return call
 
-    monkeypatch.setattr(bs, "pair_dilation", counted(bs.pair_dilation))
-    monkeypatch.setattr(bs, "_pair_dilation", counted(bs._pair_dilation))
+    monkeypatch.setattr(bs, "pair_chirp", counted(bs.pair_chirp))
+    monkeypatch.setattr(bs, "chirp_matrix", counted(bs.chirp_matrix))
     sp = bs.diagonalize(model(5.0), 11)
     for i in range(3):
         bs.contact_expectation(sp.state(i))
     assert calls == []
-    bs.pair_dilation(3)  # the counters see a build
+    bs.pair_chirp(1.0, 3)  # the counters see a build
     assert calls == [3, 3]
 
 
 def test_diagonalize_memory_peak_without_dilation_generator():
-    # v1 and eigh need about 13 MiB here; building d2 as well needs about 62
+    # v1 and eigh need about 13 MiB here
     bs._pair_operators.cache_clear()
     tracemalloc.start()
     try:

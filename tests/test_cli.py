@@ -139,8 +139,9 @@ def test_failed_solve_exits_three(tmp_path):
     r = run(["eos", "--beta", "1", "--c", "1", "--mu-grid", "400:400:1"], tmp_path)
     assert r.returncode == 3
     assert "converged" in r.stderr or "residual" in r.stderr
-    # so dilute that D(mu) underflows to 0 before the inversion reaches it
-    r = run(["eos", "--mu-grid=-1:0:2", "--hbar-sweep", "1", "--density", "1e-300"],
+    # so dilute that D(mu) underflows to 0 before the inversion reaches it:
+    # the least subnormal (the filling keeps its tail, so 1e-300 converges)
+    r = run(["eos", "--mu-grid=-1:0:2", "--hbar-sweep", "1", "--density", "5e-324"],
             tmp_path)
     assert r.returncode == 3
     assert "density inversion" in r.stderr

@@ -246,6 +246,14 @@ def test_virial_ratio_coherent_at_low_density():
         eos.virial_ratio(1.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("target", [1e-12, 1e-16, 1e-18])
+def test_virial_ratio_keeps_the_dilute_tail(target):
+    # deep in the classical tail, where a filling written as
+    # (1 - tanh(beta eps / 2)) / 2 loses its digits and then cancels to 0
+    out = eos.virial_ratio(1.0, 1.0, target)
+    assert abs(out["full"] - out["expansion"]) <= 1e-9
+
+
 @pytest.mark.parametrize("beta, coupling, target", [
     (1.0, 1.0, 0.1), (10.0, 1.0, 0.1), (10.0, 1.0, 5.0),
     (1.0, 0.3, 2.0),  # a wide bracket above the root meets a slow contraction

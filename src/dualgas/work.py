@@ -566,9 +566,7 @@ def propagate_ramp(
     symmetric iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
     carries the clock.  A symmetric fourth-order splitting (S6) composes
     them in n equal steps in s, with n set by the total phases of the two
-    parts, so only the time-integration error depends on the step.  At
-    C = 0, U is the phase exp(-i hbar k1 tau / (L_i L_f)) alone, and no
-    step is taken.
+    parts, so only the time-integration error depends on the step.
     """
     ops = boxspec.unit_pair_operators(cutoff)
     k1, v1 = ops["k1"], ops["v1"]
@@ -582,28 +580,24 @@ def propagate_ramp(
     speed = ramp.speed
     y = boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), cutoff) @ sp_i.vectors[:, cols]
     kin = -hbar * k1
-    n_steps = 0
-    if coupling == 0.0:
-        y *= np.exp(1j * kin * (ramp.duration / (lam_i * lam_f)))[:, None]
+    blocks = ops["basis"].parity_blocks()
+    # iA = (C / hbar) v1, real symmetric on each block
+    spectra = [np.linalg.eigh((coupling / hbar) * v1[np.ix_(b, b)]) for b in blocks]
+    span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
+    phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
+             + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
+    n_steps = math.ceil(phase / _STEP_PHASE)
+    h = span / n_steps
+    # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
+    # per step the stages shift by h, which scales these by exp(-v h)
+    widths = _S6_K_STAGES * h
+    starts = np.cumsum(widths) - widths
+    if speed:
+        clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
     else:
-        blocks = ops["basis"].parity_blocks()
-        # iA = (C / hbar) v1, real symmetric on each block
-        spectra = [np.linalg.eigh((coupling / hbar) * v1[np.ix_(b, b)]) for b in blocks]
-        span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
-        phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
-                 + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
-        n_steps = math.ceil(phase / _STEP_PHASE)
-        h = span / n_steps
-        # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
-        # per step the stages shift by h, which scales these by exp(-v h)
-        widths = _S6_K_STAGES * h
-        starts = np.cumsum(widths) - widths
-        if speed:
-            clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
-        else:
-            clock = widths / lam_i
-        for b, (mu, w) in zip(blocks, spectra):
-            y[b] = _split_steps(y[b], kin[b], mu, w, clock, speed, h, n_steps)
+        clock = widths / lam_i
+    for b, (mu, w) in zip(blocks, spectra):
+        y[b] = _split_steps(y[b], kin[b], mu, w, clock, speed, h, n_steps)
     y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), cutoff) @ y
 
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())

@@ -373,8 +373,9 @@ def free_chirp(a, n):
 )
 def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
     # at C = 0 the one-body amplitudes are X(a_f) diag(exp(-i hbar pi^2 n^2
-    # tau / (L_i L_f))) X(-a_i), here on 300 modes; the bounds are the
-    # route's basis truncation error
+    # tau / (L_i L_f))) X(-a_i), here on 300 modes; the route takes its
+    # clocked split steps as at any C, and the bounds are its basis
+    # truncation error
     ramp = LinearRamp(1.0, speed, duration)
     lam_i, lam_f, n = ramp.lambda_initial, ramp.lambda_final, 300
     kinetic = np.exp(-1j * hbar * np.pi**2 * np.arange(1, n + 1) ** 2 * duration / (lam_i * lam_f))
@@ -385,7 +386,6 @@ def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
     exact = np.abs(boxspec._pair_lift(a, a, basis, basis)) ** 2
 
     res = wk.propagate_ramp(ramp, 0.0, cutoff, hbar)
-    assert res.n_rhs_evals == 0  # U is the kinetic phase alone
     # the six lowest free levels are six single pairs, none degenerate
     pairs = [basis.index_of(p, q) for p, q in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4))]
     _, _, v_i, sp_f = _ramp_setup(ramp, 0.0, cutoff, hbar)

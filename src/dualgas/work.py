@@ -569,7 +569,7 @@ def propagate_ramp(
     parts, so only the time-integration error depends on the step.
     """
     ops = boxspec.unit_pair_operators(cutoff)
-    k1, v1 = ops["k1"], ops["v1"]
+    k1 = ops["k1"]
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
@@ -582,7 +582,7 @@ def propagate_ramp(
     kin = -hbar * k1
     blocks = ops["basis"].parity_blocks()
     # iA = (C / hbar) v1, real symmetric on each block
-    spectra = [np.linalg.eigh((coupling / hbar) * v1[np.ix_(b, b)]) for b in blocks]
+    spectra = [np.linalg.eigh((coupling / hbar) * boxspec.contact_block(ops, b)) for b in blocks]
     span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
     phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
              + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
@@ -776,11 +776,6 @@ def free_momentum_work(quantum_numbers, lam_i: float, lam_f: float, hbar: float 
 # ---------------------------------------------------------------------------
 
 
-def _contact_form(ops, V):
-    """The unit contact form v.T @ v1 @ v of every column v of V."""
-    return np.einsum("ai,ab,bi->i", V, ops["v1"], V)
-
-
 def sudden_wall_mean_work(
     lam_i: float,
     lam_f: float,
@@ -806,7 +801,7 @@ def sudden_wall_mean_work(
     # quadratic form of H_f on embedded states = same integrals over [0, lam_i]
     form = (
         hbar**2 * (ops["k1"][:, None] * V * V).sum(axis=0) / lam_i**2
-        + (coupling / lam_i) * _contact_form(ops, V)
+        + (coupling / lam_i) * boxspec.contact_form(ops, V)
     )
     identity_value = float(np.sum(p_i * (form - sp_i.energies)))
     out = {"identity": identity_value}
@@ -831,7 +826,7 @@ def sudden_coupling_mean_work(
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     ops = boxspec.unit_pair_operators(cutoff)
     p_i, _ = _thermal(sp_i.energies, beta)
-    delta_exp = _contact_form(ops, sp_i.vectors) / lam
+    delta_exp = boxspec.contact_form(ops, sp_i.vectors) / lam
     return {
         "identity": float((coupling_f - coupling_i) * np.sum(p_i * delta_exp)),
         "thermal_contact": float(np.sum(p_i * delta_exp)),

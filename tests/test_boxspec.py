@@ -44,12 +44,17 @@ def test_pair_index_rejects_out_of_range():
         basis.index_of(3, 2)
 
 
+def full_contact(ops):
+    """v1 on every pair, from the route's block primitive."""
+    return bs.contact_block(ops, np.arange(ops["basis"].dim))
+
+
 def test_contact_block_frozen_elements():
     # lam-independent unit-strength elements; quadrature gives
     # int u1^4 = 3/(2 lam) and int u1^2 u2^2 = 1/lam
     ops = bs.unit_pair_operators(4)
     basis = ops["basis"]
-    v1 = ops["v1"]
+    v1 = full_contact(ops)
     assert v1[basis.index_of(1, 1), basis.index_of(1, 1)] == pytest.approx(1.5)
     assert v1[basis.index_of(1, 2), basis.index_of(1, 2)] == pytest.approx(2.0)
     assert np.allclose(v1, v1.T)
@@ -62,6 +67,7 @@ def test_contact_block_matches_quadrature():
     norms = basis.norms()
     rng = np.random.default_rng(7)
     ps, qs = basis.labels()
+    v1 = full_contact(ops)
     for _ in range(8):
         i, j = rng.integers(0, basis.dim, size=2)
         f = u(ps[i], LAM)
@@ -70,7 +76,7 @@ def test_contact_block_matches_quadrature():
         w = u(qs[j], LAM)
         # diagonal slice of the symmetrized pair functions
         val, _ = quad(lambda x: 4.0 * norms[i] * norms[j] * f(x) * g(x) * h(x) * w(x), 0.0, LAM)
-        assert ops["v1"][i, j] == pytest.approx(LAM * val, abs=1e-12)
+        assert v1[i, j] == pytest.approx(LAM * val, abs=1e-12)
 
 
 def test_chirp_matrix_matches_fresnel_integrals():
@@ -120,29 +126,33 @@ def delta_sum_reference(p, q, m, n):
     )
 
 
-@pytest.mark.parametrize("cutoff", [*range(1, 26), 60])
-def test_contact_matrix_bitwise_equals_float_delta_sum(cutoff):
-    basis = bs.PairBasis(cutoff)
+def contact_reference(basis):
+    """v1 on every pair from the eight-delta sum."""
     p, q = basis.labels()
     c = basis.norms()
-    ref = 2.0 * c[:, None] * c[None, :] * delta_sum_reference(
+    return 2.0 * c[:, None] * c[None, :] * delta_sum_reference(
         p[:, None], q[:, None], p[None, :], q[None, :]
     )
-    v1 = bs.unit_pair_operators(cutoff)["v1"]
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 26), 60])
+def test_contact_matrix_bitwise_equals_float_delta_sum(cutoff):
+    ref = contact_reference(bs.PairBasis(cutoff))
+    v1 = full_contact(bs.unit_pair_operators(cutoff))
     assert np.array_equal(v1, ref)
     assert np.array_equal(np.signbit(v1), np.signbit(ref))
 
 
 def test_contact_matrix_build_memory_peak():
-    # v1 itself is 25.6 MiB at M = 60; the float delta sum peaked at 102 MiB
-    bs._pair_operators.cache_clear()
+    # the factor S is 1.8 MiB at M = 60, where v1 itself would be 25.6 MiB
+    # and the float delta sum peaked at 102 MiB
     tracemalloc.start()
     try:
         bs.unit_pair_operators(60)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 4 * 2**20
 
 
 def one_body_dilation(cutoff):
@@ -240,29 +250,7 @@ def parity_odd(basis: bs.PairBasis) -> np.ndarray:
 def test_contact_matrix_vanishes_between_parity_blocks(cutoff):
     ops = bs.unit_pair_operators(cutoff)
     odd = parity_odd(ops["basis"])
-    assert np.all(ops["v1"][np.ix_(~odd, odd)] == 0.0)
-
-
-def test_pair_operators_built_once_per_cutoff_and_read_only():
-    a, b = bs.unit_pair_operators(7), bs.unit_pair_operators(7)
-    assert a is not b
-    assert a["basis"] == bs.PairBasis(7)
-    for key in ("k1", "v1"):
-        assert a[key] is b[key]
-        with pytest.raises(ValueError):
-            a[key][0] = 1.0
-    # rebinding a key of the returned dict leaves the cache alone
-    a["v1"] = np.zeros_like(a["v1"])
-    assert bs.unit_pair_operators(7)["v1"] is b["v1"]
-
-
-def test_build_hamiltonian_leaves_cached_contact_matrix_unchanged():
-    v1 = bs.unit_pair_operators(9)["v1"].copy()
-    h_weak = bs.build_hamiltonian(model(0.5), 9)
-    h_strong = bs.build_hamiltonian(model(50.0), 9)
-    assert np.array_equal(bs.unit_pair_operators(9)["v1"], v1)
-    assert np.array_equal(bs.build_hamiltonian(model(0.5), 9), h_weak)
-    assert not np.array_equal(h_weak, h_strong)
+    assert np.all(full_contact(ops)[np.ix_(~odd, odd)] == 0.0)
 
 
 def test_spectra_never_build_the_chirp(monkeypatch):
@@ -285,8 +273,7 @@ def test_spectra_never_build_the_chirp(monkeypatch):
 
 
 def test_diagonalize_memory_peak_without_dilation_generator():
-    # v1 and eigh need about 13 MiB here
-    bs._pair_operators.cache_clear()
+    # the blocks and eigh need about 8.5 MiB here
     tracemalloc.start()
     try:
         bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), 40)
@@ -309,8 +296,13 @@ def test_diagonalize_residual_and_order():
 
 @pytest.mark.parametrize("cutoff", [1, 2, 11, 30])  # cutoff 1: no odd pair
 def test_diagonalize_by_parity_block_matches_full_eigh(cutoff):
-    sp = bs.diagonalize(model(5.0), cutoff)
-    full = scipy.linalg.eigh(bs.build_hamiltonian(model(5.0), cutoff), eigvals_only=True)
+    m = model(5.0)
+    sp = bs.diagonalize(m, cutoff)
+    basis = bs.PairBasis(cutoff)
+    p, q = basis.labels()
+    H = (m.coupling / m.length) * contact_reference(basis)
+    H[np.diag_indices_from(H)] += m.hbar**2 * np.pi**2 * (p**2 + q**2) / m.length**2
+    full = scipy.linalg.eigh(H, eigvals_only=True)
     assert np.all(np.diff(sp.energies) >= 0.0)
     assert np.abs(sp.energies - full).max() <= 1e-12 * np.abs(full).max()
     eye = np.eye(sp.basis.dim)
@@ -337,6 +329,19 @@ def test_diagonalize_forms_no_dense_hamiltonian():
     assert peak < 12 * 2**20
 
 
+def test_diagonalize_keeps_no_contact_matrix_across_cutoffs():
+    # one process, as `convergence` runs: 40.5 MiB, set by the M = 60 call;
+    # a cache of the dense v1 per cutoff took it to 69.8 MiB
+    tracemalloc.start()
+    try:
+        for cutoff in (20, 40, 60):
+            bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 def test_weak_coupling_first_order_shift():
     # E0(C) = 2 pi^2 + C * <delta>_0 + O(C^2) with <delta>_0 = 3/(2 lam)
     C = 1e-4
@@ -358,9 +363,8 @@ def test_hard_core_model_rejected_by_galerkin():
         ModelSpec(3, Box(LAM), 1.0),
         ModelSpec(2, Ring(LAM), 1.0),
     ):
-        for build in (bs.build_hamiltonian, bs.diagonalize):
-            with pytest.raises(ConfigError):
-                build(bad, 10)
+        with pytest.raises(ConfigError):
+            bs.diagonalize(bad, 10)
 
 
 def test_free_fermion_spectrum_values():
@@ -390,6 +394,23 @@ def test_contact_expectation_positive_and_decreasing_in_alpha():
     assert all(v > 0 for v in vals)
     # stronger repulsion suppresses the pair amplitude at coincidence
     assert vals[0] > vals[1] > vals[2]
+
+
+@pytest.mark.parametrize("coupling, cutoff", [(0.5, 20), (10.0, 30), (200.0, 40)])
+def test_contact_expectation_is_the_level_slope(coupling, cutoff):
+    # Hellmann-Feynman on the Galerkin matrix: dE_n/dC = <delta>_n exactly,
+    # so a central difference of the levels ties the factor's form, and its
+    # weight w_0 = 2, to the blocks diagonalize solves, with no dense
+    # reference (it agrees to about 1e-8)
+    lam, h = 1.3, 1e-4 * coupling
+
+    def levels(c):
+        return bs.diagonalize(ModelSpec(2, Box(lam), c), cutoff).energies[:8]
+
+    slope = (levels(coupling + h) - levels(coupling - h)) / (2.0 * h)
+    sp = bs.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff)
+    delta = np.array([bs.contact_expectation(sp.state(i)) for i in range(8)])
+    assert np.abs(slope / delta - 1.0).max() <= 1e-6
 
 
 def test_cusp_residual_decreases_with_cutoff():

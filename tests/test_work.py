@@ -314,7 +314,8 @@ def _ramp_setup(ramp, coupling, cutoff, hbar=1.0):
     ops = boxspec.unit_pair_operators(cutoff)
     sp_i = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_initial), coupling, hbar), cutoff)
     sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling, hbar), cutoff)
-    return ops["k1"], ops["v1"], sp_i.vectors.astype(complex), sp_f
+    v1 = boxspec.contact_block(ops, np.arange(ops["basis"].dim))
+    return ops["k1"], v1, sp_i.vectors.astype(complex), sp_f
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,22 @@
 """Two-body contact gas in a hard-wall box: Galerkin spectra and observables.
 
-Basis: symmetrized products of box modes u_n(x) = sqrt(2/lam) sin(n pi x/lam),
+Basis: products of box modes u_n(x) = sqrt(2/lam) sin(n pi x/lam) of one
+exchange sign s,
 
-    |pq> = c_pq [u_p(x1) u_q(x2) + u_q(x1) u_p(x2)],   1 <= p <= q <= cutoff,
+    |pq> = c_pq [u_p(x1) u_q(x2) + s u_q(x1) u_p(x2)],   1 <= p <= q <= cutoff,
 
-with c_pq = 1/sqrt(2) for p < q and 1/2 for p = q.  The contact acts only
-at coincidence, so it is kept as its coincidence factor: the pairs'
-harmonics S at x1 = x2, whose weighted Gram matrix is the contact matrix
-v1 = 2 diag(c) S^T diag(2, 1, ..., 1) S diag(c).  It is exact in this
-basis, so the only approximation is the mode cutoff, and v1 is formed one
-parity block at a time; the ramp's chirp and the wall embedding lift
-one-body matrices.  Fermionic duals share every eigenvector; they differ
-downstream of the sign map sign(x2 - x1) only.
+with c_pq = 1/sqrt(2) for p < q and 1/2 for p = q.  At finite C the pairs
+are symmetric (s = +1).  The contact acts only at coincidence, so it is
+kept as its coincidence factor: the pairs' harmonics S at x1 = x2, whose
+weighted Gram matrix is the contact matrix v1 = 2 diag(c) S^T diag(2, 1,
+..., 1) S diag(c).  It is exact in this basis, so the only approximation is
+the mode cutoff, and v1 is formed one parity block at a time.  The
+hard-core pair (C = inf) is the same model on the antisymmetric pairs
+(s = -1, p < q), which vanish at coincidence: S is zero there and only
+the kinetic term is left.  The ramp's chirp and the wall embedding lift
+one-body matrices on either basis.  The two statistics share every
+eigenvector; the one the basis does not carry is reached by the sign map
+sign(x2 - x1).
 
 Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2.
 """
@@ -32,10 +37,10 @@ __all__ = [
     "BoxSpectrum",
     "BoxState",
     "DensityGrid",
-    "FreeFermionTable",
     "unit_pair_operators",
     "contact_block",
     "contact_form",
+    "contact_coupling",
     "diagonalize",
     "box_modes",
     "box_mode_ft",
@@ -46,7 +51,6 @@ __all__ = [
     "fermionize",
     "cusp_check",
     "contact_expectation",
-    "free_fermion_box_spectrum",
     "embed_overlaps",
     "pair_embed_overlaps",
     "chirp_matrix",
@@ -56,21 +60,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PairBasis:
-    """Ordered pair labels (p, q), p <= q, lexicographic in (p, q)."""
+    """Ordered pair labels, lexicographic in (p, q): p <= q for the symmetric
+    pairs (sign +1), p < q for the antisymmetric ones (sign -1)."""
 
     cutoff: int
+    sign: int = 1
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise ConfigError(f"mode cutoff must be >= 1, got {self.cutoff}")
+        if self.dim == 0:
+            raise ConfigError(
+                f"the hard-core pair's antisymmetric basis needs mode cutoff >= 2, "
+                f"got {self.cutoff}"
+            )
+
+    @property
+    def _gap(self) -> int:
+        """Least q - p: 0 for the symmetric pairs, 1 for the antisymmetric."""
+        return (1 - self.sign) // 2
 
     @property
     def dim(self) -> int:
-        return self.cutoff * (self.cutoff + 1) // 2
+        m = self.cutoff - self._gap
+        return m * (m + 1) // 2
 
     def labels(self):
-        m = self.cutoff
-        p, q = np.triu_indices(m)
+        p, q = np.triu_indices(self.cutoff, self._gap)
         return p + 1, q + 1  # 1-based mode numbers
 
     def norms(self) -> np.ndarray:
@@ -78,7 +94,7 @@ class PairBasis:
         return np.where(p == q, 0.5, 1.0 / np.sqrt(2.0))
 
     def parity_blocks(self) -> list:
-        """Indices of the p+q-even, then the p+q-odd pairs (none at cutoff 1).
+        """Indices of the p+q-even, then the p+q-odd pairs, each if it has any.
 
         Reflection about the box centre maps |pq> to (-1)^(p+q) |pq>.
         """
@@ -86,19 +102,19 @@ class PairBasis:
         return [b for b in (np.flatnonzero((p + q) % 2 == s) for s in (0, 1)) if b.size]
 
     def index_of(self, p: int, q: int) -> int:
-        if not (1 <= p <= q <= self.cutoff):
-            raise ConfigError(f"pair ({p},{q}) outside basis with cutoff {self.cutoff}")
-        # row p-1 starts after (p-1) rows of lengths M, M-1, ...
-        m = self.cutoff
-        row_start = (p - 1) * m - (p - 1) * (p - 2) // 2
-        return row_start + (q - p)
+        k, m = self._gap, self.cutoff
+        if not (1 <= p and p + k <= q <= m):
+            raise ConfigError(f"pair ({p},{q}) outside basis with cutoff {m}")
+        # row p-1 starts after (p-1) rows of lengths M-k, M-k-1, ...
+        row_start = (p - 1) * (m - k) - (p - 1) * (p - 2) // 2
+        return row_start + (q - p - k)
 
 
-def unit_pair_operators(cutoff: int) -> dict:
+def unit_pair_operators(cutoff: int, sign: int = 1) -> dict:
     """lam- and C-independent building blocks of the pair Hamiltonian.
 
     Returns dict with
-      'basis': the PairBasis
+      'basis': the PairBasis of the exchange sign
       'k1': diag vector, kinetic = hbar^2 * k1 / lam^2, k1 = pi^2 (p^2 + q^2)
       'S', 'w', 'c': the contact's coincidence factor, its row weights and
             the pair norms, with the unit-strength contact
@@ -109,14 +125,16 @@ def unit_pair_operators(cutoff: int) -> dict:
     as heavy: w = (2, 1, ..., 1).  `contact_block` forms v1 on a set of
     pairs (a parity block), and `contact_form` gives <delta(x1-x2)> =
     v.T @ v1 @ v / lam without it.  The factor takes (2M+1) dim values
-    against dim^2 for v1 and is built on every call.  `pair_chirp` and
+    against dim^2 for v1 and is built on every call.  The antisymmetric
+    pairs vanish at x1 = x2, so their S is zero.  `pair_chirp` and
     `pair_embed_overlaps` lift one-body matrices.
     """
-    basis = PairBasis(cutoff)
+    basis = PairBasis(cutoff, sign)
     p, q = basis.labels()
     S = np.zeros((2 * cutoff + 1, basis.dim))
-    S[q - p, np.arange(basis.dim)] = 1.0
-    S[p + q, np.arange(basis.dim)] = -1.0
+    if sign > 0:
+        S[q - p, np.arange(basis.dim)] = 1.0
+        S[p + q, np.arange(basis.dim)] = -1.0
     w = np.ones(2 * cutoff + 1)
     w[0] = 2.0
     k1 = np.pi**2 * (p**2 + q**2).astype(float)
@@ -138,36 +156,44 @@ def contact_form(ops: dict, V) -> np.ndarray:
     return 2.0 * (ops["w"] @ (Y * Y))
 
 
-def _pair_lift(x, y, bra: PairBasis, ket: PairBasis) -> np.ndarray:
-    """<(pq)| x (x) y |(mn)> = c_pq c_mn [(x_pm y_qn + x_pn y_qm) + (y_pm x_qn + y_pn x_qm)].
+def contact_coupling(coupling: float) -> float:
+    """C as it multiplies the contact factor.
 
-    Filled one m at a time, whose kets (m, n >= m) are contiguous, so no
-    temporary of the bra x ket size is made; for x is y the halves are equal.
-    Real or complex, the result takes the type of x and y.
+    C = inf meets the antisymmetric pairs, whose factor is zero; inf * 0
+    would be nan, so the product is taken as 0 here, and nowhere else.
+    """
+    return 0.0 if math.isinf(coupling) else coupling
+
+
+def _pair_lift(x, bra: PairBasis, ket: PairBasis) -> np.ndarray:
+    """<(pq)| x (x) x |(mn)> = 2 c_pq c_mn (x_pm x_qn + s x_pn x_qm), s the
+    bases' exchange sign.
+
+    Filled one m at a time, whose kets (m, n >= m + gap) are contiguous, so
+    no temporary of the bra x ket size is made.  Real or complex, the
+    result takes the type of x.
     """
     p, q = bra.labels()
-    xp, xq, yp, yq = x[p - 1], x[q - 1], y[p - 1], y[q - 1]
+    xp, xq = x[p - 1], x[q - 1]
     cb, ck = bra.norms(), ket.norms()
-    out = np.empty((bra.dim, ket.dim), dtype=np.result_type(x, y))
-    for j in range(ket.cutoff):  # m = j + 1
-        cols = slice(ket.index_of(j + 1, j + 1), ket.index_of(j + 1, ket.cutoff) + 1)
-        s = xp[:, j, None] * yq[:, j:] + xp[:, j:] * yq[:, j, None]
-        s += s if x is y else yp[:, j, None] * xq[:, j:] + yp[:, j:] * xq[:, j, None]
+    k = ket._gap
+    combine = np.add if ket.sign > 0 else np.subtract
+    out = np.empty((bra.dim, ket.dim), dtype=x.dtype)
+    for j in range(ket.cutoff - k):  # m = j + 1
+        cols = slice(ket.index_of(j + 1, j + 1 + k), ket.index_of(j + 1, ket.cutoff) + 1)
+        n = slice(j + k, None)
+        s = combine(xp[:, j, None] * xq[:, n], xp[:, n] * xq[:, j, None])
+        s += s
         out[:, cols] = np.multiply.outer(cb, ck[cols]) * s
     return out
 
 
 def _check_pair_model(model: ModelSpec) -> None:
-    """The pair Galerkin basis takes two particles in a box at finite C."""
+    """The pair Galerkin basis takes two particles in a box."""
     if not isinstance(model.geometry, Box):
         raise ConfigError("pair Galerkin basis is for box geometry")
     if model.n_particles != 2:
         raise ConfigError("pair basis handles exactly two particles")
-    if model.is_hard_core:
-        raise ConfigError(
-            "hard-core limit has no finite contact matrix; "
-            "use free_fermion_box_spectrum for the dual spectrum"
-        )
 
 
 @dataclass
@@ -216,13 +242,14 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     commutes with H, so v1 vanishes exactly between the p+q-even and
     p+q-odd pairs.  Each block is solved on its own; its eigenvectors are
     written at their sorted columns in the full basis, zero on the other
-    block's rows, and `parity` names each level's block.
+    block's rows, and `parity` names each level's block.  The hard-core
+    pair is solved on the antisymmetric pairs, where H is kinetic only.
     """
     _check_pair_model(model)
-    ops = unit_pair_operators(cutoff)
+    ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
     basis, k1 = ops["basis"], ops["k1"]
     lam = model.length
-    g = model.coupling / lam
+    g = contact_coupling(model.coupling) / lam
     kin = model.hbar**2 * k1 / lam**2
     blocks = basis.parity_blocks()
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
@@ -234,10 +261,11 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     column[order] = np.arange(order.size)
     evecs = np.zeros((basis.dim, basis.dim))
     parity = np.empty(basis.dim, dtype=np.int8)
+    p, q = basis.labels()
     start = 0
-    for block, (b, (_, x)) in enumerate(zip(blocks, solved)):
+    for b, (_, x) in zip(blocks, solved):
         evecs[b[:, None], column[start:start + b.size]] = x
-        parity[column[start:start + b.size]] = block
+        parity[column[start:start + b.size]] = (p[b[0]] + q[b[0]]) % 2
         start += b.size
     # spot-check the whole factorization on the six lowest levels, with
     # v1 X applied through the factor
@@ -262,14 +290,21 @@ class BoxState:
         if self.statistics not in ("boson", "fermion"):
             raise ConfigError(f"unknown statistics {self.statistics!r}")
 
+    @property
+    def sign_mapped(self) -> bool:
+        """Whether the statistics differ from the basis's exchange symmetry,
+        so that the amplitude takes the sign map sign(x2 - x1)."""
+        return (self.statistics == "fermion") == (self.basis.sign > 0)
+
     def mode_matrix(self) -> np.ndarray:
-        """Symmetric A with psi(x1,x2) = sum_ab A_ab u_a(x1) u_b(x2)."""
+        """A with psi(x1,x2) = sum_ab A_ab u_a(x1) u_b(x2) in the basis's
+        symmetry, A[q, p] = sign A[p, q]."""
         m = self.basis.cutoff
         p, q = self.basis.labels()
         A = np.zeros((m, m))
         off = p != q
         A[p[off] - 1, q[off] - 1] = self.coefficients[off] / np.sqrt(2.0)
-        A[q[off] - 1, p[off] - 1] = self.coefficients[off] / np.sqrt(2.0)
+        A[q[off] - 1, p[off] - 1] = self.basis.sign * self.coefficients[off] / np.sqrt(2.0)
         A[p[~off] - 1, q[~off] - 1] = self.coefficients[~off]
         return A
 
@@ -288,13 +323,14 @@ def box_modes(x, lam: float, cutoff: int) -> np.ndarray:
 
 
 def amplitude(state: BoxState, x1, x2) -> np.ndarray:
-    """Wavefunction on the outer grid x1 x x2 (sign map applied for fermions)."""
+    """Wavefunction on the outer grid x1 x x2 (sign map applied when the
+    statistics differ from the basis's symmetry)."""
     lam = state.model.length
     A = state.mode_matrix()
     U1 = box_modes(x1, lam, state.basis.cutoff)
     U2 = box_modes(x2, lam, state.basis.cutoff)
     psi = U1 @ A @ U2.T
-    if state.statistics == "fermion":
+    if state.sign_mapped:
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
         psi = exchange_sign_grid(x1[:, None], x2[None, :]) * psi
@@ -328,7 +364,7 @@ def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
         raise ConfigError(f"n_grid must be >= 2, got {n_grid}")
     lam = state.model.length
     x = np.linspace(0.0, lam, n_grid)
-    psi = amplitude(state, x, x)  # sign map included for fermions
+    psi = amplitude(state, x, x)  # sign map included
     rho = 2.0 * np.trapezoid(psi * psi, x, axis=1)
     mass = float(np.trapezoid(rho, x))
     return DensityGrid(
@@ -378,12 +414,12 @@ def momentum_density(
 ) -> DensityGrid:
     """One-body momentum distribution n(k), int n(k) dk = 2 on the full line.
 
-    Bosons: closed form via Parseval, exact up to the k-window.  Fermions:
-    the sign kink breaks mode orthogonality, so the triangle x2 > x1 is
-    integrated on an internal n_x^2 grid (O(h^2)); the antisymmetric
-    combination of the triangle transform and its swap then gives the pair
-    amplitude in momentum space, and the partner is integrated over the
-    same window.
+    Statistics of the basis's symmetry: closed form via Parseval, exact up
+    to the k-window.  The sign-mapped dual: the sign kink breaks mode
+    orthogonality, so the triangle x2 > x1 is integrated on an internal
+    n_x^2 grid (O(h^2)); the triangle transform T and its swap give the
+    pair amplitude in momentum space, (T - sign T^T) / 2 pi, and the
+    partner is integrated over the same window.
     """
     if n_k < 2 or n_x < 2:
         raise ConfigError(f"n_k and n_x must be >= 2, got {n_k} and {n_x}")
@@ -395,7 +431,7 @@ def momentum_density(
     A = state.mode_matrix()
     meta = {"statistics": state.statistics, "k_max": k_max, "n_k": n_k}
 
-    if state.statistics == "boson":
+    if not state.sign_mapped:
         F = box_mode_ft(k, lam, m)
         B = F @ A
         nk = (np.abs(B) ** 2).sum(axis=1) / np.pi
@@ -410,7 +446,7 @@ def momentum_density(
         core = (w[:, None] * w[None, :]) * tri * psi
         E = np.exp(-1j * np.outer(k, x))
         T = E @ core @ E.T
-        phi = (T - T.T) / (2.0 * np.pi)
+        phi = (T - state.basis.sign * T.T) / (2.0 * np.pi)
         nk = 2.0 * np.trapezoid(np.abs(phi) ** 2, k, axis=1)
         meta["method"] = "triangle"
         meta["n_x"] = n_x
@@ -428,7 +464,7 @@ def momentum_density(
 
 def contact_expectation(state: BoxState) -> float:
     """<delta(x1 - x2)> in the Galerkin state (exact matrix element)."""
-    ops = unit_pair_operators(state.basis.cutoff)
+    ops = unit_pair_operators(state.basis.cutoff, state.basis.sign)
     return float(contact_form(ops, state.coefficients[:, None])[0]) / state.model.length
 
 
@@ -477,37 +513,8 @@ def cusp_check(state: BoxState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Hard-core / dual references and box embeddings
+# Box embeddings
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FreeFermionTable:
-    """Hard-wall free-fermion levels; also the hard-core boson spectrum."""
-
-    modes: np.ndarray  # (n_states, N) strictly increasing mode numbers
-    energies: np.ndarray
-    lam: float
-    hbar: float
-
-    def __len__(self) -> int:
-        return self.energies.size
-
-    def partition_function(self, beta: float) -> float:
-        return float(np.exp(-beta * self.energies).sum())
-
-
-def free_fermion_box_spectrum(
-    lam: float, cutoff: int, n_particles: int = 2, hbar: float = 1.0
-) -> FreeFermionTable:
-    import itertools
-
-    modes = np.array(
-        list(itertools.combinations(range(1, cutoff + 1), n_particles)), dtype=int
-    )
-    energies = hbar**2 * np.pi**2 * (modes**2).sum(axis=1) / lam**2
-    order = np.lexsort(tuple(modes[:, j] for j in range(n_particles - 1, -1, -1)) + (energies,))
-    return FreeFermionTable(modes=modes[order], energies=energies[order], lam=lam, hbar=hbar)
 
 
 def embed_overlaps(lam_i: float, lam_f: float, cutoff_i: int, cutoff_f: int) -> np.ndarray:
@@ -527,9 +534,9 @@ def embed_overlaps(lam_i: float, lam_f: float, cutoff_i: int, cutoff_f: int) -> 
 def pair_embed_overlaps(
     lam_i: float, lam_f: float, basis_i: PairBasis, basis_f: PairBasis
 ) -> np.ndarray:
-    """<(pq)_f | (mn)_i> for symmetrized pairs across a box expansion."""
+    """<(pq)_f | (mn)_i> for pairs of one exchange sign across a box expansion."""
     o = embed_overlaps(lam_i, lam_f, basis_i.cutoff, basis_f.cutoff)
-    return _pair_lift(o, o, basis_f, basis_i)
+    return _pair_lift(o, basis_f, basis_i)
 
 
 def chirp_matrix(a: float, cutoff: int) -> np.ndarray:
@@ -549,14 +556,12 @@ def chirp_matrix(a: float, cutoff: int) -> np.ndarray:
     return g[np.abs(n[:, None] - n[None, :])] - g[n[:, None] + n[None, :]]
 
 
-def pair_chirp(a: float, cutoff: int) -> np.ndarray:
-    """The chirp exp(i a (y1^2 + y2^2)) on the symmetrized pairs, made unitary.
+def pair_chirp(a: float, basis: PairBasis) -> np.ndarray:
+    """The chirp exp(i a (y1^2 + y2^2)) on the basis's pairs, made unitary.
 
     A truncated X is not unitary: the modes past the cutoff take part of
     its top columns.  The lift takes the polar factor W = U V^H of X = U S V^H
     instead, the unitary nearest to X, so W (x) W keeps every norm.
     """
-    u, _, vh = np.linalg.svd(chirp_matrix(a, cutoff))
-    w = u @ vh
-    basis = PairBasis(cutoff)
-    return _pair_lift(w, w, basis, basis)
+    u, _, vh = np.linalg.svd(chirp_matrix(a, basis.cutoff))
+    return _pair_lift(u @ vh, basis, basis)

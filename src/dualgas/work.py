@@ -8,12 +8,14 @@ renormalized away silently).
 
 Protocol routes
   ring + Adiabatic        Bethe enumerations at both volumes, paired by I
-  box + Adiabatic         Galerkin spectra paired by level index
+  box + Adiabatic         Galerkin spectra paired by rank in a parity block
   box + SuddenWall        embedding overlaps (expansion only)
   box + SuddenCoupling    two diagonalizations in the shared basis
   box + LinearRamp        comoving chirp-gauge propagation in the pair basis
-plus hard-core determinant routes (exact, no Galerkin) and ideal-gas
-references used as classical-limit and duality oracles.
+plus ideal-gas references used as classical-limit and duality oracles.
+Every box route takes the hard-core pair (C = inf) as it is: its basis is
+the antisymmetric pairs, where the contact vanishes and the Galerkin
+levels and transitions are the exact free-fermion ones.
 
 Every route only builds its levels and, unless populations ride their
 levels, the transition matrix P[f, i]; one assembly (`_two_point`) turns
@@ -53,8 +55,6 @@ __all__ = [
     "tpm_distribution",
     "RampResult",
     "propagate_ramp",
-    "tg_adiabatic_box_distribution",
-    "tg_sudden_wall_distribution",
     "ndp_reference",
     "free_momentum_work",
     "equipartition_mean_work",
@@ -568,21 +568,23 @@ def propagate_ramp(
     them in n equal steps in s, with n set by the total phases of the two
     parts, so only the time-integration error depends on the step.
     """
-    ops = boxspec.unit_pair_operators(cutoff)
-    k1 = ops["k1"]
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
+    basis = sp_i.basis
+    ops = boxspec.unit_pair_operators(cutoff, basis.sign)
+    k1 = ops["k1"]
     if columns is None:
         cols = np.arange(len(sp_i))
     else:
         cols = np.asarray(list(columns), dtype=int)
     speed = ramp.speed
-    y = boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), cutoff) @ sp_i.vectors[:, cols]
+    y = boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis) @ sp_i.vectors[:, cols]
     kin = -hbar * k1
-    blocks = ops["basis"].parity_blocks()
+    blocks = basis.parity_blocks()
     # iA = (C / hbar) v1, real symmetric on each block
-    spectra = [np.linalg.eigh((coupling / hbar) * boxspec.contact_block(ops, b)) for b in blocks]
+    g = boxspec.contact_coupling(coupling) / hbar
+    spectra = [np.linalg.eigh(g * boxspec.contact_block(ops, b)) for b in blocks]
     span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
     phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
              + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
@@ -598,7 +600,7 @@ def propagate_ramp(
         clock = widths / lam_i
     for b, (mu, w) in zip(blocks, spectra):
         y[b] = _split_steps(y[b], kin[b], mu, w, clock, speed, h, n_steps)
-    y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), cutoff) @ y
+    y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), basis) @ y
 
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())
     amplitudes = sp_f.vectors.T @ y
@@ -633,55 +635,6 @@ def ramp_distribution(
         box_tail_bound(ramp.lambda_initial, cutoff, beta, hbar),
         res.transition_matrix, _unitarity_defect, route="ramp-propagation",
         coupling=coupling, cutoff=cutoff, norm_drift=res.norm_drift,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hard-core determinant routes (exact duals, no Galerkin error)
-# ---------------------------------------------------------------------------
-
-
-def tg_adiabatic_box_distribution(
-    lam_i: float,
-    lam_f: float,
-    beta: float,
-    cutoff: int,
-    hbar: float = 1.0,
-) -> WorkDistribution:
-    ti = boxspec.free_fermion_box_spectrum(lam_i, cutoff, hbar=hbar)
-    tf = boxspec.free_fermion_box_spectrum(lam_f, cutoff, hbar=hbar)
-    return _two_point(
-        ti.energies, tf.energies, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
-        route="hardcore-adiabatic", cutoff=cutoff,
-    )
-
-
-def tg_sudden_wall_distribution(
-    lam_i: float,
-    lam_f: float,
-    beta: float,
-    cutoff_i: int,
-    cutoff_f: Optional[int] = None,
-    hbar: float = 1.0,
-) -> WorkDistribution:
-    """Hard-core pair through a sudden expansion via 2x2 Slater determinants.
-
-    The hard-core bosonic overlap equals the free-fermion one because the
-    sign map squares to one inside the overlap integral.  The default final
-    cutoff is the Galerkin route's.
-    """
-    cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
-    ti = boxspec.free_fermion_box_spectrum(lam_i, cutoff_i, hbar=hbar)
-    tf = boxspec.free_fermion_box_spectrum(lam_f, cutoff_f, hbar=hbar)
-    o = boxspec.embed_overlaps(lam_i, lam_f, cutoff_i, cutoff_f)
-    p_idx, q_idx = ti.modes[:, 0] - 1, ti.modes[:, 1] - 1
-    r_idx, s_idx = tf.modes[:, 0] - 1, tf.modes[:, 1] - 1
-    amp = o[r_idx[:, None], p_idx[None, :]] * o[s_idx[:, None], q_idx[None, :]]
-    amp -= o[r_idx[:, None], q_idx[None, :]] * o[s_idx[:, None], p_idx[None, :]]
-    return _two_point(
-        ti.energies, tf.energies, beta, box_tail_bound(lam_i, cutoff_i, beta, hbar),
-        amp**2, _wall_deficits, route="hardcore-sudden-wall", cutoff_i=cutoff_i,
-        cutoff_f=cutoff_f,
     )
 
 
@@ -795,13 +748,13 @@ def sudden_wall_mean_work(
     and is returned as a diagnostic of that slow route.
     """
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
-    ops = boxspec.unit_pair_operators(cutoff_i)
+    ops = boxspec.unit_pair_operators(cutoff_i, sp_i.basis.sign)
     p_i, _ = _thermal(sp_i.energies, beta)
     V = sp_i.vectors
     # quadratic form of H_f on embedded states = same integrals over [0, lam_i]
     form = (
         hbar**2 * (ops["k1"][:, None] * V * V).sum(axis=0) / lam_i**2
-        + (coupling / lam_i) * boxspec.contact_form(ops, V)
+        + (boxspec.contact_coupling(coupling) / lam_i) * boxspec.contact_form(ops, V)
     )
     identity_value = float(np.sum(p_i * (form - sp_i.energies)))
     out = {"identity": identity_value}
@@ -866,24 +819,14 @@ def tpm_distribution(
     if model.n_particles != 2:
         raise ConfigError("box routes handle two particles")
     if isinstance(protocol, Adiabatic):
-        if model.is_hard_core:
-            return tg_adiabatic_box_distribution(
-                protocol.lambda_initial, protocol.lambda_final, beta,
-                hbar=model.hbar, **kwargs,
-            )
         return adiabatic_box_distribution(
             protocol.lambda_initial, protocol.lambda_final, model.coupling,
             beta, hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenWall):
-        # the sudden-wall routes name their initial cutoff cutoff_i
+        # the sudden-wall route names its initial cutoff cutoff_i
         if "cutoff" in kwargs:
             kwargs["cutoff_i"] = kwargs.pop("cutoff")
-        if model.is_hard_core:
-            return tg_sudden_wall_distribution(
-                protocol.lambda_initial, protocol.lambda_final, beta,
-                hbar=model.hbar, **kwargs,
-            )
         return sudden_wall_distribution(
             protocol.lambda_initial, protocol.lambda_final, model.coupling,
             beta, hbar=model.hbar, **kwargs,
@@ -896,8 +839,6 @@ def tpm_distribution(
             beta, hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, LinearRamp):
-        if model.is_hard_core:
-            raise ConfigError("ramp propagation needs a finite contact matrix")
         return ramp_distribution(
             protocol, model.coupling, beta, hbar=model.hbar, **kwargs
         )

@@ -59,17 +59,18 @@ def jarzynski_residual(d: work.WorkDistribution) -> float:
 
 @pytest.fixture(scope="module")
 def strong_pair():
-    """alpha = 1e4 box pair against its hard-core (free-fermion) dual."""
+    """alpha = 1e4 box pair against its hard-core (free-fermion) dual, the
+    same routes at C = inf."""
     coupling = DimensionlessCoupling(1e4).coupling(LAM)
     beta = 0.05  # several thermally occupied levels; resolvable atom spacing
     t0 = time.perf_counter()
     out = {
         "galerkin": boxspec.diagonalize(ModelSpec(2, Box(LAM), coupling), 60),
-        "free_fermion": boxspec.free_fermion_box_spectrum(LAM, 60),
+        "free_fermion": boxspec.diagonalize(ModelSpec(2, Box(LAM), math.inf), 60),
         "adiabatic": work.adiabatic_box_distribution(LAM, 2.0, coupling, beta, 60),
-        "adiabatic_dual": work.tg_adiabatic_box_distribution(LAM, 2.0, beta, 60),
+        "adiabatic_dual": work.adiabatic_box_distribution(LAM, 2.0, math.inf, beta, 60),
         "sudden": work.sudden_wall_distribution(LAM, 2.0, coupling, beta, 36, 72),
-        "sudden_dual": work.tg_sudden_wall_distribution(LAM, 2.0, beta, 36, 72),
+        "sudden_dual": work.sudden_wall_distribution(LAM, 2.0, math.inf, beta, 36, 72),
     }
     out["build_seconds"] = time.perf_counter() - t0
     return out

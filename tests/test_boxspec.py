@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ def test_pair_index_rejects_out_of_range():
         basis.index_of(2, 5)
     with pytest.raises(ConfigError):
         basis.index_of(3, 2)
+    with pytest.raises(ConfigError):
+        bs.PairBasis(4, -1).index_of(2, 2)  # no antisymmetric pair at p = q
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 12])
+def test_antisymmetric_pairs_are_the_strict_upper_triangle(cutoff):
+    basis = bs.PairBasis(cutoff, -1)
+    p, q = basis.labels()
+    assert basis.dim == p.size == cutoff * (cutoff - 1) // 2
+    assert np.all(p < q) and np.all(basis.norms() == 1.0 / np.sqrt(2.0))
+    assert [basis.index_of(a, b) for a, b in zip(p, q)] == list(range(basis.dim))
+    assert np.concatenate(basis.parity_blocks()).size == basis.dim
 
 
 def full_contact(ops):
@@ -104,12 +117,15 @@ def test_pair_chirp_is_the_unitary_lift_of_the_polar_factor():
     assert np.abs(x.conj().T @ x - np.eye(10)).max() > 0.1  # truncated: not unitary
     u, _, vh = np.linalg.svd(x)
     w = u @ vh
-    x2 = bs.pair_chirp(2.5, 10)
-    assert x2.dtype == complex
-    assert_bitwise(x2, lift_reference(w, bs.PairBasis(10), bs.PairBasis(10)))
-    assert np.abs(x2.conj().T @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
-    assert np.abs(bs.pair_chirp(-2.5, 10) @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
-    assert np.abs(bs.pair_chirp(0.0, 6) - np.eye(21)).max() <= 1e-14
+    for sign in (1, -1):
+        basis = bs.PairBasis(10, sign)
+        x2 = bs.pair_chirp(2.5, basis)
+        assert x2.dtype == complex
+        assert_bitwise(x2, lift_reference(w, basis, basis))
+        assert np.abs(x2.conj().T @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
+        assert np.abs(bs.pair_chirp(-2.5, basis) @ x2 - np.eye(x2.shape[0])).max() <= 1e-13
+        small = bs.PairBasis(6, sign)
+        assert np.abs(bs.pair_chirp(0.0, small) - np.eye(small.dim)).max() <= 1e-14
 
 
 def delta_sum_reference(p, q, m, n):
@@ -157,7 +173,7 @@ def test_contact_matrix_build_memory_peak():
 
 def one_body_dilation(cutoff):
     """d[n, m] = <u_m| lam d/dlam |u_n> = (-1)^(n+m) 2nm/(m^2 - n^2): a real
-    antisymmetric one-body matrix, lifted with the identity below."""
+    antisymmetric one-body matrix, whose pair generator is d (x) 1 + 1 (x) d."""
     n = np.arange(1, cutoff + 1, dtype=float)
     num = 2.0 * n[:, None] * n[None, :] * ((-1.0) ** (n[:, None] + n[None, :]))
     den = n[None, :] ** 2 - n[:, None] ** 2
@@ -187,11 +203,12 @@ def pair_dilation_reference(cutoff):
 
 
 def lift_reference(x, bra, ket):
-    """<(pq)| x (x) x |(mn)> from four gathers of the one-body matrix."""
+    """<(pq)| x (x) x |(mn)> from four gathers of the one-body matrix, the
+    exchanged term taken with the bases' sign."""
     p, q = bra.labels()
     m, n = ket.labels()
     s = x[p[:, None] - 1, m[None, :] - 1] * x[q[:, None] - 1, n[None, :] - 1]
-    s = s + x[p[:, None] - 1, n[None, :] - 1] * x[q[:, None] - 1, m[None, :] - 1]
+    s = s + ket.sign * (x[p[:, None] - 1, n[None, :] - 1] * x[q[:, None] - 1, m[None, :] - 1])
     return 2.0 * bra.norms()[:, None] * ket.norms()[None, :] * s
 
 
@@ -209,11 +226,14 @@ def assert_bitwise(got, want):
 
 @pytest.mark.parametrize("cutoff", range(1, 26))
 def test_pair_dilation_bitwise_equals_delta_gathers(cutoff):
-    # the lift of two different one-body matrices: the pair dilation
-    # generator d2 = d (x) 1 + 1 (x) d lifts to twice one term
+    # d2 = d (x) 1 + 1 (x) d is the derivative of the one-matrix lift of
+    # 1 + i t d at t = 0.  Each entry of 1 + i d is real or imaginary, so
+    # every product's imaginary part is the exact first-order term and the
+    # lift's imaginary part is d2 with nothing of (x) d mixed in.  Zeros
+    # may differ in sign from the gathers'; every other value is bitwise
     basis = bs.PairBasis(cutoff)
-    d2 = 2.0 * bs._pair_lift(one_body_dilation(cutoff), np.eye(cutoff), basis, basis)
-    assert_bitwise(d2, pair_dilation_reference(cutoff))
+    d2 = bs._pair_lift(np.eye(cutoff) + 1j * one_body_dilation(cutoff), basis, basis).imag
+    assert np.array_equal(d2, pair_dilation_reference(cutoff))
 
 
 @pytest.mark.parametrize(
@@ -221,11 +241,12 @@ def test_pair_dilation_bitwise_equals_delta_gathers(cutoff):
     [(1.0, 2.0, 12, 24), (1.0, 2.0, 36, 72), (1.0, 1.3, 14, 19), (1.0, 1.0, 7, 7)],
 )
 def test_pair_embed_overlaps_bitwise_equals_gathers(lam_i, lam_f, cutoff_i, cutoff_f):
-    basis_i, basis_f = bs.PairBasis(cutoff_i), bs.PairBasis(cutoff_f)
-    assert_bitwise(
-        bs.pair_embed_overlaps(lam_i, lam_f, basis_i, basis_f),
-        pair_embed_reference(lam_i, lam_f, basis_i, basis_f),
-    )
+    for sign in (1, -1):
+        basis_i, basis_f = bs.PairBasis(cutoff_i, sign), bs.PairBasis(cutoff_f, sign)
+        assert_bitwise(
+            bs.pair_embed_overlaps(lam_i, lam_f, basis_i, basis_f),
+            pair_embed_reference(lam_i, lam_f, basis_i, basis_f),
+        )
 
 
 def test_pair_embed_overlaps_memory_peak():
@@ -257,9 +278,9 @@ def test_spectra_never_build_the_chirp(monkeypatch):
     calls = []
 
     def counted(real):
-        def call(a, cutoff):
-            calls.append(cutoff)
-            return real(a, cutoff)
+        def call(a, size):  # a cutoff, or a pair basis
+            calls.append(getattr(size, "cutoff", size))
+            return real(a, size)
         return call
 
     monkeypatch.setattr(bs, "pair_chirp", counted(bs.pair_chirp))
@@ -268,7 +289,7 @@ def test_spectra_never_build_the_chirp(monkeypatch):
     for i in range(3):
         bs.contact_expectation(sp.state(i))
     assert calls == []
-    bs.pair_chirp(1.0, 3)  # the counters see a build
+    bs.pair_chirp(1.0, bs.PairBasis(3))  # the counters see a build
     assert calls == [3, 3]
 
 
@@ -351,27 +372,32 @@ def test_weak_coupling_first_order_shift():
 
 def test_strong_coupling_approaches_free_fermions():
     sp = bs.diagonalize(ModelSpec(2, Box(LAM), 1e3), 50)
-    ff = bs.free_fermion_box_spectrum(LAM, 12)
+    ff = bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 12)
     rel = np.abs(sp.energies[:4] - ff.energies[:4]) / ff.energies[:4]
     assert rel.max() < 1e-3
 
 
 def test_hard_core_model_rejected_by_galerkin():
-    # and any model outside the pair basis: one particle count, box, finite C
-    for bad in (
-        ModelSpec(2, Box(LAM), math.inf),
-        ModelSpec(3, Box(LAM), 1.0),
-        ModelSpec(2, Ring(LAM), 1.0),
-    ):
+    # at cutoff 1, which has no antisymmetric pair; and any model outside
+    # the pair basis: one particle count, box
+    with pytest.raises(ConfigError, match="cutoff >= 2, got 1"):
+        bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 1)
+    for bad in (ModelSpec(3, Box(LAM), 1.0), ModelSpec(2, Ring(LAM), 1.0)):
         with pytest.raises(ConfigError):
             bs.diagonalize(bad, 10)
 
 
 def test_free_fermion_spectrum_values():
-    ff = bs.free_fermion_box_spectrum(2.0, 6, hbar=1.0)
-    assert ff.energies[0] == pytest.approx(np.pi**2 * 5.0 / 4.0)
-    assert np.array_equal(ff.modes[0], [1, 2])
-    assert len(ff) == 15
+    # the hard-core pair's levels are the free-fermion ones, hbar^2 pi^2
+    # (p^2 + q^2) / lam^2 over p < q, each on one antisymmetric pair
+    sp = bs.diagonalize(ModelSpec(2, Box(2.0), math.inf), 6)
+    assert sp.energies[0] == pytest.approx(np.pi**2 * 5.0 / 4.0)
+    assert len(sp) == 15 and sp.residual == 0.0
+    p, q = sp.basis.labels()
+    top = np.abs(sp.vectors).argmax(axis=0)
+    assert (p[top[0]], q[top[0]]) == (1, 2)
+    assert np.all(np.abs(sp.vectors).max(axis=0) == 1.0)
+    assert np.array_equal(sp.energies, np.sort(np.pi**2 * (p**2 + q**2) / 4.0)[:15])
 
 
 def test_states_and_grids_out_of_range_are_config_errors():
@@ -384,6 +410,12 @@ def test_states_and_grids_out_of_range_are_config_errors():
     for n_k, n_x in ((1, 9), (9, 1), (9, 0)):
         with pytest.raises(ConfigError, match="n_k and n_x"):
             bs.momentum_density(sp.state(0, "fermion"), n_k=n_k, n_x=n_x)
+
+
+def test_hard_core_contact_expectation_is_exactly_zero():
+    # the antisymmetric pairs vanish at coincidence: their factor is zero
+    sp = bs.diagonalize(ModelSpec(2, Box(1.3), math.inf), 12)
+    assert all(bs.contact_expectation(sp.state(i)) == 0.0 for i in range(len(sp)))
 
 
 def test_contact_expectation_positive_and_decreasing_in_alpha():
@@ -427,13 +459,14 @@ def test_cusp_residual_decreases_with_cutoff():
 
 
 def test_spatial_density_identical_for_dual_pair():
-    sp = bs.diagonalize(model(5.0), 30)
-    g = sp.state(0)
-    rb = bs.spatial_density(g)
-    rf = bs.spatial_density(bs.fermionize(g))
-    # |psi|^2 is blind to the sign map, bit for bit
-    assert np.array_equal(rb.values, rf.values)
-    assert rb.mass == pytest.approx(2.0, abs=1e-10)
+    for m in (model(5.0), ModelSpec(2, Box(LAM), math.inf)):  # and the hard-core pair
+        sp = bs.diagonalize(m, 30)
+        g = sp.state(0)
+        rb = bs.spatial_density(g)
+        rf = bs.spatial_density(bs.fermionize(g))
+        # |psi|^2 is blind to the sign map, bit for bit
+        assert np.array_equal(rb.values, rf.values)
+        assert rb.mass == pytest.approx(2.0, abs=1e-10)
 
 
 def test_momentum_density_distinguishes_statistics():
@@ -449,6 +482,38 @@ def test_momentum_density_distinguishes_statistics():
     # bosons pile up at k = 0
     mid = nb.values.size // 2
     assert nb.values[mid] > 2.0 * nf.values[mid]
+
+
+def test_hard_core_fermion_momentum_density_is_the_free_fermion_sum():
+    # the ground pair occupies modes 1 and 2: n(k) = (|f_1|^2 + |f_2|^2) / 2 pi
+    sp = bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 10)
+    nf = bs.momentum_density(sp.state(0, "fermion"), n_k=161)
+    f = bs.box_mode_ft(nf.axis, LAM, 2)
+    assert nf.metadata["method"] == "parseval"
+    assert np.abs(nf.values - (np.abs(f) ** 2).sum(axis=1) / (2.0 * np.pi)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("coupling, statistics", [(5.0, "fermion"), (math.inf, "boson")])
+def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling, statistics):
+    # the triangle rule on the basis's amplitude equals the trapezoid rule
+    # on the whole square for the sign-mapped amplitude, on the same grid,
+    # with the sign map taken as 0 on the diagonal, the mean of its sides
+    sp = bs.diagonalize(ModelSpec(2, Box(LAM), coupling), 8)
+    state = sp.state(1, statistics)
+    n_k, n_x = 41, 65
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = bs.momentum_density(state, n_k=n_k, n_x=n_x)
+    assert got.metadata["method"] == "triangle"
+    x = np.linspace(0.0, LAM, n_x)
+    w = np.full(n_x, x[1] - x[0])
+    w[0] = w[-1] = 0.5 * (x[1] - x[0])
+    psi = bs.amplitude(state, x, x)
+    psi[np.diag_indices(n_x)] = 0.0
+    E = np.exp(-1j * np.outer(got.axis, x))
+    phi = E @ (w[:, None] * w[None, :] * psi) @ E.T / (2.0 * np.pi)
+    want = 2.0 * np.trapezoid(np.abs(phi) ** 2, got.axis, axis=1)
+    assert np.abs(got.values - want).max() <= 1e-12 * want.max()
 
 
 def test_l1_distance_requires_shared_axis():

@@ -208,8 +208,9 @@ def test_work_atoms_written_only_where_they_carry_mass(tmp_path):
     assert all(float(p) > 0.0 for _, p in rows)
 
 
+# the hard-core pair (C = inf) takes the same route on its antisymmetric pairs
 @pytest.mark.parametrize(
-    "coupling, route", [("1", "galerkin-sudden-wall"), ("inf", "hardcore-sudden-wall")]
+    "coupling, route", [("1", "galerkin-sudden-wall"), ("inf", "galerkin-sudden-wall")]
 )
 def test_sudden_wall_work_runs_on_both_routes(tmp_path, coupling, route):
     r = run(
@@ -425,6 +426,20 @@ def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["box-spectrum", "--c", "inf"],
+    ["work", "--c", "inf"],
+    ["work", "--c", "inf", "--protocol", "sudden-wall"],
+    ["work", "--c", "inf", "--protocol", "ramp"],
+    ["fig1", "--alpha", "inf"],
+])
+def test_hard_core_pair_at_cutoff_one_exits_two_naming_it(tmp_path, capsys, argv):
+    # the hard-core pair lives on the antisymmetric pairs, and one mode has none
+    assert cli.main([*argv, "--m", "1", "--out-dir", str(tmp_path)]) == 2
+    assert "mode cutoff >= 2, got 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_merge_tol_not_finite_and_nonnegative_exits_two(tmp_path, capsys, tol):
     argv = ["work", "--m", "6", "--merge-tol", tol, "--out-dir", str(tmp_path)]
@@ -491,7 +506,7 @@ def test_hostile_value_exits_zero_two_or_three():
     # every (command, base run, key, value): a crash confined to one key
     # slips past any sample of the combinations.  A run that exits 0 must
     # leave only finite numbers, apart from the configuration it echoes and
-    # the hard-core coupling C = inf it was asked for.
+    # the hard-core coupling C = inf it was asked for, as C or as alpha.
     failed = []
     for command, bases in BASES.items():
         for base in bases:
@@ -504,7 +519,7 @@ def test_hostile_value_exits_zero_two_or_three():
                         except Exception as exc:
                             code = repr(exc)
                         if code == 0:
-                            hard_core = (key, value) == ("c", "inf")
+                            hard_core = key in ("c", "alpha") and value == "inf"
                             allowed = {"coupling": "inf"} if hard_core else {}
                             for path in sorted(Path(out).iterdir()):
                                 skip = {"config", key}

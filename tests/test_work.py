@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -238,9 +239,11 @@ def test_jarzynski_exact_for_sudden_coupling():
 
 
 def test_jarzynski_exact_for_ramp():
-    d = wk.ramp_distribution(LinearRamp(1.0, 1.0, 0.5), 1.0, 1.0, 10)
-    assert jarzynski_residual(d) < 1e-10
-    assert d.metadata["norm_drift"] < 1e-6
+    for coupling in (1.0, math.inf):  # the hard-core pair too
+        d = wk.ramp_distribution(LinearRamp(1.0, 1.0, 0.5), coupling, 1.0, 10)
+        assert jarzynski_residual(d) < 1e-10
+        assert d.metadata["unitarity_defect"] < 1e-10
+        assert d.metadata["norm_drift"] < 1e-6
 
 
 def level_parity(lam, coupling, cutoff):
@@ -311,7 +314,7 @@ def test_ramp_reuses_external_propagation():
 
 
 def _ramp_setup(ramp, coupling, cutoff, hbar=1.0):
-    ops = boxspec.unit_pair_operators(cutoff)
+    ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
     sp_i = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_initial), coupling, hbar), cutoff)
     sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling, hbar), cutoff)
     v1 = boxspec.contact_block(ops, np.arange(ops["basis"].dim))
@@ -331,7 +334,7 @@ def test_ramp_split_steps_match_dop853_oracle(cutoff, hbar, speed, duration):
     res = wk.propagate_ramp(ramp, coupling, cutoff, hbar)
 
     k1, v1, y0, sp_f = _ramp_setup(ramp, coupling, cutoff, hbar)
-    y0 = boxspec.pair_chirp(-speed * ramp.lambda_initial / (4.0 * hbar), cutoff) @ y0
+    y0 = boxspec.pair_chirp(-speed * ramp.lambda_initial / (4.0 * hbar), sp_f.basis) @ y0
     dim, ncol = y0.shape
 
     def rhs(t, y):
@@ -344,7 +347,7 @@ def test_ramp_split_steps_match_dop853_oracle(cutoff, hbar, speed, duration):
         rhs, (0.0, ramp.duration), y0.ravel(), method="DOP853", rtol=1e-13, atol=1e-15
     )
     assert sol.success
-    chirp_f = boxspec.pair_chirp(speed * ramp.lambda_final / (4.0 * hbar), cutoff)
+    chirp_f = boxspec.pair_chirp(speed * ramp.lambda_final / (4.0 * hbar), sp_f.basis)
     ref = np.abs(sp_f.vectors.T @ chirp_f @ sol.y[:, -1].reshape(dim, ncol)) ** 2
     assert np.abs(res.transition_matrix - ref).max() <= 5e-9
 
@@ -373,27 +376,30 @@ def free_chirp(a, n):
      (14, 0.5, 2.0, 0.5, 1e-5), (8, 0.5, 2.0, 0.5, 5e-4)],
 )
 def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
-    # at C = 0 the one-body amplitudes are X(a_f) diag(exp(-i hbar pi^2 n^2
-    # tau / (L_i L_f))) X(-a_i), here on 300 modes; the route takes its
-    # clocked split steps as at any C, and the bounds are its basis
-    # truncation error
+    # free bosons (C = 0) and free fermions (C = inf, the hard-core pair):
+    # the one-body amplitudes are X(a_f) diag(exp(-i hbar pi^2 n^2 tau /
+    # (L_i L_f))) X(-a_i), here on 300 modes, lifted on the symmetric or
+    # the antisymmetric pairs; the route takes its clocked split steps as
+    # at any C, and the bounds are its basis truncation error
     ramp = LinearRamp(1.0, speed, duration)
     lam_i, lam_f, n = ramp.lambda_initial, ramp.lambda_final, 300
     kinetic = np.exp(-1j * hbar * np.pi**2 * np.arange(1, n + 1) ** 2 * duration / (lam_i * lam_f))
     one_body = free_chirp(speed * lam_f / (4.0 * hbar), n) @ (
         kinetic[:, None] * free_chirp(-speed * lam_i / (4.0 * hbar), n))
-    basis = boxspec.PairBasis(cutoff)
     a = one_body[:cutoff, :cutoff]
-    exact = np.abs(boxspec._pair_lift(a, a, basis, basis)) ** 2
-
-    res = wk.propagate_ramp(ramp, 0.0, cutoff, hbar)
-    # the six lowest free levels are six single pairs, none degenerate
-    pairs = [basis.index_of(p, q) for p, q in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4))]
-    _, _, v_i, sp_f = _ramp_setup(ramp, 0.0, cutoff, hbar)
-    for v in (v_i, sp_f.vectors):
-        assert np.array_equal(np.abs(v[:, :6]).argmax(axis=0), pairs)
-    P = res.transition_matrix[:6, :6]
-    assert np.abs(P - exact[np.ix_(pairs, pairs)]).max() <= bound
+    # the six lowest free levels of each are six single pairs, none degenerate
+    lowest = {0.0: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (1, 4)),
+              math.inf: ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))}
+    for coupling, labels in lowest.items():
+        basis = boxspec.PairBasis(cutoff, -1 if math.isinf(coupling) else 1)
+        exact = np.abs(boxspec._pair_lift(a, basis, basis)) ** 2
+        res = wk.propagate_ramp(ramp, coupling, cutoff, hbar)
+        pairs = [basis.index_of(p, q) for p, q in labels]
+        _, _, v_i, sp_f = _ramp_setup(ramp, coupling, cutoff, hbar)
+        for v in (v_i, sp_f.vectors):
+            assert np.array_equal(np.abs(v[:, :6]).argmax(axis=0), pairs)
+        P = res.transition_matrix[:6, :6]
+        assert np.abs(P - exact[np.ix_(pairs, pairs)]).max() <= bound
 
 
 def test_static_wall_ramp_is_diagonal():
@@ -438,15 +444,16 @@ def test_sudden_wall_violates_jarzynski():
 
 
 def test_sudden_wall_violation_persists_in_hard_core_route():
-    # same effect in the exact determinant route: not a Galerkin artifact
-    d = wk.tg_sudden_wall_distribution(1.0, 2.0, 1.0, 20, 40)
+    # same effect for the hard-core pair, whose levels and overlaps are the
+    # exact free-fermion ones: not a Galerkin artifact
+    d = wk.sudden_wall_distribution(1.0, 2.0, math.inf, 1.0, 20, 40)
     dF = d.metadata["ln_z_initial"] - d.metadata["ln_z_final"]
     assert d.jarzynski_average() / math.exp(-dF) < 0.5
     assert d.metadata["transition_deficit"] > 0.05
 
 
 def test_tg_adiabatic_jarzynski_exact():
-    d = wk.tg_adiabatic_box_distribution(1.0, 2.0, 0.2, 30)
+    d = wk.adiabatic_box_distribution(1.0, 2.0, math.inf, 0.2, 30)
     assert jarzynski_residual(d) < 1e-12
     assert np.all(d.works < 0)  # expansion lowers every level
 
@@ -457,10 +464,11 @@ def test_tg_adiabatic_jarzynski_exact():
 
 
 def test_sudden_wall_mean_work_identity_is_zero():
-    out = wk.sudden_wall_mean_work(1.0, 2.0, 1.0, 1.0, 12, cutoff_f=24)
-    assert abs(out["identity"]) < 1e-12
-    # the truncated atom sum is far from zero: slow algebraic completeness
-    assert out["atom_sum"] < -0.1
+    for coupling in (1.0, math.inf):  # the hard-core pair too
+        out = wk.sudden_wall_mean_work(1.0, 2.0, coupling, 1.0, 12, cutoff_f=24)
+        assert abs(out["identity"]) < 1e-12
+        # the truncated atom sum is far from zero: slow algebraic completeness
+        assert out["atom_sum"] < -0.1
 
 
 def test_sudden_coupling_mean_work_matches_distribution():
@@ -552,24 +560,24 @@ def _ring_case():
     return wk.adiabatic_ring_distribution(lam_i, lam_f, c, n, beta, i_max, hbar), ref, meta
 
 
-def _adiabatic_box_case():
-    lam_i, lam_f, c, beta, m, hbar = 1.0, 2.0, 1.0, 1.0, 8, 0.7
+def _adiabatic_box_case(c):
+    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 8, 0.7
     e_i, e_f = (_pair_box(lam, c, m, hbar).energies for lam in (lam_i, lam_f))
     ref = assembly_reference(e_i, e_f, beta, wk.box_tail_bound(lam_i, m, beta, hbar))
     meta = {"route": "galerkin-adiabatic", "coupling": c, "cutoff": m}
     return wk.adiabatic_box_distribution(lam_i, lam_f, c, beta, m, hbar), ref, meta
 
 
-def _sudden_wall_case():
-    lam_i, lam_f, c, beta, m = 1.0, 2.0, 1.0, 1.0, 6
-    sp_i, sp_f = _pair_box(lam_i, c, m, 1.0), _pair_box(lam_f, c, 2 * m, 1.0)
+def _sudden_wall_case(c):
+    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 6, 0.9
+    sp_i, sp_f = _pair_box(lam_i, c, m, hbar), _pair_box(lam_f, c, 2 * m, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
     P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
     ref = assembly_reference(sp_i.energies, sp_f.energies, beta,
-                             wk.box_tail_bound(lam_i, m, beta), P)
+                             wk.box_tail_bound(lam_i, m, beta, hbar), P)
     meta = {"route": "galerkin-sudden-wall", "coupling": c, "cutoff_i": m,
             "cutoff_f": 2 * m, **_wall_deficits(P, ref[-1])}
-    return wk.sudden_wall_distribution(lam_i, lam_f, c, beta, m), ref, meta
+    return wk.sudden_wall_distribution(lam_i, lam_f, c, beta, m, hbar=hbar), ref, meta
 
 
 def _sudden_coupling_case():
@@ -593,40 +601,15 @@ def _ramp_case():
     return wk.ramp_distribution(ramp, c, beta, m), ref, meta
 
 
-def _tg_adiabatic_case():
-    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 0.2, 12, 0.6
-    modes = boxspec.free_fermion_box_spectrum(lam_i, m).modes
-    e_i, e_f = (hbar**2 * np.pi**2 * (modes**2).sum(axis=1) / lam**2
-                for lam in (lam_i, lam_f))
-    ref = assembly_reference(e_i, e_f, beta, wk.box_tail_bound(lam_i, m, beta, hbar))
-    meta = {"route": "hardcore-adiabatic", "cutoff": m}
-    return wk.tg_adiabatic_box_distribution(lam_i, lam_f, beta, m, hbar), ref, meta
-
-
-def _tg_sudden_wall_case():
-    lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 8, 0.9
-    ti = boxspec.free_fermion_box_spectrum(lam_i, m, hbar=hbar)
-    tf = boxspec.free_fermion_box_spectrum(lam_f, 2 * m, hbar=hbar)
-    o = boxspec.embed_overlaps(lam_i, lam_f, m, 2 * m)
-    (p, q), (r, s) = (ti.modes - 1).T, (tf.modes - 1).T
-    amp = o[r[:, None], p[None, :]] * o[s[:, None], q[None, :]]
-    amp -= o[r[:, None], q[None, :]] * o[s[:, None], p[None, :]]
-    P = amp**2
-    ref = assembly_reference(ti.energies, tf.energies, beta,
-                             wk.box_tail_bound(lam_i, m, beta, hbar), P)
-    meta = {"route": "hardcore-sudden-wall", "cutoff_i": m, "cutoff_f": 2 * m,
-            **_wall_deficits(P, ref[-1])}
-    return wk.tg_sudden_wall_distribution(lam_i, lam_f, beta, m, hbar=hbar), ref, meta
-
-
+# the tg_ cases are the Tonks-Girardeau pair, C = inf, on the same routes
 ASSEMBLY_CASES = {
     "adiabatic_ring": _ring_case,
-    "adiabatic_box": _adiabatic_box_case,
-    "sudden_wall": _sudden_wall_case,
+    "adiabatic_box": partial(_adiabatic_box_case, 1.0),
+    "sudden_wall": partial(_sudden_wall_case, 1.0),
     "sudden_coupling": _sudden_coupling_case,
     "ramp": _ramp_case,
-    "tg_adiabatic_box": _tg_adiabatic_case,
-    "tg_sudden_wall": _tg_sudden_wall_case,
+    "tg_adiabatic_box": partial(_adiabatic_box_case, math.inf),
+    "tg_sudden_wall": partial(_sudden_wall_case, math.inf),
 }
 
 
@@ -638,6 +621,37 @@ def test_route_assembly_equals_hand_written_reference(route):
     assert np.array_equal(dist.log_probabilities, log_probs)
     assert dist.tail_mass == tail
     assert dist.metadata == {**meta, **ln_z}  # same keys, same values
+
+
+def slater_minors(o, rows, cols):
+    """<rs| o (x) o |pq> on antisymmetric pairs, o_rp o_sq - o_rq o_sp, for
+    the (r, s) in rows and the (p, q) in cols, as 2x2 determinants."""
+    (r, s), (p, q) = (np.asarray(rows).T - 1), (np.asarray(cols).T - 1)
+    amp = o[r[:, None], p[None, :]] * o[s[:, None], q[None, :]]
+    amp -= o[r[:, None], q[None, :]] * o[s[:, None], p[None, :]]
+    return amp
+
+
+def level_pairs(sp):
+    """The (p, q) of each level of a spectrum whose levels are single pairs."""
+    p, q = sp.basis.labels()
+    top = np.abs(sp.vectors).argmax(axis=0)
+    assert np.all(np.abs(sp.vectors).max(axis=0) == 1.0)
+    return np.stack([p[top], q[top]], axis=1)
+
+
+@pytest.mark.parametrize("cutoff_i, cutoff_f", [(6, 12), (8, 16), (12, 24)])
+def test_hard_core_sudden_wall_is_the_slater_minors(cutoff_i, cutoff_f):
+    # C = inf: each level is one antisymmetric pair, and the transition
+    # amplitudes are the free-fermion 2x2 minors of the one-body overlaps;
+    # (1/sqrt(2))^2 rounds to 0.5000000000000001, so they agree to roundoff
+    lam_i, lam_f = 1.0, 2.0
+    d = wk.sudden_wall_distribution(lam_i, lam_f, math.inf, 1.0, cutoff_i, cutoff_f)
+    sp_i, sp_f = _pair_box(lam_i, math.inf, cutoff_i, 1.0), _pair_box(lam_f, math.inf, cutoff_f, 1.0)
+    o = boxspec.embed_overlaps(lam_i, lam_f, cutoff_i, cutoff_f)
+    P = slater_minors(o, level_pairs(sp_f), level_pairs(sp_i)) ** 2
+    p_i = np.exp(-sp_i.energies - d.metadata["ln_z_initial"])
+    assert np.abs(d.probabilities - (P * p_i[None, :]).ravel()).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +671,17 @@ def test_dispatcher_routes_and_rejections():
         wk.tpm_distribution(box, SuddenCoupling(1.0, 2.0), 1.0, cutoff=8).metadata["route"]
         == "galerkin-sudden-coupling"
     )
+    # the hard-core pair takes the same routes, on its antisymmetric basis
     hard = ModelSpec(2, Box(1.0), math.inf)
-    assert (
-        wk.tpm_distribution(hard, Adiabatic(1.0, 2.0), 1.0, cutoff=10).metadata["route"]
-        == "hardcore-adiabatic"
-    )
-    assert (
-        wk.tpm_distribution(hard, SuddenWall(1.0, 2.0), 1.0, cutoff_i=10, cutoff_f=20).metadata["route"]
-        == "hardcore-sudden-wall"
-    )
+    for protocol, kwargs, route in (
+        (Adiabatic(1.0, 2.0), {"cutoff": 10}, "galerkin-adiabatic"),
+        (SuddenWall(1.0, 2.0), {"cutoff_i": 10, "cutoff_f": 20}, "galerkin-sudden-wall"),
+        (LinearRamp(1.0, 5.0, 0.2), {"cutoff": 6}, "ramp-propagation"),
+    ):
+        meta = wk.tpm_distribution(hard, protocol, 1.0, **kwargs).metadata
+        assert (meta["route"], meta["coupling"]) == (route, math.inf)
+    with pytest.raises(ConfigError, match="finite"):
+        wk.tpm_distribution(hard, SuddenCoupling(1.0, math.inf), 1.0, cutoff=8)
     with pytest.raises(ConfigError):
         wk.tpm_distribution(ModelSpec(3, Box(1.0), 1.0), Adiabatic(1.0, 2.0), 1.0, cutoff=8)
 

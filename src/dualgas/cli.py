@@ -346,7 +346,7 @@ def _cmd_work(cfg: RunConfig) -> None:
     else:
         raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
     protocol = _protocol_from(cfg)
-    dist = work.tpm_distribution(model, protocol, beta, **kwargs)
+    dist = work.drive(model, protocol, **kwargs).at(beta)
     atoms = _atom_columns(dist.merged(float(cfg.values["merge_tol"])))
     meta = cfg.metadata()
     meta.update({k: v for k, v in (dist.metadata or {}).items()
@@ -369,33 +369,26 @@ def _cmd_work(cfg: RunConfig) -> None:
 def _cmd_fig2(cfg: RunConfig) -> None:
     c_list = list(cfg.values["c_list"])
     beta_list = list(cfg.values["beta_list"])
-    protocol = str(cfg.values["protocol"])
+    name = str(cfg.values["protocol"])
     lam = float(cfg.values["lam"])
     v, tau, m = (float(cfg.values["v"]), float(cfg.values["tau"]),
                  int(cfg.values["m"]))
     lam_f = lam + v * tau
+    if name == "ramp":
+        protocol = LinearRamp(lam, v, tau)
+    elif name == "adiabatic":
+        protocol = Adiabatic(lam, lam_f)
+    else:
+        raise ConfigError(f"fig2 protocol must be ramp or adiabatic, got {name!r}")
 
     def run_c(coupling: float):
-        if protocol == "ramp":
-            ramp = LinearRamp(lam, v, tau)
-            res = work.propagate_ramp(ramp, coupling, m, cfg.hbar)
-            return {
-                beta: work.ramp_distribution(ramp, coupling, beta, m,
-                                             cfg.hbar, result=res)
-                for beta in beta_list
-            }
-        if protocol == "adiabatic":
-            return {
-                beta: work.adiabatic_box_distribution(
-                    lam, lam_f, coupling, beta, m, hbar=cfg.hbar)
-                for beta in beta_list
-            }
-        raise ConfigError(f"fig2 protocol must be ramp or adiabatic, "
-                          f"got {protocol!r}")
+        # the drive does not depend on beta: build it once, weigh it at each
+        drive = work.drive(ModelSpec(2, Box(lam), coupling, cfg.hbar), protocol, cutoff=m)
+        return {beta: drive.at(beta) for beta in beta_list}
 
     by_c = _pmap(run_c, c_list, cfg.threads)
     meta = cfg.metadata()
-    report: Dict[str, object] = {"protocol": protocol, "lam_final": lam_f}
+    report: Dict[str, object] = {"protocol": name, "lam_final": lam_f}
     for coupling, dists in zip(c_list, by_c):
         entry: Dict[str, object] = {}
         for beta in beta_list:

@@ -95,16 +95,13 @@ def ground_state_quantum_numbers(n_particles: int) -> np.ndarray:
 
 def _residual(K, I2pi, lam, coupling, hbar):
     # K: (S, N) rapidities; I2pi = 2*pi*I precomputed
-    diff = K[:, :, None] - K[:, None, :]
-    th = np.arctan((2.0 * hbar**2 / coupling) * diff)
+    th = theta(K[:, :, None] - K[:, None, :], coupling, hbar)
     return lam * K + 2.0 * th.sum(axis=2) - I2pi
 
 
 def _jacobian(K, lam, coupling, hbar):
-    S, N = K.shape
-    diff = K[:, :, None] - K[:, None, :]
-    tp = 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * diff**2)
-    idx = np.arange(N)
+    tp = theta_prime(K[:, :, None] - K[:, None, :], coupling, hbar)
+    idx = np.arange(K.shape[1])
     tp[:, idx, idx] = 0.0
     J = -2.0 * tp
     J[:, idx, idx] = lam + 2.0 * tp.sum(axis=2)

@@ -17,17 +17,20 @@ Every box route takes the hard-core pair (C = inf) as it is: its basis is
 the antisymmetric pairs, where the contact vanishes and the Galerkin
 levels and transitions are the exact free-fermion ones.
 
-Every route only builds its levels and, unless populations ride their
-levels, the transition matrix P[f, i]; one assembly (`_two_point`) turns
-them into atoms, log-probabilities, ln Z and tail mass, so routes that
-should agree differ only in their physics.
+Every route returns a temperature-free `Drive`: its levels and, unless
+populations ride their levels, the transition matrix P[f, i].  Only the
+thermal weights depend on beta, so one assembly, `Drive.at(beta)`, turns a
+drive into atoms, log-probabilities, ln Z and tail mass, and routes that
+should agree differ only in their physics.  One drive serves every beta:
+`fig2` weighs one drive per coupling at each of its temperatures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,12 +50,13 @@ __all__ = [
     "WorkDistribution",
     "merge_atoms",
     "kolmogorov_distance",
-    "adiabatic_ring_distribution",
-    "adiabatic_box_distribution",
-    "sudden_wall_distribution",
-    "sudden_coupling_distribution",
-    "ramp_distribution",
-    "tpm_distribution",
+    "Drive",
+    "drive",
+    "adiabatic_ring_drive",
+    "adiabatic_box_drive",
+    "sudden_wall_drive",
+    "sudden_coupling_drive",
+    "ramp_drive",
     "RampResult",
     "propagate_ramp",
     "ndp_reference",
@@ -286,33 +290,48 @@ def _thermal(energies, beta):
     return p, ln_z
 
 
-def _two_point(e_i, e_f, beta, tail, P=None, diagnostics=None, **metadata):
-    """The TPM distribution of a drive from levels e_i to levels e_f.
+@dataclass
+class Drive:
+    """A drive from levels energies_i to levels energies_f, free of beta.
 
     P[f, i] is the transition matrix; None means every population rides its
-    level to the same index (adiabatic).  `tail` bounds the initial thermal
-    weight outside e_i, unnormalized.  diagnostics(P, p_i) returns the
-    route's truncation checks, which may weigh by the initial populations.
+    level to the same index (adiabatic).  tail(beta) bounds the initial
+    thermal weight outside energies_i, unnormalized.  diagnostics(P, p_i)
+    returns the route's truncation checks, which may weigh by the initial
+    populations.
     """
-    p_i, ln_zi = _thermal(e_i, beta)
-    if P is None:
-        works, probs, log_probs = e_f - e_i, p_i, -beta * e_i - ln_zi
-    else:
-        works = e_f[:, None] - e_i[None, :]
-        probs = P * p_i[None, :]
-        with np.errstate(divide="ignore"):  # log P[f, i] p_i without underflow
-            log_probs = np.log(P) + (-beta * e_i - ln_zi)[None, :]
-    metadata.update(ln_z_initial=ln_zi, ln_z_final=_logsumexp(-beta * e_f))
-    if diagnostics is not None:
-        metadata.update(diagnostics(P, p_i))
-    return WorkDistribution(
-        works=works,
-        probabilities=probs,
-        beta=beta,
-        tail_mass=float(tail * np.exp(-ln_zi)),
-        metadata=metadata,
-        log_probabilities=log_probs,
-    )
+
+    energies_i: np.ndarray
+    energies_f: np.ndarray
+    P: Optional[np.ndarray]
+    tail: Callable[[float], float]
+    diagnostics: Optional[Callable] = None
+    metadata: dict = field(default_factory=dict)
+
+    def at(self, beta: float) -> WorkDistribution:
+        """The TPM distribution of this drive from the thermal state at beta."""
+        e_i, e_f, P = self.energies_i, self.energies_f, self.P
+        tail = self.tail(beta)
+        p_i, ln_zi = _thermal(e_i, beta)
+        if P is None:
+            works, probs, log_probs = e_f - e_i, p_i, -beta * e_i - ln_zi
+        else:
+            works = e_f[:, None] - e_i[None, :]
+            probs = P * p_i[None, :]
+            with np.errstate(divide="ignore"):  # log P[f, i] p_i without underflow
+                log_probs = np.log(P) + (-beta * e_i - ln_zi)[None, :]
+        metadata = dict(self.metadata, ln_z_initial=ln_zi,
+                        ln_z_final=_logsumexp(-beta * e_f))
+        if self.diagnostics is not None:
+            metadata.update(self.diagnostics(P, p_i))
+        return WorkDistribution(
+            works=works,
+            probabilities=probs,
+            beta=beta,
+            tail_mass=float(tail * np.exp(-ln_zi)),
+            metadata=metadata,
+            log_probabilities=log_probs,
+        )
 
 
 def _unitarity_defect(P, p_i):
@@ -345,23 +364,18 @@ def _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f):
 # ---------------------------------------------------------------------------
 
 
-def adiabatic_ring_distribution(
-    lam_i: float,
-    lam_f: float,
-    coupling: float,
-    n_particles: int,
-    beta: float,
-    i_max: float,
+def adiabatic_ring_drive(
+    lam_i: float, lam_f: float, coupling: float, n_particles: int, i_max: float,
     hbar: float = 1.0,
-) -> WorkDistribution:
+) -> Drive:
     """Quasistatic ring rescaling: populations ride their quantum numbers."""
     table = ringspec.enumerate_states(lam_i, coupling, n_particles, i_max, hbar)
     k_f, _ = ringspec.solve_bethe_batch(table.quantum_numbers, lam_f, coupling, hbar)
     e_f = hbar**2 * (k_f**2).sum(axis=1)
-    return _two_point(
-        table.energies, e_f, beta, table.tail_bound(beta),
-        route="bethe-adiabatic", coupling=coupling, n_particles=n_particles,
-        i_max=i_max,
+    return Drive(
+        table.energies, e_f, None, table.tail_bound,
+        metadata=dict(route="bethe-adiabatic", coupling=coupling,
+                      n_particles=n_particles, i_max=i_max),
     )
 
 
@@ -394,14 +408,9 @@ def _box_spectrum(lam, coupling, cutoff, hbar):
     return boxspec.diagonalize(model, cutoff)
 
 
-def adiabatic_box_distribution(
-    lam_i: float,
-    lam_f: float,
-    coupling: float,
-    beta: float,
-    cutoff: int,
-    hbar: float = 1.0,
-) -> WorkDistribution:
+def adiabatic_box_drive(
+    lam_i: float, lam_f: float, coupling: float, cutoff: int, hbar: float = 1.0
+) -> Drive:
     """Each level rides to the level of its rank in its reflection-parity block.
 
     Levels of opposite parity cross as the box grows; followed by overlap,
@@ -412,21 +421,16 @@ def adiabatic_box_distribution(
     e_f = np.empty_like(sp_f.energies)
     for block in (0, 1):
         e_f[sp_i.parity == block] = sp_f.energies[sp_f.parity == block]
-    return _two_point(
-        sp_i.energies, e_f, beta, box_tail_bound(lam_i, cutoff, beta, hbar),
-        route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff,
+    return Drive(
+        sp_i.energies, e_f, None, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
+        metadata=dict(route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff),
     )
 
 
-def sudden_wall_distribution(
-    lam_i: float,
-    lam_f: float,
-    coupling: float,
-    beta: float,
-    cutoff_i: int,
-    cutoff_f: Optional[int] = None,
-    hbar: float = 1.0,
-) -> WorkDistribution:
+def sudden_wall_drive(
+    lam_i: float, lam_f: float, coupling: float, cutoff_i: int,
+    cutoff_f: Optional[int] = None, hbar: float = 1.0,
+) -> Drive:
     """Instant box expansion; the state is frozen and re-measured.
 
     Transition weights per initial state sum to 1 only in the limit of a
@@ -440,21 +444,16 @@ def sudden_wall_distribution(
     sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
     P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
-    return _two_point(
-        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam_i, cutoff_i, beta, hbar),
-        P, _wall_deficits, route="galerkin-sudden-wall", coupling=coupling,
-        cutoff_i=cutoff_i, cutoff_f=cutoff_f,
+    return Drive(
+        sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam_i, cutoff_i, hbar=hbar),
+        _wall_deficits, dict(route="galerkin-sudden-wall", coupling=coupling,
+                             cutoff_i=cutoff_i, cutoff_f=cutoff_f),
     )
 
 
-def sudden_coupling_distribution(
-    lam: float,
-    coupling_i: float,
-    coupling_f: float,
-    beta: float,
-    cutoff: int,
-    hbar: float = 1.0,
-) -> WorkDistribution:
+def sudden_coupling_drive(
+    lam: float, coupling_i: float, coupling_f: float, cutoff: int, hbar: float = 1.0
+) -> Drive:
     """Interaction quench at fixed walls; exact completeness in the model.
 
     Both Hamiltonians commute with reflection about the box centre, so
@@ -463,9 +462,9 @@ def sudden_coupling_distribution(
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
     P = (sp_f.vectors.T @ sp_i.vectors) ** 2
-    return _two_point(
-        sp_i.energies, sp_f.energies, beta, box_tail_bound(lam, cutoff, beta, hbar),
-        P, _unitarity_defect, route="galerkin-sudden-coupling", cutoff=cutoff,
+    return Drive(
+        sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam, cutoff, hbar=hbar),
+        _unitarity_defect, dict(route="galerkin-sudden-coupling", cutoff=cutoff),
     )
 
 
@@ -618,23 +617,14 @@ def propagate_ramp(
     )
 
 
-def ramp_distribution(
-    ramp: LinearRamp,
-    coupling: float,
-    beta: float,
-    cutoff: int,
-    hbar: float = 1.0,
-    result: Optional[RampResult] = None,
-) -> WorkDistribution:
-    # `result` lets callers reweight one propagation across several beta.
-    res = result
-    if res is None:
-        res = propagate_ramp(ramp, coupling, cutoff, hbar)
-    return _two_point(
-        res.energies_i, res.energies_f, beta,
-        box_tail_bound(ramp.lambda_initial, cutoff, beta, hbar),
-        res.transition_matrix, _unitarity_defect, route="ramp-propagation",
-        coupling=coupling, cutoff=cutoff, norm_drift=res.norm_drift,
+def ramp_drive(ramp: LinearRamp, coupling: float, cutoff: int, hbar: float = 1.0) -> Drive:
+    """The wall ramp propagated once (`propagate_ramp`), weighed at any beta."""
+    res = propagate_ramp(ramp, coupling, cutoff, hbar)
+    return Drive(
+        res.energies_i, res.energies_f, res.transition_matrix,
+        partial(box_tail_bound, ramp.lambda_initial, cutoff, hbar=hbar), _unitarity_defect,
+        dict(route="ramp-propagation", coupling=coupling, cutoff=cutoff,
+             norm_drift=res.norm_drift),
     )
 
 
@@ -759,9 +749,7 @@ def sudden_wall_mean_work(
     identity_value = float(np.sum(p_i * (form - sp_i.energies)))
     out = {"identity": identity_value}
     if cutoff_f is not None:
-        dist = sudden_wall_distribution(
-            lam_i, lam_f, coupling, beta, cutoff_i, cutoff_f, hbar
-        )
+        dist = sudden_wall_drive(lam_i, lam_f, coupling, cutoff_i, cutoff_f, hbar).at(beta)
         out["atom_sum"] = float(np.sum(dist.works * dist.probabilities))
         out["transition_deficit"] = dist.metadata["transition_deficit"]
     return out
@@ -791,10 +779,8 @@ def sudden_coupling_mean_work(
 # ---------------------------------------------------------------------------
 
 
-def tpm_distribution(
-    model: ModelSpec, protocol, beta: float, **kwargs
-) -> WorkDistribution:
-    """Route a (model, protocol) pair to its work-distribution engine.
+def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
+    """Route a (model, protocol) pair to its drive; `.at(beta)` weighs it.
 
     kwargs forward to the route: i_max for ring enumeration, cutoff /
     cutoff_i / cutoff_f for box bases; a ramp's step count follows from
@@ -803,14 +789,9 @@ def tpm_distribution(
     geom = model.geometry
     if isinstance(geom, Ring):
         if isinstance(protocol, Adiabatic):
-            return adiabatic_ring_distribution(
-                protocol.lambda_initial,
-                protocol.lambda_final,
-                model.coupling,
-                model.n_particles,
-                beta,
-                hbar=model.hbar,
-                **kwargs,
+            return adiabatic_ring_drive(
+                protocol.lambda_initial, protocol.lambda_final, model.coupling,
+                model.n_particles, hbar=model.hbar, **kwargs,
             )
         raise ConfigError(
             f"{type(protocol).__name__} on a ring is not supported "
@@ -819,27 +800,25 @@ def tpm_distribution(
     if model.n_particles != 2:
         raise ConfigError("box routes handle two particles")
     if isinstance(protocol, Adiabatic):
-        return adiabatic_box_distribution(
+        return adiabatic_box_drive(
             protocol.lambda_initial, protocol.lambda_final, model.coupling,
-            beta, hbar=model.hbar, **kwargs,
+            hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenWall):
         # the sudden-wall route names its initial cutoff cutoff_i
         if "cutoff" in kwargs:
             kwargs["cutoff_i"] = kwargs.pop("cutoff")
-        return sudden_wall_distribution(
+        return sudden_wall_drive(
             protocol.lambda_initial, protocol.lambda_final, model.coupling,
-            beta, hbar=model.hbar, **kwargs,
+            hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenCoupling):
         if math.isinf(protocol.coupling_initial) or math.isinf(protocol.coupling_final):
             raise ConfigError("coupling quench endpoints must be finite")
-        return sudden_coupling_distribution(
+        return sudden_coupling_drive(
             model.length, protocol.coupling_initial, protocol.coupling_final,
-            beta, hbar=model.hbar, **kwargs,
+            hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, LinearRamp):
-        return ramp_distribution(
-            protocol, model.coupling, beta, hbar=model.hbar, **kwargs
-        )
+        return ramp_drive(protocol, model.coupling, hbar=model.hbar, **kwargs)
     raise ConfigError(f"unsupported protocol {type(protocol).__name__}")

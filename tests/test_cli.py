@@ -208,6 +208,23 @@ def test_work_atoms_written_only_where_they_carry_mass(tmp_path):
     assert all(float(p) > 0.0 for _, p in rows)
 
 
+def test_fig2_weighs_one_drive_per_coupling(tmp_path, monkeypatch):
+    # levels do not depend on beta: each coupling diagonalizes its two boxes
+    # once, however many temperatures weigh them
+    couplings = []
+    diagonalize = boxspec.diagonalize
+
+    def counted(model, *args, **kwargs):
+        couplings.append(model.coupling)
+        return diagonalize(model, *args, **kwargs)
+
+    monkeypatch.setattr(boxspec, "diagonalize", counted)
+    argv = ["fig2", "--protocol", "adiabatic", "--m", "4", "--c-list", "1,2",
+            "--beta-list", "1,0.1,0.01", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert sorted(couplings) == [1.0, 1.0, 2.0, 2.0]
+
+
 # the hard-core pair (C = inf) takes the same route on its antisymmetric pairs
 @pytest.mark.parametrize(
     "coupling, route", [("1", "galerkin-sudden-wall"), ("inf", "galerkin-sudden-wall")]

@@ -366,9 +366,23 @@ def _cmd_work(cfg: RunConfig) -> None:
     write_json(cfg.out_dir / "work_summary.json", summary)
 
 
+def _distinct_labels(key: str, values: Sequence[float]) -> None:
+    """Reject list values that print alike: each label names a file and a key."""
+    seen: Dict[str, float] = {}
+    for v in values:
+        label = f"{v:g}"
+        if label in seen:
+            raise ConfigError(
+                f"{_flag(key)}: {v!r} repeats the label {label!r} of {seen[label]!r}"
+            )
+        seen[label] = v
+
+
 def _cmd_fig2(cfg: RunConfig) -> None:
     c_list = list(cfg.values["c_list"])
     beta_list = list(cfg.values["beta_list"])
+    _distinct_labels("c_list", c_list)
+    _distinct_labels("beta_list", beta_list)
     name = str(cfg.values["protocol"])
     lam = float(cfg.values["lam"])
     v, tau, m = (float(cfg.values["v"]), float(cfg.values["tau"]),
@@ -469,6 +483,9 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
 
 def _cmd_convergence(cfg: RunConfig) -> None:
     m_list, n_levels = cfg.values["m_list"], cfg.values["n_levels"]
+    # the verdicts compare consecutive cutoffs, each larger than the last
+    if any(a >= b for a, b in zip(m_list, m_list[1:])):
+        raise ConfigError(f"{_flag('m_list')}: must be strictly increasing, got {m_list}")
     model = _box_pair(cfg)
     rows_m, rows_level, rows_e = [], [], []
     cusp = {}

@@ -16,7 +16,6 @@ import numpy as np
 # 2m = 1 everywhere; MASS is exported for reference-model code (Boltzmann
 # weights, convolution references) that wants an explicit m.
 MASS = 0.5
-MASS_CONVENTION = "2m=1"
 
 # Sentinel for the hard-core (impenetrable) limit.  Solvers special-case it;
 # float('inf') arithmetic would otherwise poison the Newton updates.

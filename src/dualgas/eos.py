@@ -29,9 +29,11 @@ Differentiating both equations once more gives the slope
     dD/dmu = (1 / 2 pi) int beta f(k) (1 - f(k)) q(k)^3 dk .
 
 The hard-core limit C -> inf drops the kernel: eps is the free-fermion
-dispersion and q = 1.  The small-fugacity structure (a1, a2, b1, b2) is
-exposed for cross-checking against the cluster expansion.  The pair
-cluster integral is a Gaussian in k + q times a Lorentzian in k - q, so
+dispersion and q = 1.  Expanding ln(1 + z e^{-beta eps}) in the fugacity
+z gives the cluster profiles a1(k) = e^{-beta hbar^2 k^2} and a2(k) (their
+quadrature oracle lives with the tests); `fugacity_coefficients` returns
+their integrals b1 and b2.  The pair cluster integral is a Gaussian in
+k + q times a Lorentzian in k - q, so
 
     b2 = sqrt(pi / (2 beta)) / hbar * (erfcx(x) - 1/2) ,
     x = C sqrt(beta) / (2 sqrt(2) hbar) ,
@@ -52,8 +54,6 @@ from .core import ConfigError
 __all__ = [
     "EosConvergenceError",
     "EosSolution",
-    "a1_profile",
-    "a2_profile",
     "default_grid",
     "fugacity_coefficients",
     "solve_yang_yang",
@@ -255,53 +255,6 @@ def _solve_on_grid(
         lambda q: 1.0 + weight * conv(filling * q), np.ones(n), 1.0, "dressed charge"
     )
     return eps, charge, it, res
-
-
-def a1_profile(k: np.ndarray, beta: float, hbar: float = 1.0) -> np.ndarray:
-    """Leading cluster profile a1(k) = e^{-beta hbar^2 k^2}."""
-    return np.exp(-beta * hbar**2 * np.asarray(k) ** 2)
-
-
-def a2_profile(
-    k: np.ndarray,
-    beta: float,
-    coupling: float,
-    hbar: float = 1.0,
-    reading: str = "q",
-) -> np.ndarray:
-    """Second cluster profile a2(k).
-
-    reading="q" is the coefficient generated by the implemented fixed
-    point: expanding ln(1 + z e^{-beta eps}) to O(z^2) gives
-
-        a2(k) = a1(k) (2C/pi) int hbar^2 a1(q) / (C^2 + 4 hbar^4 (k-q)^2) dq .
-
-    reading="k" evaluates the convolution integrand at q = k instead,
-    which collapses the integral to the closed form -2 hbar a1(k)^2 /
-    a1(k) ... i.e. the tabulated shorthand -2 hbar e^{-beta hbar^2 k^2};
-    it is kept for comparison and is *not* consistent with the solver.
-    """
-    from scipy.integrate import quad  # not at import: it slows every start-up
-
-    karr = np.atleast_1d(np.asarray(k, dtype=float))
-    a1 = a1_profile(karr, beta, hbar)
-    if reading == "k":
-        out = -2.0 * hbar * a1
-    elif reading == "q":
-        vals = np.empty_like(karr)
-        lim = 8.0 / (math.sqrt(beta) * hbar)
-        for i, kk in enumerate(karr):
-            vals[i], _ = quad(
-                lambda q: math.exp(-beta * hbar**2 * q * q)
-                * _kernel(kk - q, coupling, hbar),
-                -lim,
-                lim,
-                limit=400,
-            )
-        out = a1 * (2.0 * coupling / math.pi) * vals
-    else:
-        raise ConfigError(f"unknown a2 reading {reading!r}")
-    return out if np.ndim(k) else float(out[0])
 
 
 def _erfcx(x: float) -> float:

@@ -27,13 +27,10 @@ from .core import TG_COUPLING, ConfigError
 
 __all__ = [
     "BetheSolverError",
-    "BetheState",
     "SpectrumTable",
     "theta",
     "theta_prime",
-    "validate_quantum_numbers",
     "ground_state_quantum_numbers",
-    "solve_bethe",
     "solve_bethe_batch",
     "enumerate_states",
     "spectral_tail_bound",
@@ -71,23 +68,6 @@ def theta_prime(k, coupling: float, hbar: float = 1.0):
     return 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * k**2)
 
 
-def validate_quantum_numbers(quantum_numbers, n_particles: int) -> np.ndarray:
-    qn = np.asarray(quantum_numbers, dtype=float)
-    if qn.ndim != 1 or qn.size != n_particles:
-        raise ConfigError(
-            f"expected {n_particles} quantum numbers, got shape {qn.shape}"
-        )
-    if n_particles > 1 and not np.all(np.diff(qn) > 0):
-        raise ConfigError("quantum numbers must be strictly increasing")
-    # parity of the grid flips with particle number
-    frac = qn - np.floor(qn)
-    target = 0.5 if n_particles % 2 == 0 else 0.0
-    if not np.allclose(frac, target, atol=1e-9):
-        kind = "half-odd-integers" if target else "integers"
-        raise ConfigError(f"quantum numbers for N={n_particles} must be {kind}")
-    return qn
-
-
 def ground_state_quantum_numbers(n_particles: int) -> np.ndarray:
     """Symmetric densely-packed grid -(N-1)/2 ... (N-1)/2."""
     return np.arange(n_particles, dtype=float) - (n_particles - 1) / 2.0
@@ -122,6 +102,8 @@ def solve_bethe_batch(
     Jacobian lam*1 + 2*(graph Laplacian of theta') is symmetric positive
     definite, so the undamped step is well posed; a per-row backtracking
     line search on the residual norm guards the far-from-solution regime.
+    Rows are taken as given: `enumerate_states` builds them on the Pauli
+    grid, strictly increasing.
     """
     I = np.atleast_2d(np.asarray(quantum_numbers, dtype=float))
     if not (lam > 0):  # also rejects nan
@@ -170,48 +152,6 @@ def solve_bethe_batch(
             f"Newton did not converge for {bad.size} state(s), first index {bad[0]}"
         )
     return K, fnorm / scale
-
-
-def solve_bethe(
-    quantum_numbers,
-    lam: float,
-    coupling: float,
-    hbar: float = 1.0,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> "BetheState":
-    qn = validate_quantum_numbers(quantum_numbers, len(np.atleast_1d(quantum_numbers)))
-    K, res = solve_bethe_batch(qn[None, :], lam, coupling, hbar, tol, max_iter)
-    return BetheState(
-        quantum_numbers=qn,
-        rapidities=K[0],
-        lam=lam,
-        coupling=coupling,
-        hbar=hbar,
-        residual=float(res[0]),
-    )
-
-
-@dataclass
-class BetheState:
-    quantum_numbers: np.ndarray
-    rapidities: np.ndarray
-    lam: float
-    coupling: float
-    hbar: float
-    residual: float
-
-    @property
-    def n_particles(self) -> int:
-        return self.rapidities.size
-
-    @property
-    def energy(self) -> float:
-        return float(self.hbar**2 * np.sum(self.rapidities**2))
-
-    @property
-    def total_momentum(self) -> float:
-        return float(self.hbar * np.sum(self.rapidities))
 
 
 def _log_comb(n: int, k: int) -> float:

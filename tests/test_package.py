@@ -1,13 +1,22 @@
+import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualgas
+from dualgas import work
+from dualgas.core import LinearRamp
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(dualgas.__path__) if info.name != "__main__"
 )
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +26,55 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(f"dualgas.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: an import at any depth, even inside
+    # a function no command calls, would make it a runtime one again
+    found = []
+    for path in sorted(Path(dualgas.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # the benchmark's span recorder, loaded as it stands and left unwritten
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return mod
+
+
+def test_tracer_counters_name_exported_functions(tracer):
+    # a counter on a name the recorder does not wrap never runs, and one on
+    # a name that is gone fails every op of the benchmark
+    for name in tracer._INFO:
+        short, attr = name.split(".")
+        mod = importlib.import_module(f"dualgas.{short}")
+        assert attr in mod.__all__, name
+        fn = getattr(mod, attr)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+
+
+def test_tracer_counters_read_work_results(tracer):
+    args = (LinearRamp(1.0, 5.0, 0.05), 1.0, 3)
+    ramp = work.propagate_ramp(*args)
+    assert tracer._INFO["work.propagate_ramp"](args, {}, ramp) == ramp.n_rhs_evals > 0
+    p = np.array([0.25, 0.25, 0.5])
+    args = (np.array([0.0, 1e-12, 1.0]), p, np.log(p))
+    merged = work.merge_atoms(*args)
+    assert tracer._INFO["work.merge_atoms"](args, {}, merged) == [3, 2]

@@ -11,6 +11,12 @@ from dualgas import ringspec as rs
 from dualgas.core import ConfigError
 
 
+def solve_one(quantum_numbers, lam, coupling):
+    """One state as a one-row stack: (rapidities, residual)."""
+    K, res = rs.solve_bethe_batch(np.asarray(quantum_numbers)[None, :], lam, coupling)
+    return K[0], float(res[0])
+
+
 def two_body_oracle(coupling: float, lam: float = 1.0) -> float:
     """Independent root for I = (-1/2, 1/2) at hbar = 1.
 
@@ -27,35 +33,34 @@ def two_body_oracle(coupling: float, lam: float = 1.0) -> float:
 
 @pytest.mark.parametrize("coupling", [0.1, 1.0, 10.0, 1e6])
 def test_ground_pair_matches_scalar_oracle(coupling):
-    st_ = rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, coupling)
+    k, _ = solve_one([-0.5, 0.5], 1.0, coupling)
     k0 = two_body_oracle(coupling)
-    assert st_.rapidities == pytest.approx([-k0, k0], abs=1e-12)
+    assert k == pytest.approx([-k0, k0], abs=1e-12)
 
 
 def test_tonks_girardeau_is_exact():
     I = np.array([-1.0, 0.0, 1.0])
-    st_ = rs.solve_bethe(I, 2.5, math.inf)
-    assert np.array_equal(st_.rapidities, 2.0 * np.pi * I / 2.5)
-    assert st_.residual == 0.0
+    k, residual = solve_one(I, 2.5, math.inf)
+    assert np.array_equal(k, 2.0 * np.pi * I / 2.5)
+    assert residual == 0.0
 
 
 def test_weak_coupling_pair_scaling():
     # k0 -> sqrt(C/2)/... : for C -> 0+ the pair collapses like sqrt(C)
     for c in (1e-4, 1e-6):
-        st_ = rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, c)
-        k0 = st_.rapidities[1]
+        k0 = solve_one([-0.5, 0.5], 1.0, c)[0][1]
         assert k0 == pytest.approx(math.sqrt(c / 2.0), rel=5e-2)
 
 
 def test_zero_coupling_rejected():
     with pytest.raises(ConfigError):
-        rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, 0.0)
+        solve_one([-0.5, 0.5], 1.0, 0.0)
 
 
 @pytest.mark.parametrize("coupling", [math.nan, -1.0])
 def test_nan_or_negative_coupling_rejected(coupling):
     with pytest.raises(ConfigError):
-        rs.solve_bethe(np.array([-0.5, 0.5]), 1.0, coupling)
+        solve_one([-0.5, 0.5], 1.0, coupling)
     with pytest.raises(ConfigError):
         rs.enumerate_states(1.0, coupling, 2, 2.5)
     with pytest.raises(ConfigError):
@@ -69,12 +74,14 @@ def test_nan_residual_is_not_converged():
 
 
 def test_quantum_number_grid_validation():
+    # enumerate_states is the only source of quantum numbers: its rows are
+    # strictly increasing on the Pauli grid of their particle number
+    for n, i_max in ((2, 4.5), (3, 4.0)):
+        I = rs.enumerate_states(1.0, 1.0, n, i_max).quantum_numbers
+        assert np.all(np.diff(I, axis=1) > 0)
+        assert np.all(I - np.floor(I) == (0.5 if n % 2 == 0 else 0.0))
     with pytest.raises(ConfigError):
-        rs.solve_bethe(np.array([0.0, 1.0]), 1.0, 1.0)  # wrong parity for N=2
-    with pytest.raises(ConfigError):
-        rs.solve_bethe(np.array([0.5, 0.5]), 1.0, 1.0)  # not strictly increasing
-    with pytest.raises(ConfigError):
-        rs.solve_bethe(np.array([-0.5, 0.5]), -1.0, 1.0)
+        solve_one([-0.5, 0.5], -1.0, 1.0)
 
 
 def test_ground_state_quantum_numbers():
@@ -101,26 +108,23 @@ def test_random_states_residual_and_boost(n, logc, shift, data):
     )
     I = grid[picks]
     lam = 1.7
-    st_ = rs.solve_bethe(I, lam, coupling)
+    k, residual = solve_one(I, lam, coupling)
     scale = max(1.0, 2.0 * math.pi * float(np.abs(I).max()))
-    assert st_.residual < 1e-11 * scale
-    assert st_.energy >= 0.0 or I.size > 1
+    assert residual < 1e-11 * scale
+    assert float((k**2).sum()) >= 0.0 or I.size > 1
     # Galilean boost: shifting every I by an integer shifts every k by
     # 2 pi shift / lam and leaves relative rapidities fixed.
-    boosted = rs.solve_bethe(I + shift, lam, coupling)
-    assert boosted.rapidities == pytest.approx(
-        st_.rapidities + 2.0 * math.pi * shift / lam, abs=1e-9
-    )
+    boosted, _ = solve_one(I + shift, lam, coupling)
+    assert boosted == pytest.approx(k + 2.0 * math.pi * shift / lam, abs=1e-9)
 
 
 def test_batch_solver_matches_single():
     I = np.array([[-0.5, 0.5], [0.5, 1.5], [-1.5, 2.5]])
     ks, res = rs.solve_bethe_batch(I, 1.0, 3.0)
     assert np.all(res < 1e-12)
+    # each row solved alone lands on its row of the stack
     for row, iqn in zip(ks, I):
-        assert row == pytest.approx(
-            rs.solve_bethe(iqn, 1.0, 3.0).rapidities, abs=1e-12
-        )
+        assert row == pytest.approx(solve_one(iqn, 1.0, 3.0)[0], abs=1e-12)
 
 
 def test_enumeration_count_and_order():

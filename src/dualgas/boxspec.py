@@ -223,9 +223,6 @@ class BoxSpectrum:
             statistics=statistics,
         )
 
-    def partition_function(self, beta: float) -> float:
-        return float(np.exp(-beta * self.energies).sum())
-
 
 def _parity_block(ops, g, kin, b):
     """H restricted to the pairs b."""
@@ -414,12 +411,21 @@ def momentum_density(
 ) -> DensityGrid:
     """One-body momentum distribution n(k), int n(k) dk = 2 on the full line.
 
-    Statistics of the basis's symmetry: closed form via Parseval, exact up
-    to the k-window.  The sign-mapped dual: the sign kink breaks mode
-    orthogonality, so the triangle x2 > x1 is integrated on an internal
-    n_x^2 grid (O(h^2)); the triangle transform T and its swap give the
-    pair amplitude in momentum space, (T - sign T^T) / 2 pi, and the
-    partner is integrated over the same window.
+    Both branches transform x1 and take the partner x2 by Parseval,
+    n(k) = (1/pi) int |G(k, x2)|^2 dx2 with G = int e^{-ikx1} psi dx1.
+    Statistics of the basis's symmetry: G is a sum of the modes'
+    transforms and the x2 modes are orthonormal, so n(k) is closed form,
+    exact up to the k-window.  The sign-mapped dual: the jump of
+    sign(x2 - x1) breaks mode orthogonality, so G and the x2 sum are
+    trapezoid rules on n_x nodes, with the sign map 0 on the diagonal,
+    where the two sides of the jump cancel.  The rule's leading error on
+    the jump, (i k h^2 / 6) psi(x2, x2) e^{-ikx2}, grows with k and is
+    added back, so the error is O(h^2) up to the window's edge.
+
+    Outside |k| <= k_max the sign-mapped n(k) falls as the contact tail
+    4<delta>/(pi k^2), so the window misses `contact_tail` = 8<delta>/(pi
+    k_max) of the mass (0 for the basis's symmetry); only a mass that
+    misses 2 by more than that warns.
     """
     if n_k < 2 or n_x < 2:
         raise ConfigError(f"n_k and n_x must be >= 2, got {n_k} and {n_x}")
@@ -427,6 +433,8 @@ def momentum_density(
     m = state.basis.cutoff
     if k_max is None:
         k_max = 1.5 * np.pi * m / lam
+    if not 0.0 < k_max < math.inf:
+        raise ConfigError(f"k_max must be positive and finite, got {k_max}")
     k = np.linspace(-k_max, k_max, n_k)
     A = state.mode_matrix()
     meta = {"statistics": state.statistics, "k_max": k_max, "n_k": n_k}
@@ -436,26 +444,32 @@ def momentum_density(
         B = F @ A
         nk = (np.abs(B) ** 2).sum(axis=1) / np.pi
         meta["method"] = "parseval"
+        tail = 0.0
     else:
         x = np.linspace(0.0, lam, n_x)
-        w = np.full(n_x, x[1] - x[0])
-        w[0] = w[-1] = 0.5 * (x[1] - x[0])
+        h = x[1] - x[0]
+        w = np.full(n_x, h)
+        w[0] = w[-1] = 0.5 * h
         U = box_modes(x, lam, m)
         psi = U @ A @ U.T
-        tri = np.triu(np.ones((n_x, n_x)), k=1) + 0.5 * np.eye(n_x)
-        core = (w[:, None] * w[None, :]) * tri * psi
-        E = np.exp(-1j * np.outer(k, x))
-        T = E @ core @ E.T
-        phi = (T - state.basis.sign * T.T) / (2.0 * np.pi)
-        nk = 2.0 * np.trapezoid(np.abs(phi) ** 2, k, axis=1)
-        meta["method"] = "triangle"
+        # w(x1) psi_F(x1, x2), with sign(x2 - x1) = 0 on the diagonal
+        core = np.sign(x - x[:, None]) * (w[:, None] * psi)
+        kx = np.outer(k, x)
+        cos, sin = np.cos(kx), np.sin(kx)
+        # G = (cos - i sin) @ core + (i k h^2 / 6) psi(x2, x2) e^{-ik x2}
+        jump = (h * h / 6.0) * np.outer(k, np.diag(psi))
+        nk = ((cos @ core + jump * sin) ** 2 + (sin @ core - jump * cos) ** 2) @ w / np.pi
+        meta["method"] = "grid-parseval"
         meta["n_x"] = n_x
+        tail = 8.0 * contact_expectation(state) / (np.pi * k_max)
 
     mass = float(np.trapezoid(nk, k))
     meta["mass"] = mass
-    if abs(mass - 2.0) > 0.02:
+    meta["contact_tail"] = tail
+    if abs(mass + tail - 2.0) > 0.02:
         warnings.warn(
-            f"momentum window captures {mass:.6f} of 2; widen k_max or n_k",
+            f"momentum window captures {mass:.6f} of 2 and the contact tail "
+            f"beyond it {tail:.6f}; widen k_max or n_k",
             RuntimeWarning,
             stacklevel=2,
         )

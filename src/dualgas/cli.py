@@ -306,7 +306,8 @@ def _cmd_fig1(cfg: RunConfig) -> None:
             mg = boxspec.momentum_density(state, n_k=n_k, n_x=n_x)
             head = dict(meta, state=tag, statistics=stat,
                         energy=state.energy, kind="momentum",
-                        window_mass=mg.mass)
+                        window_mass=mg.mass,
+                        contact_tail=mg.metadata["contact_tail"])
             stem = f"fig1_{tag}_momentum_{stat}"
             write_csv(cfg.out_dir / f"{stem}.csv",
                       {"k": mg.axis, "density": mg.values}, head)
@@ -465,7 +466,9 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
             "spatial_l1": spatial_l1,
             "momentum_l1": momentum_l1,
             "momentum_mass_boson": mb.mass,
+            "momentum_tail_boson": mb.metadata["contact_tail"],
             "momentum_mass_fermion": mf.mass,
+            "momentum_tail_fermion": mf.metadata["contact_tail"],
         }
     report = dict(
         config=meta,

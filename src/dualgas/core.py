@@ -8,7 +8,7 @@ carries kinetic energy hbar^2 k^2.  Planck's constant is kept symbolic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TG_COUPLING, ConfigError
+from .core import ConfigError
 
 __all__ = [
     "BetheSolverError",
     "SpectrumTable",
     "theta",
     "theta_prime",
-    "ground_state_quantum_numbers",
     "solve_bethe_batch",
     "enumerate_states",
     "spectral_tail_bound",
@@ -66,11 +65,6 @@ def theta_prime(k, coupling: float, hbar: float = 1.0):
         # zero a.e.; the C = 0 delta spike at k = 0 is never sampled here
         return np.zeros_like(k)
     return 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * k**2)
-
-
-def ground_state_quantum_numbers(n_particles: int) -> np.ndarray:
-    """Symmetric densely-packed grid -(N-1)/2 ... (N-1)/2."""
-    return np.arange(n_particles, dtype=float) - (n_particles - 1) / 2.0
 
 
 def _residual(K, I2pi, lam, coupling, hbar):

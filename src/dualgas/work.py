@@ -206,10 +206,6 @@ class WorkDistribution:
             return 0.0
         return float(np.exp(_logsumexp(arg[keep])))
 
-    def characteristic_function(self, nu) -> np.ndarray:
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        return (self.probabilities[None, :] * np.exp(1j * np.outer(nu, self.works))).sum(axis=1)
-
 
 def kolmogorov_distance(
     a: WorkDistribution, b: WorkDistribution, resolution: float = 0.0
@@ -724,13 +720,30 @@ def sudden_coupling_mean_work(
 # ---------------------------------------------------------------------------
 
 
+def _check_start(what: str, model_value: float, protocol_value: float) -> None:
+    """The protocol starts from the model: one width, one coupling."""
+    if model_value != protocol_value:
+        raise ConfigError(
+            f"the model's {what} {model_value!r} differs from the protocol's "
+            f"initial {what} {protocol_value!r}"
+        )
+
+
 def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
     """Route a (model, protocol) pair to its drive; `.at(beta)` weighs it.
 
-    kwargs forward to the route: i_max for ring enumeration, cutoff /
-    cutoff_i / cutoff_f for box bases; a ramp's step count follows from
-    its generator and takes no option.
+    The protocol starts from the model: its initial width, or a coupling
+    quench's initial coupling, must be the model's.  kwargs forward to the
+    route: i_max for ring enumeration, cutoff / cutoff_i / cutoff_f for box
+    bases; a ramp's step count follows from its generator and takes no
+    option.
     """
+    if isinstance(protocol, SuddenCoupling):
+        if math.isinf(protocol.coupling_initial) or math.isinf(protocol.coupling_final):
+            raise ConfigError("coupling quench endpoints must be finite")
+        _check_start("coupling", model.coupling, protocol.coupling_initial)
+    elif isinstance(protocol, (Adiabatic, SuddenWall, LinearRamp)):
+        _check_start("width", model.length, protocol.lambda_initial)
     geom = model.geometry
     if isinstance(geom, Ring):
         if isinstance(protocol, Adiabatic):
@@ -758,8 +771,6 @@ def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
             hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenCoupling):
-        if math.isinf(protocol.coupling_initial) or math.isinf(protocol.coupling_final):
-            raise ConfigError("coupling quench endpoints must be finite")
         return sudden_coupling_drive(
             model.length, protocol.coupling_initial, protocol.coupling_final,
             hbar=model.hbar, **kwargs,

@@ -1,10 +1,11 @@
 """Reference values that only the tests need.
 
 Pure oracles that no command reaches: the cluster profiles a1 and a2 of
-the Yang-Yang fixed point (a2 by quadrature), the bulk span of a work
-distribution and the alignment tolerance built from it, and the pinned
-rapidity shortcut for highly excited ring states.  They live here so the
-package runs on numpy alone.
+the Yang-Yang fixed point (a2 by quadrature), the sign-mapped box pair's
+momentum distribution with its partner integral done exactly, the bulk
+span of a work distribution and the alignment tolerance built from it,
+and the pinned rapidity shortcut for highly excited ring states.  They
+live here so the package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from dualgas.boxspec import BoxState
 from dualgas.core import ConfigError
 from dualgas.eos import _kernel
 from dualgas.work import WorkDistribution
@@ -67,6 +69,49 @@ def a2_profile(
     else:
         raise ConfigError(f"unknown a2 reading {reading!r}")
     return out if np.ndim(k) else float(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Momentum of the sign-mapped box pair
+# ---------------------------------------------------------------------------
+
+
+def _partial_ft(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """int_0^y e^{icx} dx on the outer grid c x y, exact.
+
+    It is y sinc(cy/pi) + i y sin(cy/2) sinc(cy/2pi), which np.sinc keeps
+    finite at the removable point c = 0.
+    """
+    cy = np.multiply.outer(c, y)
+    return y * (np.sinc(cy / np.pi) + 1j * np.sin(0.5 * cy) * np.sinc(cy / (2.0 * np.pi)))
+
+
+def sign_mapped_momentum(state: BoxState, k: np.ndarray, n_gauss: int = 400) -> np.ndarray:
+    """n(k) of the sign-mapped amplitude with the partner integral exact.
+
+    G(k, x2) = int e^{-ikx1} sign(x2 - x1) psi(x1, x2) dx1 splits at x1 =
+    x2 into the mode integrals I_a(k, y) = int_0^y u_a e^{-ikx} dx, closed
+    form through sin = (e^{iax} - e^{-iax}) / 2i, as 2 I_a(k, x2) -
+    I_a(k, lam); the removable points k = +-n pi / lam are safe.  n(k) =
+    (1/pi) int |G(k, x2)|^2 dx2 then has a smooth integrand, taken by
+    Gauss-Legendre on n_gauss nodes.
+    """
+    lam, m = state.model.length, state.basis.cutoff
+    k = np.asarray(k, dtype=float)
+    t, tw = np.polynomial.legendre.leggauss(n_gauss)
+    y, wy = 0.5 * lam * (t + 1.0), 0.5 * lam * tw
+    n = np.arange(1, m + 1)
+    U = math.sqrt(2.0 / lam) * np.sin(np.pi * np.outer(n, y) / lam)  # (m, len(y))
+    B = state.mode_matrix() @ U  # B[a, j] = sum_b A_ab u_b(y_j)
+    G = np.zeros((k.size, y.size), dtype=complex)
+    for a in range(m):
+        q = (a + 1) * np.pi / lam
+
+        def partial(z):
+            return math.sqrt(2.0 / lam) * (_partial_ft(q - k, z) - _partial_ft(-q - k, z)) / 2j
+
+        G += (2.0 * partial(y) - partial(np.array([lam]))) * B[a]
+    return (np.abs(G) ** 2) @ wy / np.pi
 
 
 # ---------------------------------------------------------------------------

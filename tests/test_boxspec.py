@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import oracles
 from dualgas import boxspec as bs
 from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec, Ring
 
@@ -474,6 +475,7 @@ def test_momentum_density_distinguishes_statistics():
     g = sp.state(0)
     nb = bs.momentum_density(g, n_k=321, n_x=385)
     nf = bs.momentum_density(bs.fermionize(g), n_k=321, n_x=385)
+    assert nb.metadata["contact_tail"] == 0.0  # no jump in the basis's symmetry
     for d in (nb, nf):
         assert np.allclose(d.values, d.values[::-1], atol=1e-12)  # n(k) even
         assert abs(d.mass - 2.0) < 0.02
@@ -495,25 +497,78 @@ def test_hard_core_fermion_momentum_density_is_the_free_fermion_sum():
 
 @pytest.mark.parametrize("coupling, statistics", [(5.0, "fermion"), (math.inf, "boson")])
 def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling, statistics):
-    # the triangle rule on the basis's amplitude equals the trapezoid rule
-    # on the whole square for the sign-mapped amplitude, on the same grid,
-    # with the sign map taken as 0 on the diagonal, the mean of its sides
+    # the trapezoid rule over x1 of e^{-ikx1} times the sign-mapped
+    # amplitude, with the sign map taken as 0 on the diagonal (the mean of
+    # its sides) and the rule's leading error on the jump, (ik h^2 / 6)
+    # psi(x2, x2) e^{-ikx2}, put back; then the partner x2 by Parseval on
+    # the same nodes
     sp = bs.diagonalize(ModelSpec(2, Box(LAM), coupling), 8)
     state = sp.state(1, statistics)
     n_k, n_x = 41, 65
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = bs.momentum_density(state, n_k=n_k, n_x=n_x)
-    assert got.metadata["method"] == "triangle"
+    assert got.metadata["method"] == "grid-parseval"
     x = np.linspace(0.0, LAM, n_x)
-    w = np.full(n_x, x[1] - x[0])
-    w[0] = w[-1] = 0.5 * (x[1] - x[0])
-    psi = bs.amplitude(state, x, x)
-    psi[np.diag_indices(n_x)] = 0.0
+    h = x[1] - x[0]
+    w = np.full(n_x, h)
+    w[0] = w[-1] = 0.5 * h
     E = np.exp(-1j * np.outer(got.axis, x))
-    phi = E @ (w[:, None] * w[None, :] * psi) @ E.T / (2.0 * np.pi)
-    want = 2.0 * np.trapezoid(np.abs(phi) ** 2, got.axis, axis=1)
+    psi = bs.amplitude(state, x, x)  # sign +1 on the diagonal: the basis's amplitude
+    jump = (1j * h * h / 6.0) * np.outer(got.axis, np.diag(psi)) * E
+    psi[np.diag_indices(n_x)] = 0.0
+    G = E @ (w[:, None] * psi) + jump
+    want = (np.abs(G) ** 2) @ w / np.pi
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 5.0])
+def test_sign_mapped_momentum_density_matches_the_exact_partner_integral(alpha):
+    # the partner is summed on the x grid, not over the k window: against
+    # x1 in closed form on each side of x2 and x2 by Gauss-Legendre, the
+    # default grids are off by about 1e-6 (a partner integral over the
+    # window was off by 5e-5 to 1.2e-4).  The default k grid steps by
+    # pi / 8 and so hits the oracle's removable points k = n pi / lam.
+    sp = bs.diagonalize(model(alpha), 20)
+    for i in (0, 1):
+        state = sp.state(i, "fermion")
+        got = bs.momentum_density(state)
+        assert np.isclose(got.axis, np.pi).any()
+        exact = oracles.sign_mapped_momentum(state, got.axis)
+        assert np.abs(got.values - exact).max() <= 4e-6
+
+
+@pytest.mark.parametrize("cutoff", [20, 40])
+@pytest.mark.parametrize("alpha", [1.0, 5.0, 20.0])
+def test_sign_mapped_momentum_tail_is_the_contact(alpha, cutoff):
+    # the dual fermions' amplitude jumps by 2 psi(x, x) at coincidence, so
+    # n_F(k) -> 4<delta>/(pi k^2) and the window |k| <= K misses
+    # 8<delta>/(pi K) of the mass (Olshanii & Dunjko, PRL 91, 090401
+    # (2003); Sekino, Tan & Nishida, PRA 97, 013621 (2018)).  With the
+    # levels' slope test above, this ties momentum, contact and spectrum.
+    sp = bs.diagonalize(model(alpha), cutoff)
+    for i in range(4):
+        state = sp.state(i, "fermion")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the tail explains the loss
+            got = bs.momentum_density(state)
+        contact = bs.contact_expectation(state)
+        k = got.metadata["k_max"]
+        assert got.metadata["contact_tail"] == pytest.approx(8.0 * contact / (math.pi * k), rel=1e-14)
+        assert abs(got.mass + got.metadata["contact_tail"] - 2.0) <= 1e-3
+        assert 0.9 <= k * k * got.values[-1] * math.pi / (4.0 * contact) <= 1.1
+
+
+def test_momentum_window_warns_only_beyond_the_contact_tail():
+    # at cutoff 4 the default window (6 pi / lam) is too narrow for the
+    # fourth dual fermion level even after its tail is counted
+    sp = bs.diagonalize(model(5.0), 4)
+    with pytest.warns(RuntimeWarning, match="contact tail beyond it"):
+        got = bs.momentum_density(sp.state(3, "fermion"))
+    assert abs(got.mass + got.metadata["contact_tail"] - 2.0) > 0.02
+    for k_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="k_max"):
+            bs.momentum_density(sp.state(0, "fermion"), k_max=k_max)
 
 
 def test_l1_distance_requires_shared_axis():

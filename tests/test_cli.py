@@ -269,14 +269,22 @@ def test_density_profile_files_show_duality(tmp_path):
     # spatial profiles are statistics-blind...
     assert strip_meta(ground_b) == strip_meta(ground_f)
     # ...momentum profiles are not
-    mom_b = strip_meta((tmp_path / "fig1_ground_momentum_boson.csv").read_bytes())
-    mom_f = strip_meta((tmp_path / "fig1_ground_momentum_fermion.csv").read_bytes())
-    assert mom_b != mom_f
+    raw_b = (tmp_path / "fig1_ground_momentum_boson.csv").read_bytes()
+    raw_f = (tmp_path / "fig1_ground_momentum_fermion.csv").read_bytes()
+    assert strip_meta(raw_b) != strip_meta(raw_f)
+    # the headers carry the window mass and the contact tail beside it
+    tail_b, tail_f = (float(meta_lines(raw)["contact_tail"]) for raw in (raw_b, raw_f))
+    assert tail_b == 0.0 < tail_f
+    assert "window_mass" in meta_lines(raw_f)
     assert (tmp_path / "fig1_ground_spatial_boson.svg").exists()
 
 
 def strip_meta(raw: bytes) -> list:
     return [ln for ln in raw.decode().splitlines() if not ln.startswith("#")]
+
+
+def meta_lines(raw: bytes) -> dict:
+    return dict(ln[2:].split(" = ", 1) for ln in raw.decode().splitlines() if ln.startswith("# "))
 
 
 def test_duality_check_passes(tmp_path):
@@ -299,9 +307,13 @@ def test_duality_report_carries_momentum_window_masses(tmp_path):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 mass = boxspec.momentum_density(spec.state(i, stat)).mass
             assert entry[f"momentum_mass_{stat}"] == pytest.approx(mass, rel=1e-12)
-        # the fermionic window falls short of 2, as the warning says
-        assert f"captures {entry['momentum_mass_fermion']:.6f} of 2" in r.stderr
+            # what the window misses is the contact tail (0 for the bosons)
+            tail = entry[f"momentum_tail_{stat}"]
+            assert abs(entry[f"momentum_mass_{stat}"] + tail - 2.0) <= 1e-3
+        assert entry["momentum_tail_boson"] == 0.0 < entry["momentum_tail_fermion"]
         assert abs(entry["momentum_mass_boson"] - 2.0) < 1e-4
+    # so no window warning: it would name a truncation there is not
+    assert "momentum window" not in r.stderr
 
 
 def test_convergence_report(tmp_path):

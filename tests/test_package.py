@@ -45,6 +45,39 @@ def test_package_imports_no_scipy():
     assert found == []
 
 
+def _module_imports_unused(path: Path) -> list:
+    """Module-level imported names that the module neither uses nor lists
+    in __all__ (from __future__ binds nothing)."""
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused += [(path.name, node.lineno, b) for b in bound if b not in used]
+    return unused
+
+
+def test_package_modules_import_nothing_unused():
+    # an import nothing uses costs start-up time and misstates what the
+    # module needs; __init__ imports only to re-export
+    pkg = Path(dualgas.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name != "__init__.py":
+            found += _module_imports_unused(path)
+    assert found == []
+
+
 @pytest.fixture(scope="module")
 def tracer():
     # the benchmark's span recorder, loaded as it stands and left unwritten

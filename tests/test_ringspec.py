@@ -84,11 +84,6 @@ def test_quantum_number_grid_validation():
         solve_one([-0.5, 0.5], -1.0, 1.0)
 
 
-def test_ground_state_quantum_numbers():
-    assert np.array_equal(rs.ground_state_quantum_numbers(3), [-1.0, 0.0, 1.0])
-    assert np.array_equal(rs.ground_state_quantum_numbers(2), [-0.5, 0.5])
-
-
 @given(
     st.integers(1, 3),
     st.floats(math.log(1e-2), math.log(1e6)),

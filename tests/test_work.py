@@ -166,10 +166,6 @@ def test_distribution_validation_and_mass():
     assert d.mean() == pytest.approx(0.75)
     m1, m2 = d.moments(2)
     assert (m1, m2) == (pytest.approx(0.75), pytest.approx(0.75))
-    # characteristic function: phi(0) = 1, |phi| <= 1
-    phi = d.characteristic_function([0.0, 0.7, 3.1])
-    assert phi[0] == pytest.approx(1.0)
-    assert np.all(np.abs(phi) <= 1.0 + 1e-12)
 
 
 @given(
@@ -706,6 +702,26 @@ def test_dispatcher_routes_and_rejections():
         wk.drive(hard, SuddenCoupling(1.0, math.inf), cutoff=8)
     with pytest.raises(ConfigError):
         wk.drive(ModelSpec(3, Box(1.0), 1.0), Adiabatic(1.0, 2.0), cutoff=8)
+
+
+@pytest.mark.parametrize(
+    "geometry, protocol, kwargs",
+    [
+        (Box(1.0), Adiabatic(2.0, 3.0), {"cutoff": 6}),
+        (Box(1.0), SuddenWall(2.0, 3.0), {"cutoff": 6}),
+        (Box(1.0), LinearRamp(2.0, 5.0, 0.2), {"cutoff": 6}),
+        (Ring(1.0), Adiabatic(2.0, 3.0), {"i_max": 3.5}),
+    ],
+)
+def test_dispatcher_rejects_a_protocol_that_starts_off_the_model_width(geometry, protocol, kwargs):
+    # the route would take the protocol's width and drop the model's
+    with pytest.raises(ConfigError, match=r"width 1\.0 differs .* initial width 2\.0"):
+        wk.drive(ModelSpec(2, geometry, 1.0), protocol, **kwargs)
+
+
+def test_dispatcher_rejects_a_quench_that_starts_off_the_model_coupling():
+    with pytest.raises(ConfigError, match=r"coupling 1\.0 differs .* initial coupling 3\.0"):
+        wk.drive(ModelSpec(2, Box(1.0), 1.0), SuddenCoupling(3.0, 5.0), cutoff=6)
 
 
 def test_log_probabilities_reach_below_underflow():

@@ -149,10 +149,10 @@ def contact_block(ops: dict, pairs) -> np.ndarray:
     return np.multiply.outer(2.0 * c, c) * (S.T @ (ops["w"][:, None] * S))
 
 
-def contact_form(ops: dict, V) -> np.ndarray:
+def contact_form(ops: dict, V, pairs=slice(None)) -> np.ndarray:
     """The unit contact form v.T @ v1 @ v = 2 sum_r w_r (S (c v))_r^2 of every
-    column v of V."""
-    Y = ops["S"] @ (ops["c"][:, None] * V)
+    column v of V, whose rows are the pairs (index array; all by default)."""
+    Y = ops["S"][:, pairs] @ (ops["c"][pairs, None] * V)
     return 2.0 * (ops["w"] @ (Y * Y))
 
 
@@ -198,15 +198,84 @@ def _check_pair_model(model: ModelSpec) -> None:
 
 @dataclass
 class BoxSpectrum:
+    """Levels ascending, with their eigenvectors kept per reflection block.
+
+    blocks[b] = (pairs, X): the block's pair indices and the eigenvectors
+    its own `eigh` gave, one column per level, on those pairs alone.  Level
+    i lies in block block_of[i], whose columns follow the order of its
+    levels.  No dim x dim eigenvector matrix is formed: `state` scatters
+    one column into the basis, and `apply`, `project` and `overlaps` take
+    their products block by block.
+    """
+
     model: ModelSpec
     basis: PairBasis
     energies: np.ndarray
-    vectors: np.ndarray  # columns are eigenvectors
-    parity: np.ndarray  # (p + q) % 2 of each level's pairs: its reflection block
     residual: float
+    blocks: list
+    block_of: np.ndarray
 
     def __len__(self) -> int:
         return self.energies.size
+
+    @property
+    def parity(self) -> np.ndarray:
+        """(p + q) % 2 of each level's pairs: its reflection block."""
+        p, q = self.basis.labels()
+        block = np.array([(p[b[0]] + q[b[0]]) % 2 for b, _ in self.blocks], dtype=np.int8)
+        return block[self.block_of]
+
+    def _block_levels(self):
+        """(pairs, X, the level of each column of X) of every block."""
+        for b, (pairs, x) in enumerate(self.blocks):
+            yield pairs, x, np.flatnonzero(self.block_of == b)
+
+    def _vector(self, index: int) -> np.ndarray:
+        """Level index's eigenvector on the whole basis, zero off its block."""
+        b = self.block_of[index]
+        pairs, x = self.blocks[b]
+        v = np.zeros(self.basis.dim)
+        v[pairs] = x[:, np.count_nonzero(self.block_of[:index] == b)]
+        return v
+
+    def apply(self, M, levels=None) -> np.ndarray:
+        """M @ V[:, levels] (all levels by default), V the eigenvectors as
+        columns: each block's columns meet only M's columns on its pairs."""
+        levels = np.arange(len(self)) if levels is None else np.asarray(levels, dtype=int)
+        column = np.empty(len(self), dtype=int)  # each level's column in its block
+        for _, _, in_block in self._block_levels():
+            column[in_block] = np.arange(in_block.size)
+        out = np.empty((M.shape[0], levels.size), dtype=np.result_type(M, float))
+        for b, (pairs, x) in enumerate(self.blocks):
+            at = np.flatnonzero(self.block_of[levels] == b)
+            out[:, at] = M[:, pairs] @ x[:, column[levels[at]]]
+        return out
+
+    def project(self, Y) -> np.ndarray:
+        """V.T @ Y: the amplitude on every level of each column of Y."""
+        out = np.empty((len(self), Y.shape[1]), dtype=np.result_type(Y, float))
+        for pairs, x, levels in self._block_levels():
+            out[levels] = x.T @ Y[pairs]
+        return out
+
+    def overlaps(self, other: "BoxSpectrum") -> np.ndarray:
+        """V.T @ V_other for a spectrum on the same basis, one block
+        product each; levels of opposite parity overlap exactly 0."""
+        if other.basis != self.basis:
+            raise ConfigError("overlaps need two spectra on one pair basis")
+        out = np.zeros((len(self), len(other)))
+        for (_, x, rows), (_, y, cols) in zip(self._block_levels(), other._block_levels()):
+            out[np.ix_(rows, cols)] = x.T @ y
+        return out
+
+    def unit_forms(self):
+        """(v.T diag(k1) v, v.T v1 v) of every level v, block by block."""
+        ops = unit_pair_operators(self.basis.cutoff, self.basis.sign)
+        kinetic, contact = np.empty(len(self)), np.empty(len(self))
+        for pairs, x, levels in self._block_levels():
+            kinetic[levels] = (ops["k1"][pairs, None] * x * x).sum(axis=0)
+            contact[levels] = contact_form(ops, x, pairs)
+        return kinetic, contact
 
     def state(self, index: int, statistics: str = "boson") -> "BoxState":
         if not 0 <= index < self.energies.size:
@@ -217,7 +286,7 @@ class BoxSpectrum:
         return BoxState(
             model=self.model,
             basis=self.basis,
-            coefficients=self.vectors[:, index].copy(),
+            coefficients=self._vector(index),
             energy=float(self.energies[index]),
             index=index,
             statistics=statistics,
@@ -237,10 +306,10 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
 
     Reflection about the box centre maps |pq> to (-1)^(p+q) |pq> and
     commutes with H, so v1 vanishes exactly between the p+q-even and
-    p+q-odd pairs.  Each block is solved on its own; its eigenvectors are
-    written at their sorted columns in the full basis, zero on the other
-    block's rows, and `parity` names each level's block.  The hard-core
-    pair is solved on the antisymmetric pairs, where H is kinetic only.
+    p+q-odd pairs.  Each block is solved on its own and keeps its own
+    eigenvectors; one stable argsort merges the levels, and `parity` names
+    each level's block.  The hard-core pair is solved on the antisymmetric
+    pairs, where H is kinetic only.
     """
     _check_pair_model(model)
     ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
@@ -248,30 +317,23 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     lam = model.length
     g = contact_coupling(model.coupling) / lam
     kin = model.hbar**2 * k1 / lam**2
-    blocks = basis.parity_blocks()
+    pairs = basis.parity_blocks()
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
-    solved = [np.linalg.eigh(_parity_block(ops, g, kin, b)) for b in blocks]
+    solved = [np.linalg.eigh(_parity_block(ops, g, kin, b)) for b in pairs]
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")
     evals = levels[order]
-    column = np.empty_like(order)  # sorted position of each block level
-    column[order] = np.arange(order.size)
-    evecs = np.zeros((basis.dim, basis.dim))
-    parity = np.empty(basis.dim, dtype=np.int8)
-    p, q = basis.labels()
-    start = 0
-    for b, (_, x) in zip(blocks, solved):
-        evecs[b[:, None], column[start:start + b.size]] = x
-        parity[column[start:start + b.size]] = (p[b[0]] + q[b[0]]) % 2
-        start += b.size
+    block_of = np.repeat(np.arange(len(pairs)), [b.size for b in pairs])[order]
+    sp = BoxSpectrum(model, basis, evals, 0.0,
+                     [(b, x) for b, (_, x) in zip(pairs, solved)], block_of)
     # spot-check the whole factorization on the six lowest levels, with
     # v1 X applied through the factor
-    X = evecs[:, :6]
+    X = np.column_stack([sp._vector(i) for i in range(min(6, basis.dim))])
     S, w, c = ops["S"], ops["w"], ops["c"][:, None]
     v1X = 2.0 * c * (S.T @ (w[:, None] * (S @ (c * X))))
     R = g * v1X + kin[:, None] * X - X * evals[:6]
-    res = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:6]).max()))
-    return BoxSpectrum(model, basis, evals, evecs, parity, res)
+    sp.residual = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:6]).max()))
+    return sp
 
 
 @dataclass

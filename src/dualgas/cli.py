@@ -504,6 +504,7 @@ def _cmd_convergence(cfg: RunConfig) -> None:
         chk = boxspec.cusp_check(spec.state(0, "boson"))
         # 'residual' is already scale-normalized
         cusp[f"m={int(m)}"] = float(np.abs(chk["residual"]).max())
+        del spec, chk  # one spectrum alive at a time
     meta = cfg.metadata()
     meta["coupling"] = model.coupling
     write_csv(
@@ -511,7 +512,9 @@ def _cmd_convergence(cfg: RunConfig) -> None:
         {"cutoff": rows_m, "level": rows_level, "energy": rows_e},
         meta,
     )
-    table = np.array(energy_table)
+    # the levels every cutoff has: a small cutoff may have fewer than n_levels
+    k = min(map(len, energy_table))
+    table = np.array([e[:k] for e in energy_table])
     verdict = {
         "config": meta,
         "cusp_residual": cusp,

@@ -392,7 +392,7 @@ def sudden_wall_drive(
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
-    P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
+    P = sp_f.project(sp_i.apply(O2)) ** 2
     return Drive(
         sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam_i, cutoff_i, hbar=hbar),
         _wall_deficits, dict(route="galerkin-sudden-wall", coupling=coupling,
@@ -406,11 +406,12 @@ def sudden_coupling_drive(
     """Interaction quench at fixed walls; exact completeness in the model.
 
     Both Hamiltonians commute with reflection about the box centre, so
-    P[f, i] is exactly 0 between levels of opposite parity.
+    P[f, i] is exactly 0 between levels of opposite parity, and P is
+    formed one block product at a time.
     """
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
-    P = (sp_f.vectors.T @ sp_i.vectors) ** 2
+    P = sp_f.overlaps(sp_i) ** 2
     return Drive(
         sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam, cutoff, hbar=hbar),
         _unitarity_defect, dict(route="galerkin-sudden-coupling", cutoff=cutoff),
@@ -527,7 +528,7 @@ def propagate_ramp(
     else:
         cols = np.asarray(list(columns), dtype=int)
     speed = ramp.speed
-    y = boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis) @ sp_i.vectors[:, cols]
+    y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), cols)
     kin = -hbar * k1
     blocks = basis.parity_blocks()
     # iA = (C / hbar) v1, real symmetric on each block
@@ -551,7 +552,7 @@ def propagate_ramp(
     y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), basis) @ y
 
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())
-    amplitudes = sp_f.vectors.T @ y
+    amplitudes = sp_f.project(y)
     return RampResult(
         ramp=ramp,
         coupling=coupling,
@@ -679,13 +680,12 @@ def sudden_wall_mean_work(
     and is returned as a diagnostic of that slow route.
     """
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
-    ops = boxspec.unit_pair_operators(cutoff_i, sp_i.basis.sign)
     p_i, _ = _thermal(sp_i.energies, beta)
-    V = sp_i.vectors
+    kinetic, contact = sp_i.unit_forms()
     # quadratic form of H_f on embedded states = same integrals over [0, lam_i]
     form = (
-        hbar**2 * (ops["k1"][:, None] * V * V).sum(axis=0) / lam_i**2
-        + (boxspec.contact_coupling(coupling) / lam_i) * boxspec.contact_form(ops, V)
+        hbar**2 * kinetic / lam_i**2
+        + (boxspec.contact_coupling(coupling) / lam_i) * contact
     )
     identity_value = float(np.sum(p_i * (form - sp_i.energies)))
     out = {"identity": identity_value}
@@ -704,11 +704,16 @@ def sudden_coupling_mean_work(
     cutoff: int,
     hbar: float = 1.0,
 ) -> dict:
-    """<W> = (C_f - C_i) <delta(x1-x2)>_thermal, exact within the model."""
+    """<W> = (C_f - C_i) <delta(x1-x2)>_thermal, exact within the model.
+
+    The hard-core start has <delta> = 0 against an infinite C_i, so it has
+    no such identity.
+    """
+    if math.isinf(coupling_i):
+        raise ConfigError("the mean-work identity needs a finite initial coupling")
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
-    ops = boxspec.unit_pair_operators(cutoff)
     p_i, _ = _thermal(sp_i.energies, beta)
-    delta_exp = boxspec.contact_form(ops, sp_i.vectors) / lam
+    delta_exp = sp_i.unit_forms()[1] / lam
     return {
         "identity": float((coupling_f - coupling_i) * np.sum(p_i * delta_exp)),
         "thermal_contact": float(np.sum(p_i * delta_exp)),

@@ -1,7 +1,8 @@
 """Reference values that only the tests need.
 
 Pure oracles that no command reaches: the cluster profiles a1 and a2 of
-the Yang-Yang fixed point (a2 by quadrature), the sign-mapped box pair's
+the Yang-Yang fixed point (a2 by quadrature), the box pair's eigenvectors
+as one dense matrix, the sign-mapped box pair's
 momentum distribution with its partner integral done exactly, the bulk
 span of a work distribution and the alignment tolerance built from it,
 and the pinned rapidity shortcut for highly excited ring states.  They
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from dualgas.boxspec import BoxState
+from dualgas.boxspec import BoxSpectrum, BoxState
 from dualgas.core import ConfigError
 from dualgas.eos import _kernel
 from dualgas.work import WorkDistribution
@@ -69,6 +70,17 @@ def a2_profile(
     else:
         raise ConfigError(f"unknown a2 reading {reading!r}")
     return out if np.ndim(k) else float(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Box eigenvectors
+# ---------------------------------------------------------------------------
+
+
+def dense_vectors(sp: BoxSpectrum) -> np.ndarray:
+    """The dim x dim matrix whose columns are the levels' eigenvectors,
+    zero off each level's parity block, as the package once stored them."""
+    return np.column_stack([sp.state(i).coefficients for i in range(len(sp))])
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ def test_ramp_propagator_adiabatic_and_sudden_limits():
     lam_f = LAM + 1e-3
     sp_f = boxspec.diagonalize(ModelSpec(2, Box(lam_f), 1.0), 10)
     O2 = boxspec.pair_embed_overlaps(LAM, lam_f, sp_i.basis, sp_f.basis)
-    P_sudden = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
+    V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
+    P_sudden = (V_f.T @ O2 @ V_i) ** 2
     assert float(np.abs(res.transition_matrix - P_sudden).max()) < 1e-3
 
 

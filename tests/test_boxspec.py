@@ -295,7 +295,7 @@ def test_spectra_never_build_the_chirp(monkeypatch):
 
 
 def test_diagonalize_memory_peak_without_dilation_generator():
-    # the blocks and eigh need about 8.5 MiB here
+    # the blocks and eigh need about 4.8 MiB here
     tracemalloc.start()
     try:
         bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), 40)
@@ -328,18 +328,19 @@ def test_diagonalize_by_parity_block_matches_full_eigh(cutoff):
     assert np.all(np.diff(sp.energies) >= 0.0)
     assert np.abs(sp.energies - full).max() <= 1e-12 * np.abs(full).max()
     eye = np.eye(sp.basis.dim)
-    assert np.abs(sp.vectors.T @ sp.vectors - eye).max() < 1e-12
+    V = oracles.dense_vectors(sp)
+    assert np.abs(V.T @ V - eye).max() < 1e-12
     odd = parity_odd(sp.basis)
-    on_odd = np.any(sp.vectors[odd] != 0.0, axis=0)
-    on_even = np.any(sp.vectors[~odd] != 0.0, axis=0)
+    on_odd = np.any(V[odd] != 0.0, axis=0)
+    on_even = np.any(V[~odd] != 0.0, axis=0)
     assert np.array_equal(on_odd, sp.parity == 1)  # each eigenvector in its block
     assert np.array_equal(on_even, sp.parity == 0)
     assert sp.residual < 1e-12
 
 
 def test_diagonalize_forms_no_dense_hamiltonian():
-    # warm, at M = 40: the blocks, their eigenvectors and the full vectors
-    # take about 8 MiB; one eigh of a dense H, with its copy, took about 16
+    # warm, at M = 40: the blocks and their eigenvectors take about 4.8
+    # MiB; one eigh of a dense H, with its copy, took about 16
     m = model(5.0)
     bs.diagonalize(m, 40)
     tracemalloc.start()
@@ -352,7 +353,7 @@ def test_diagonalize_forms_no_dense_hamiltonian():
 
 
 def test_diagonalize_keeps_no_contact_matrix_across_cutoffs():
-    # one process, as `convergence` runs: 40.5 MiB, set by the M = 60 call;
+    # one process, as `convergence` runs: 22.4 MiB, set by the M = 60 call;
     # a cache of the dense v1 per cutoff took it to 69.8 MiB
     tracemalloc.start()
     try:
@@ -362,6 +363,32 @@ def test_diagonalize_keeps_no_contact_matrix_across_cutoffs():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def test_diagonalize_keeps_eigenvectors_per_block():
+    # warm, at M = 60 (dim 1830): 22.4 MiB peak and 12.8 MiB kept, the two
+    # blocks' eigenvectors; a dense dim x dim matrix of them, half zeros,
+    # took 40.6 and 25.6
+    m = ModelSpec(2, Box(1.0), 10.0)
+    bs.diagonalize(m, 60)
+    tracemalloc.start()
+    try:
+        sp = bs.diagonalize(m, 60)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20 and kept < 16 * 2**20
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                yield from arrays(y)
+
+    # energies, the level -> block map and each block's pairs and vectors
+    sizes = [a.size for a in arrays(list(vars(sp).values()))]
+    assert len(sizes) == 6 and max(sizes) < sp.basis.dim**2
 
 
 def test_weak_coupling_first_order_shift():
@@ -395,9 +422,10 @@ def test_free_fermion_spectrum_values():
     assert sp.energies[0] == pytest.approx(np.pi**2 * 5.0 / 4.0)
     assert len(sp) == 15 and sp.residual == 0.0
     p, q = sp.basis.labels()
-    top = np.abs(sp.vectors).argmax(axis=0)
+    V = oracles.dense_vectors(sp)
+    top = np.abs(V).argmax(axis=0)
     assert (p[top[0]], q[top[0]]) == (1, 2)
-    assert np.all(np.abs(sp.vectors).max(axis=0) == 1.0)
+    assert np.all(np.abs(V).max(axis=0) == 1.0)
     assert np.array_equal(sp.energies, np.sort(np.pi**2 * (p**2 + q**2) / 4.0)[:15])
 
 

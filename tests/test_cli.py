@@ -324,6 +324,19 @@ def test_convergence_report(tmp_path):
     assert rep["cusp_decreasing"] is True
 
 
+@pytest.mark.parametrize("m_list, n_rows", [("2,3", 3 + 6), ("1,2", 1 + 3)])
+def test_convergence_with_fewer_levels_than_asked(tmp_path, m_list, n_rows):
+    # M = 1 has one pair level and M = 2 three, under the default six: the
+    # CSV keeps every level each cutoff has, the verdict the shared ones
+    r = run(["convergence", "--alpha", "5", "--m-list", m_list], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = [ln for ln in (tmp_path / "convergence.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    assert len(rows) == 1 + n_rows  # header
+    rep = json.loads((tmp_path / "convergence_report.json").read_text())
+    assert rep["energies_nonincreasing"] is True
+
+
 def test_hard_core_work_summary_is_strict_json(tmp_path):
     r = run(
         ["work", "--geometry", "box", "--protocol", "sudden-wall",

@@ -263,12 +263,12 @@ def tracked_levels(coupling, lam_i, lam_f, cutoff, steps=400):
     whose eigenvector overlaps it most.
     """
     sp = _pair_box(lam_i, coupling, cutoff, 1.0)
-    vectors, level = sp.vectors, np.arange(len(sp))
+    vectors, level = oracles.dense_vectors(sp), np.arange(len(sp))
     for lam in np.linspace(lam_i, lam_f, steps + 1)[1:]:
-        sp = _pair_box(lam, coupling, cutoff, 1.0)
-        level = np.abs(sp.vectors.T @ vectors).argmax(axis=0)
+        V = oracles.dense_vectors(_pair_box(lam, coupling, cutoff, 1.0))
+        level = np.abs(V.T @ vectors).argmax(axis=0)
         assert np.unique(level).size == level.size  # no two states merge
-        vectors = sp.vectors[:, level]
+        vectors = V[:, level]
     return level
 
 
@@ -336,7 +336,7 @@ def _ramp_setup(ramp, coupling, cutoff, hbar=1.0):
     sp_i = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_initial), coupling, hbar), cutoff)
     sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling, hbar), cutoff)
     v1 = boxspec.contact_block(ops, np.arange(ops["basis"].dim))
-    return ops["k1"], v1, sp_i.vectors.astype(complex), sp_f
+    return ops["k1"], v1, oracles.dense_vectors(sp_i).astype(complex), sp_f
 
 
 @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ def test_ramp_split_steps_match_dop853_oracle(cutoff, hbar, speed, duration):
     )
     assert sol.success
     chirp_f = boxspec.pair_chirp(speed * ramp.lambda_final / (4.0 * hbar), sp_f.basis)
-    ref = np.abs(sp_f.vectors.T @ chirp_f @ sol.y[:, -1].reshape(dim, ncol)) ** 2
+    ref = np.abs(oracles.dense_vectors(sp_f).T @ chirp_f @ sol.y[:, -1].reshape(dim, ncol)) ** 2
     assert np.abs(res.transition_matrix - ref).max() <= 5e-9
 
 
@@ -414,7 +414,7 @@ def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
         res = wk.propagate_ramp(ramp, coupling, cutoff, hbar)
         pairs = [basis.index_of(p, q) for p, q in labels]
         _, _, v_i, sp_f = _ramp_setup(ramp, coupling, cutoff, hbar)
-        for v in (v_i, sp_f.vectors):
+        for v in (v_i, oracles.dense_vectors(sp_f)):
             assert np.array_equal(np.abs(v[:, :6]).argmax(axis=0), pairs)
         P = res.transition_matrix[:6, :6]
         assert np.abs(P - exact[np.ix_(pairs, pairs)]).max() <= bound
@@ -494,6 +494,8 @@ def test_sudden_coupling_mean_work_matches_distribution():
     d = wk.sudden_coupling_drive(1.0, 1.0, 5.0, 14).at(0.5)
     assert out["identity"] == pytest.approx(d.mean(), rel=1e-12)
     assert out["thermal_contact"] > 0
+    with pytest.raises(ConfigError, match="finite initial coupling"):
+        wk.sudden_coupling_mean_work(1.0, math.inf, 5.0, 0.5, 14)
 
 
 def test_ndp_reference_matches_equipartition():
@@ -590,7 +592,9 @@ def _sudden_wall_case(c):
     lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 6, 0.9
     sp_i, sp_f = _pair_box(lam_i, c, m, hbar), _pair_box(lam_f, c, 2 * m, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
-    P = (sp_f.vectors.T @ O2 @ sp_i.vectors) ** 2
+    P = sp_f.project(sp_i.apply(O2)) ** 2  # the route's block products
+    V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
+    assert np.abs(P - (V_f.T @ O2 @ V_i) ** 2).max() <= 1e-14
     ref = assembly_reference(sp_i.energies, sp_f.energies, beta,
                              wk.box_tail_bound(lam_i, m, beta, hbar), P)
     meta = {"route": "galerkin-sudden-wall", "coupling": c, "cutoff_i": m,
@@ -601,7 +605,9 @@ def _sudden_wall_case(c):
 def _sudden_coupling_case():
     lam, c_i, c_f, beta, m, hbar = 1.0, 1.0, 5.0, 0.5, 8, 1.3
     sp_i, sp_f = _pair_box(lam, c_i, m, hbar), _pair_box(lam, c_f, m, hbar)
-    P = (sp_f.vectors.T @ sp_i.vectors) ** 2
+    P = sp_f.overlaps(sp_i) ** 2  # the route's block products
+    dense = oracles.dense_vectors(sp_f).T @ oracles.dense_vectors(sp_i)
+    assert np.abs(P - dense**2).max() <= 1e-14
     ref = assembly_reference(sp_i.energies, sp_f.energies, beta,
                              wk.box_tail_bound(lam, m, beta, hbar), P)
     meta = {"route": "galerkin-sudden-coupling", "cutoff": m, **_unitarity_defect(P)}
@@ -641,6 +647,32 @@ def test_route_assembly_equals_hand_written_reference(route):
     assert dist.metadata == {**meta, **ln_z}  # same keys, same values
 
 
+@pytest.mark.parametrize("coupling", [1.0, 0.0, math.inf])
+def test_block_products_match_dense_products(coupling):
+    # the routes' products by parity block against the same products on
+    # the dense eigenvector matrices, whose zeros only reorder the sums
+    m, hbar = 8, 0.9
+    sp_i, sp_f = _pair_box(1.0, coupling, m, hbar), _pair_box(2.0, coupling, 2 * m, hbar)
+    V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
+    O2 = boxspec.pair_embed_overlaps(1.0, 2.0, sp_i.basis, sp_f.basis)
+    P = wk.sudden_wall_drive(1.0, 2.0, coupling, m, 2 * m, hbar).P
+    assert np.abs(P - (V_f.T @ O2 @ V_i) ** 2).max() <= 1e-14
+    if not math.isinf(coupling):
+        sp_c = _pair_box(1.0, 7.0, m, hbar)
+        P = wk.sudden_coupling_drive(1.0, coupling, 7.0, m, hbar).P
+        assert np.abs(P - (oracles.dense_vectors(sp_c).T @ V_i) ** 2).max() <= 1e-14
+    # the ramp's two products: the start chirp on some columns, and the
+    # final projection
+    chirp = boxspec.pair_chirp(-1.25, sp_i.basis)
+    cols = [5, 0, 3, 3, 1]
+    assert np.abs(sp_i.apply(chirp, cols) - chirp @ V_i[:, cols]).max() <= 1e-14
+    Y = chirp @ V_i
+    assert np.abs(sp_i.project(Y) - V_i.T @ Y).max() <= 1e-14
+    res = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar)
+    some = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar, columns=cols)
+    assert np.abs(some.amplitudes - res.amplitudes[:, cols]).max() <= 1e-14
+
+
 def slater_minors(o, rows, cols):
     """<rs| o (x) o |pq> on antisymmetric pairs, o_rp o_sq - o_rq o_sp, for
     the (r, s) in rows and the (p, q) in cols, as 2x2 determinants."""
@@ -653,8 +685,9 @@ def slater_minors(o, rows, cols):
 def level_pairs(sp):
     """The (p, q) of each level of a spectrum whose levels are single pairs."""
     p, q = sp.basis.labels()
-    top = np.abs(sp.vectors).argmax(axis=0)
-    assert np.all(np.abs(sp.vectors).max(axis=0) == 1.0)
+    V = oracles.dense_vectors(sp)
+    top = np.abs(V).argmax(axis=0)
+    assert np.all(np.abs(V).max(axis=0) == 1.0)
     return np.stack([p[top], q[top]], axis=1)
 
 

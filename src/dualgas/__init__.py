@@ -5,15 +5,12 @@ from .core import (
     Adiabatic,
     Box,
     ConfigError,
-    ContactCoordinateError,
     DimensionlessCoupling,
     LinearRamp,
     ModelSpec,
     Ring,
     SuddenCoupling,
     SuddenWall,
-    alpha_of,
-    duality_sign,
     exchange_sign_grid,
 )
 

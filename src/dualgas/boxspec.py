@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "spatial_density",
     "momentum_density",
     "l1_distance",
-    "fermionize",
     "cusp_check",
     "contact_expectation",
     "embed_overlaps",
@@ -149,10 +148,10 @@ def contact_block(ops: dict, pairs) -> np.ndarray:
     return np.multiply.outer(2.0 * c, c) * (S.T @ (ops["w"][:, None] * S))
 
 
-def contact_form(ops: dict, V, pairs=slice(None)) -> np.ndarray:
+def contact_form(ops: dict, V) -> np.ndarray:
     """The unit contact form v.T @ v1 @ v = 2 sum_r w_r (S (c v))_r^2 of every
-    column v of V, whose rows are the pairs (index array; all by default)."""
-    Y = ops["S"][:, pairs] @ (ops["c"][pairs, None] * V)
+    column v of V."""
+    Y = ops["S"] @ (ops["c"][:, None] * V)
     return 2.0 * (ops["w"] @ (Y * Y))
 
 
@@ -268,15 +267,6 @@ class BoxSpectrum:
             out[np.ix_(rows, cols)] = x.T @ y
         return out
 
-    def unit_forms(self):
-        """(v.T diag(k1) v, v.T v1 v) of every level v, block by block."""
-        ops = unit_pair_operators(self.basis.cutoff, self.basis.sign)
-        kinetic, contact = np.empty(len(self)), np.empty(len(self))
-        for pairs, x, levels in self._block_levels():
-            kinetic[levels] = (ops["k1"][pairs, None] * x * x).sum(axis=0)
-            contact[levels] = contact_form(ops, x, pairs)
-        return kinetic, contact
-
     def state(self, index: int, statistics: str = "boson") -> "BoxState":
         if not 0 <= index < self.energies.size:
             raise ConfigError(
@@ -366,12 +356,6 @@ class BoxState:
         A[q[off] - 1, p[off] - 1] = self.basis.sign * self.coefficients[off] / np.sqrt(2.0)
         A[p[~off] - 1, q[~off] - 1] = self.coefficients[~off]
         return A
-
-
-def fermionize(state: BoxState) -> BoxState:
-    """Statistical dual: same coefficients, opposite exchange symmetry."""
-    flip = "fermion" if state.statistics == "boson" else "boson"
-    return replace(state, statistics=flip)
 
 
 def box_modes(x, lam: float, cutoff: int) -> np.ndarray:

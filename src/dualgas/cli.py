@@ -206,14 +206,11 @@ def _atom_columns(merged: work.WorkDistribution) -> Dict[str, np.ndarray]:
     return {"work": merged.works[keep], "probability": merged.probabilities[keep]}
 
 
-def _jarzynski_residual(dist: work.WorkDistribution) -> Optional[float]:
-    meta = dist.metadata or {}
-    if "ln_z_initial" not in meta or "ln_z_final" not in meta:
-        return None
+def _jarzynski_residual(dist: work.WorkDistribution) -> float:
     j = dist.jarzynski_average()
     if j <= 0:
         return math.inf
-    ln_ratio = meta["ln_z_final"] - meta["ln_z_initial"]
+    ln_ratio = dist.metadata["ln_z_final"] - dist.metadata["ln_z_initial"]
     return abs(math.exp(math.log(j) - ln_ratio) - 1.0)
 
 
@@ -350,7 +347,7 @@ def _cmd_work(cfg: RunConfig) -> None:
     dist = work.drive(model, protocol, **kwargs).at(beta)
     atoms = _atom_columns(dist.merged(float(cfg.values["merge_tol"])))
     meta = cfg.metadata()
-    meta.update({k: v for k, v in (dist.metadata or {}).items()
+    meta.update({k: v for k, v in dist.metadata.items()
                  if isinstance(v, (int, float, str))})
     write_csv(cfg.out_dir / "work_atoms.csv", atoms, meta)
     m1, m2 = dist.moments(2)
@@ -410,7 +407,7 @@ def _cmd_fig2(cfg: RunConfig) -> None:
             dist = dists[beta]
             atoms = _atom_columns(dist.merged())
             head = dict(meta, c=coupling, beta=beta)
-            head.update({k: val for k, val in (dist.metadata or {}).items()
+            head.update({k: val for k, val in dist.metadata.items()
                          if isinstance(val, (int, float, str))})
             write_csv(cfg.out_dir / f"fig2_C{coupling:g}_beta{beta:g}.csv",
                       atoms, head)
@@ -651,10 +648,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dualgas",
         description="Spectra, work statistics and thermodynamics of "
         "contact-interacting 1-D gas pairs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, schema) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # a flag is taken whole: a prefix such as --c would otherwise
+        # resolve to another flag (--config) on a command without --c
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config")
         for key in {**_GLOBAL_SCHEMA, **schema}:
             p.add_argument(_flag(key), dest=key)

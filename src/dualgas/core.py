@@ -26,10 +26,6 @@ class ConfigError(ValueError):
     """Invalid model/protocol parameters."""
 
 
-class ContactCoordinateError(ValueError):
-    """Raised when a sign/statistics map is evaluated on a contact set x_i = x_j."""
-
-
 @dataclass(frozen=True)
 class Ring:
     """Periodic geometry of circumference `circumference`."""
@@ -107,13 +103,6 @@ class DimensionlessCoupling:
         return self.alpha * hbar**2 / (MASS * length)
 
 
-def alpha_of(model: ModelSpec) -> float:
-    """Dimensionless coupling m*L*C/hbar^2 of a model (inf in the hard-core limit)."""
-    if model.is_hard_core:
-        return math.inf
-    return MASS * model.length * model.coupling / model.hbar**2
-
-
 # ---------------------------------------------------------------------------
 # Quench / ramp protocols
 # ---------------------------------------------------------------------------
@@ -185,9 +174,6 @@ class LinearRamp:
     def lambda_final(self) -> float:
         return self.lambda_initial + self.speed * self.duration
 
-    def width_at(self, t):
-        return self.lambda_initial + self.speed * np.asarray(t)
-
 
 Protocol = Union[Adiabatic, SuddenWall, SuddenCoupling, LinearRamp]
 
@@ -197,34 +183,11 @@ Protocol = Union[Adiabatic, SuddenWall, SuddenCoupling, LinearRamp]
 # ---------------------------------------------------------------------------
 
 
-def duality_sign(positions) -> float:
-    """prod_{i<j} sign(x_j - x_i) for an ordered coordinate tuple.
-
-    This is the unitary (diagonal, +-1) map between symmetric and
-    antisymmetric wavefunctions away from contact.  Raises
-    ContactCoordinateError on any coincidence x_i = x_j: the map is
-    undefined there (measure zero; densities are continued by convention
-    elsewhere, see exchange_sign_grid).
-    """
-    x = np.asarray(positions, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("positions must be a flat coordinate tuple")
-    n = x.size
-    if n < 2:
-        return 1.0
-    diff = x[None, :] - x[:, None]  # diff[i, j] = x_j - x_i
-    iu = np.triu_indices(n, k=1)
-    d = diff[iu]
-    if np.any(d == 0.0):
-        raise ContactCoordinateError("duality sign undefined at coinciding coordinates")
-    n_neg = int(np.count_nonzero(d < 0))
-    return -1.0 if n_neg % 2 else 1.0
-
-
 def exchange_sign_grid(x1, x2):
-    """Two-body sign factor on a coordinate grid, +1 on the diagonal.
+    """Two-body sign factor sign(x2 - x1) on a coordinate grid, +1 on the diagonal.
 
-    Broadcasts like np.where; the diagonal convention is irrelevant for any
+    It maps the pair's symmetric amplitude to its antisymmetric dual and
+    back, unitarily away from contact.  Broadcasts like np.where; the diagonal convention is irrelevant for any
     integrated quantity (measure zero) but makes |psi_F|^2 == |psi_B|^2
     bit-identical on shared grids.
     """

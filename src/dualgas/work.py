@@ -12,7 +12,7 @@ Protocol routes
   box + SuddenWall        embedding overlaps (expansion only)
   box + SuddenCoupling    two diagonalizations in the shared basis
   box + LinearRamp        comoving chirp-gauge propagation in the pair basis
-plus ideal-gas references used as classical-limit and duality oracles.
+plus the classical-limit reference of distinguishable particles.
 Every box route takes the hard-core pair (C = inf) as it is: its basis is
 the antisymmetric pairs, where the contact vanishes and the Galerkin
 levels and transitions are the exact free-fermion ones.
@@ -60,11 +60,7 @@ __all__ = [
     "RampResult",
     "propagate_ramp",
     "ndp_reference",
-    "equipartition_mean_work",
-    "sudden_wall_mean_work",
-    "sudden_coupling_mean_work",
     "box_tail_bound",
-    "ring_ideal_levels",
 ]
 
 
@@ -387,6 +383,13 @@ def sudden_wall_drive(
     in metadata as 'transition_deficit'.  The small box sits at the left end
     of the big one, so the embedding is not centre-symmetric and connects
     levels of opposite centre-reflection parity.
+
+    The default cutoff_f = ceil(cutoff_i * lam_f / lam_i) is a floor: its top
+    final mode reaches the top initial mode's momentum, but the frozen
+    state's weight spreads past it, so the top states lose much of theirs.
+    At cutoff_i 14, lam 1 -> 2 (cutoff_f 28) 'transition_deficit' is 0.41,
+    while the thermal average's at beta = 1 is 5.1e-5; a larger cutoff_f
+    lowers the worst state's (0.002 at 12 -> 48).
     """
     cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
@@ -579,22 +582,8 @@ def ramp_drive(ramp: LinearRamp, coupling: float, cutoff: int, hbar: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# Ideal-gas references
+# Classical-limit reference
 # ---------------------------------------------------------------------------
-
-
-def ring_ideal_levels(
-    lam: float, beta: float, hbar: float = 1.0, offset: float = 0.0, weight_floor: float = 1e-18
-):
-    """Single-particle ring momenta 2 pi (n + offset)/lam with thermal reach.
-
-    n runs far enough that dropped Boltzmann weights are below weight_floor
-    relative to the peak.
-    """
-    n_max = int(math.ceil(lam * math.sqrt(-math.log(weight_floor) / beta) / (2.0 * np.pi * hbar))) + 1
-    n = np.arange(-n_max, n_max + 1, dtype=float) + offset
-    k = 2.0 * np.pi * n / lam
-    return n, hbar**2 * k**2
 
 
 def ndp_reference(
@@ -602,122 +591,35 @@ def ndp_reference(
     lam_f: float,
     beta: float,
     n_particles: int,
-    statistics: str = "distinguishable",
     hbar: float = 1.0,
     merge_tol: float = 1e-9,
 ) -> WorkDistribution:
-    """Adiabatic ring rescaling of a noninteracting gas.
+    """Adiabatic ring rescaling of noninteracting distinguishable particles.
 
-    'distinguishable' is the classical-limit reference (arbitrary N, built
-    by repeated convolution of the one-particle atom list).  'boson' and
-    'fermion' are two-particle exchange-corrected variants; ring fermions
-    take the half-odd-integer (antiperiodic) momentum grid so their C -> inf
-    dual matches the hard-core Bethe states at even N.
+    The classical-limit reference, for any N: the N-fold convolution of the
+    one-particle atom list.  The one-particle momenta 2 pi n / lam_i run far
+    enough that the dropped Boltzmann weights are below 1e-18 of the peak.
     """
-    scale = lam_i**2 / lam_f**2
-    if statistics == "distinguishable":
-        _, e1 = ring_ideal_levels(lam_i, beta, hbar)
-        w1 = (scale - 1.0) * e1
-        p1, ln_z1 = _thermal(e1, beta)
-        lp1 = -beta * e1 - ln_z1
-        works, probs, log_probs = w1, p1, lp1
-        for _ in range(n_particles - 1):
-            works, probs, log_probs = merge_atoms(
-                np.add.outer(works, w1), np.multiply.outer(probs, p1),
-                np.add.outer(log_probs, lp1), merge_tol,
-            )
-    elif statistics in ("boson", "fermion"):
-        if n_particles != 2:
-            raise ConfigError("exchange-corrected references implemented for N = 2")
-        offset = 0.5 if (statistics == "fermion" and n_particles % 2 == 0) else 0.0
-        _, e1 = ring_ideal_levels(lam_i, beta, hbar, offset=offset)
-        i, j = np.triu_indices(e1.size, k=0 if statistics == "boson" else 1)
-        e2 = e1[i] + e1[j]
-        probs, ln_z = _thermal(e2, beta)
+    n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
+    k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
+    e1 = hbar**2 * k**2
+    w1 = (lam_i**2 / lam_f**2 - 1.0) * e1
+    p1, ln_z1 = _thermal(e1, beta)
+    lp1 = -beta * e1 - ln_z1
+    works, probs, log_probs = w1, p1, lp1
+    for _ in range(n_particles - 1):
         works, probs, log_probs = merge_atoms(
-            (scale - 1.0) * e2, probs, -beta * e2 - ln_z, merge_tol
+            np.add.outer(works, w1), np.multiply.outer(probs, p1),
+            np.add.outer(log_probs, lp1), merge_tol,
         )
-    else:
-        raise ConfigError(f"unknown statistics {statistics!r}")
     return WorkDistribution(
         works=works,
         probabilities=probs,
         log_probabilities=log_probs,
         beta=beta,
         tail_mass=0.0,
-        metadata={"route": f"ideal-{statistics}", "n_particles": n_particles},
+        metadata={"route": "ideal-distinguishable", "n_particles": n_particles},
     )
-
-
-def equipartition_mean_work(
-    lam_i: float, lam_f: float, n_particles: int, beta: float
-) -> float:
-    """Classical adiabatic mean work (lam_i^2/lam_f^2 - 1) N / (2 beta)."""
-    return (lam_i**2 / lam_f**2 - 1.0) * n_particles / (2.0 * beta)
-
-
-# ---------------------------------------------------------------------------
-# Mean-work identities
-# ---------------------------------------------------------------------------
-
-
-def sudden_wall_mean_work(
-    lam_i: float,
-    lam_f: float,
-    coupling: float,
-    beta: float,
-    cutoff_i: int,
-    hbar: float = 1.0,
-    cutoff_f: Optional[int] = None,
-) -> dict:
-    """<W> for a sudden expansion, two ways.
-
-    'identity': the frozen state keeps its quadratic form, and both kinetic
-    and contact integrals run over the small box where it is supported, so
-    <i|H_f|i> = E_i exactly and <W> = 0.  Evaluated honestly from the form
-    matrices (machine zero, not hard-coded).  'atom_sum': truncated
-    sum_f P(f|i) E_f - E_i, which converges only algebraically in cutoff_f
-    and is returned as a diagnostic of that slow route.
-    """
-    sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
-    p_i, _ = _thermal(sp_i.energies, beta)
-    kinetic, contact = sp_i.unit_forms()
-    # quadratic form of H_f on embedded states = same integrals over [0, lam_i]
-    form = (
-        hbar**2 * kinetic / lam_i**2
-        + (boxspec.contact_coupling(coupling) / lam_i) * contact
-    )
-    identity_value = float(np.sum(p_i * (form - sp_i.energies)))
-    out = {"identity": identity_value}
-    if cutoff_f is not None:
-        dist = sudden_wall_drive(lam_i, lam_f, coupling, cutoff_i, cutoff_f, hbar).at(beta)
-        out["atom_sum"] = float(np.sum(dist.works * dist.probabilities))
-        out["transition_deficit"] = dist.metadata["transition_deficit"]
-    return out
-
-
-def sudden_coupling_mean_work(
-    lam: float,
-    coupling_i: float,
-    coupling_f: float,
-    beta: float,
-    cutoff: int,
-    hbar: float = 1.0,
-) -> dict:
-    """<W> = (C_f - C_i) <delta(x1-x2)>_thermal, exact within the model.
-
-    The hard-core start has <delta> = 0 against an infinite C_i, so it has
-    no such identity.
-    """
-    if math.isinf(coupling_i):
-        raise ConfigError("the mean-work identity needs a finite initial coupling")
-    sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
-    p_i, _ = _thermal(sp_i.energies, beta)
-    delta_exp = sp_i.unit_forms()[1] / lam
-    return {
-        "identity": float((coupling_f - coupling_i) * np.sum(p_i * delta_exp)),
-        "thermal_contact": float(np.sum(p_i * delta_exp)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ the Yang-Yang fixed point (a2 by quadrature), the box pair's eigenvectors
 as one dense matrix, the sign-mapped box pair's
 momentum distribution with its partner integral done exactly, the bulk
 span of a work distribution and the alignment tolerance built from it,
-and the pinned rapidity shortcut for highly excited ring states.  They
+the mean-work identities of the two sudden box quenches, the ideal Bose
+and Fermi ring pairs with the classical equipartition mean, and the
+pinned rapidity shortcut for highly excited ring states.  They
 live here so the package runs on numpy alone.
 """
 
@@ -16,10 +18,17 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from dualgas.boxspec import BoxSpectrum, BoxState
+from dualgas.boxspec import (
+    BoxSpectrum,
+    BoxState,
+    contact_block,
+    contact_coupling,
+    contact_expectation,
+    unit_pair_operators,
+)
 from dualgas.core import ConfigError
 from dualgas.eos import _kernel
-from dualgas.work import WorkDistribution
+from dualgas.work import WorkDistribution, _thermal, merge_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +162,56 @@ def comparison_resolution(
     a_lo, a_hi = quantile_span(a)
     b_lo, b_hi = quantile_span(b)
     return fraction * (max(a_hi, b_hi) - min(a_lo, b_lo))
+
+
+def frozen_mean_work(sp: BoxSpectrum, beta: float) -> float:
+    """<W> of an instant expansion from sp's box, by its identity.
+
+    The frozen state keeps its quadratic form, and H_f's kinetic and contact
+    integrals on it run over the small box where it lives, so <W> = sum_i
+    p_i (v_i.T H_i v_i - E_i) = 0 within the model.  Taken from the dense
+    H_i and eigenvectors, it reads how well the stored blocks diagonalize H_i.
+    """
+    ops = unit_pair_operators(sp.basis.cutoff, sp.basis.sign)
+    lam, model = sp.model.length, sp.model
+    H = contact_coupling(model.coupling) / lam * contact_block(ops, np.arange(sp.basis.dim))
+    H[np.diag_indices_from(H)] += model.hbar**2 * ops["k1"] / lam**2
+    V = dense_vectors(sp)
+    p, _ = _thermal(sp.energies, beta)
+    return float(np.sum(p * ((V * (H @ V)).sum(axis=0) - sp.energies)))
+
+
+def thermal_contact(sp: BoxSpectrum, beta: float) -> float:
+    """sum_i p_i <delta(x1 - x2)>_i: a coupling quench C_i -> C_f from sp's
+    thermal state does (C_f - C_i) times this work on average, exactly."""
+    p, _ = _thermal(sp.energies, beta)
+    return float(np.sum(p * [contact_expectation(sp.state(i)) for i in range(len(sp))]))
+
+
+def ideal_pair_reference(
+    lam_i: float, lam_f: float, beta: float, n_particles: int, statistics: str,
+    hbar: float = 1.0,
+) -> WorkDistribution:
+    """Adiabatic ring rescaling of an ideal Bose or Fermi pair.
+
+    Fermions take the half-odd-integer (antiperiodic) momentum grid, so
+    their C -> inf dual matches the hard-core Bethe states of the pair.
+    """
+    if n_particles != 2 or statistics not in ("boson", "fermion"):
+        raise ConfigError("exchange-corrected references are for boson or fermion pairs")
+    n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
+    n = np.arange(-n_max, n_max + 1, dtype=float) + (0.5 if statistics == "fermion" else 0.0)
+    e1 = hbar**2 * (2.0 * np.pi * n / lam_i) ** 2
+    i, j = np.triu_indices(e1.size, k=0 if statistics == "boson" else 1)
+    e2 = e1[i] + e1[j]
+    p, ln_z = _thermal(e2, beta)
+    w, p, lp = merge_atoms((lam_i**2 / lam_f**2 - 1.0) * e2, p, -beta * e2 - ln_z)
+    return WorkDistribution(w, p, lp, beta)
+
+
+def equipartition_mean_work(lam_i: float, lam_f: float, n_particles: int, beta: float) -> float:
+    """Classical adiabatic mean work (lam_i^2/lam_f^2 - 1) N / (2 beta)."""
+    return (lam_i**2 / lam_f**2 - 1.0) * n_particles / (2.0 * beta)
 
 
 def free_momentum_work(quantum_numbers, lam_i: float, lam_f: float, hbar: float = 1.0) -> float:

@@ -490,9 +490,8 @@ def test_cusp_residual_decreases_with_cutoff():
 def test_spatial_density_identical_for_dual_pair():
     for m in (model(5.0), ModelSpec(2, Box(LAM), math.inf)):  # and the hard-core pair
         sp = bs.diagonalize(m, 30)
-        g = sp.state(0)
-        rb = bs.spatial_density(g)
-        rf = bs.spatial_density(bs.fermionize(g))
+        rb = bs.spatial_density(sp.state(0))
+        rf = bs.spatial_density(sp.state(0, "fermion"))
         # |psi|^2 is blind to the sign map, bit for bit
         assert np.array_equal(rb.values, rf.values)
         assert rb.mass == pytest.approx(2.0, abs=1e-10)
@@ -502,7 +501,7 @@ def test_momentum_density_distinguishes_statistics():
     sp = bs.diagonalize(model(5.0), 30)
     g = sp.state(0)
     nb = bs.momentum_density(g, n_k=321, n_x=385)
-    nf = bs.momentum_density(bs.fermionize(g), n_k=321, n_x=385)
+    nf = bs.momentum_density(sp.state(0, "fermion"), n_k=321, n_x=385)
     assert nb.metadata["contact_tail"] == 0.0  # no jump in the basis's symmetry
     for d in (nb, nf):
         assert np.allclose(d.values, d.values[::-1], atol=1e-12)  # n(k) even

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -43,6 +44,29 @@ def test_invalid_arguments_exit_two(tmp_path):
         ["work", "--geometry", "ring", "--protocol", "ramp", "--m", "6"], tmp_path
     )
     assert r.returncode == 2  # no ramp route on the ring
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["fig1", "--c", "0", "--m", "4"], "--c 0"),  # once read as --config 0
+    (["box-spectrum", "--alph", "5", "--m", "4"], "--alph 5"),  # once read as --alpha 5
+])
+def test_flag_prefix_is_not_a_flag(tmp_path, capsys, argv, given):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {given}" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # every line of the code block under README's "## CLI", in-process
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("## CLI\n", 1)[1].split("```\n", 2)[1].splitlines()
+    assert len(lines) >= 9
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[:3] == ["python", "-m", "dualgas"], line
+        argv = [str(tmp_path / a) if a == "out/" else a for a in argv[3:]]
+        assert cli.main(argv) == 0, line
 
 
 def test_negative_grid_start_after_a_space(tmp_path):

@@ -483,40 +483,43 @@ def test_tg_adiabatic_jarzynski_exact():
 
 def test_sudden_wall_mean_work_identity_is_zero():
     for coupling in (1.0, math.inf):  # the hard-core pair too
-        out = wk.sudden_wall_mean_work(1.0, 2.0, coupling, 1.0, 12, cutoff_f=24)
-        assert abs(out["identity"]) < 1e-12
+        sp = _pair_box(1.0, coupling, 12, 1.0)
+        assert abs(oracles.frozen_mean_work(sp, 1.0)) < 1e-12
         # the truncated atom sum is far from zero: slow algebraic completeness
-        assert out["atom_sum"] < -0.1
+        d = wk.sudden_wall_drive(1.0, 2.0, coupling, 12, 24).at(1.0)
+        assert np.sum(d.works * d.probabilities) < -0.1
 
 
 def test_sudden_coupling_mean_work_matches_distribution():
-    out = wk.sudden_coupling_mean_work(1.0, 1.0, 5.0, 0.5, 14)
+    contact = oracles.thermal_contact(_pair_box(1.0, 1.0, 14, 1.0), 0.5)
     d = wk.sudden_coupling_drive(1.0, 1.0, 5.0, 14).at(0.5)
-    assert out["identity"] == pytest.approx(d.mean(), rel=1e-12)
-    assert out["thermal_contact"] > 0
-    with pytest.raises(ConfigError, match="finite initial coupling"):
-        wk.sudden_coupling_mean_work(1.0, math.inf, 5.0, 0.5, 14)
+    assert (5.0 - 1.0) * contact == pytest.approx(d.mean(), rel=1e-12)
+    assert contact > 0
+    # the hard-core start has <delta> = 0 against an infinite C_i: no identity,
+    # and no quench route
+    with pytest.raises(ConfigError, match="must be finite"):
+        wk.drive(ModelSpec(2, Box(1.0), math.inf), SuddenCoupling(math.inf, 5.0), cutoff=14)
 
 
 def test_ndp_reference_matches_equipartition():
     # beta -> 0: ring level sums are Gaussian integrals to machine accuracy
     d = wk.ndp_reference(1.0, 2.0, 1e-3, 2)
-    assert d.mean() == pytest.approx(wk.equipartition_mean_work(1.0, 2.0, 2, 1e-3), rel=1e-12)
+    assert d.mean() == pytest.approx(oracles.equipartition_mean_work(1.0, 2.0, 2, 1e-3), rel=1e-12)
     d3 = wk.ndp_reference(1.0, 2.0, 1e-3, 3)
-    assert d3.mean() == pytest.approx(wk.equipartition_mean_work(1.0, 2.0, 3, 1e-3), rel=1e-12)
+    assert d3.mean() == pytest.approx(oracles.equipartition_mean_work(1.0, 2.0, 3, 1e-3), rel=1e-12)
 
 
 def test_ndp_exchange_variants():
-    db = wk.ndp_reference(1.0, 2.0, 0.5, 2, statistics="boson")
-    df = wk.ndp_reference(1.0, 2.0, 0.5, 2, statistics="fermion")
+    db = oracles.ideal_pair_reference(1.0, 2.0, 0.5, 2, "boson")
+    df = oracles.ideal_pair_reference(1.0, 2.0, 0.5, 2, "fermion")
     assert db.mass == pytest.approx(1.0, abs=1e-12)
     assert df.mass == pytest.approx(1.0, abs=1e-12)
     # exchange attraction lowers |W| for bosons relative to fermions
     assert abs(db.mean()) < abs(df.mean())
     with pytest.raises(ConfigError):
-        wk.ndp_reference(1.0, 2.0, 0.5, 3, statistics="boson")
+        oracles.ideal_pair_reference(1.0, 2.0, 0.5, 3, "boson")
     with pytest.raises(ConfigError):
-        wk.ndp_reference(1.0, 2.0, 0.5, 2, statistics="anyon")
+        oracles.ideal_pair_reference(1.0, 2.0, 0.5, 2, "anyon")
 
 
 def test_free_momentum_work_scaling():
@@ -650,27 +653,29 @@ def test_route_assembly_equals_hand_written_reference(route):
 @pytest.mark.parametrize("coupling", [1.0, 0.0, math.inf])
 def test_block_products_match_dense_products(coupling):
     # the routes' products by parity block against the same products on
-    # the dense eigenvector matrices, whose zeros only reorder the sums
-    m, hbar = 8, 0.9
-    sp_i, sp_f = _pair_box(1.0, coupling, m, hbar), _pair_box(2.0, coupling, 2 * m, hbar)
-    V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
-    O2 = boxspec.pair_embed_overlaps(1.0, 2.0, sp_i.basis, sp_f.basis)
-    P = wk.sudden_wall_drive(1.0, 2.0, coupling, m, 2 * m, hbar).P
-    assert np.abs(P - (V_f.T @ O2 @ V_i) ** 2).max() <= 1e-14
-    if not math.isinf(coupling):
-        sp_c = _pair_box(1.0, 7.0, m, hbar)
-        P = wk.sudden_coupling_drive(1.0, coupling, 7.0, m, hbar).P
-        assert np.abs(P - (oracles.dense_vectors(sp_c).T @ V_i) ** 2).max() <= 1e-14
-    # the ramp's two products: the start chirp on some columns, and the
-    # final projection
-    chirp = boxspec.pair_chirp(-1.25, sp_i.basis)
-    cols = [5, 0, 3, 3, 1]
-    assert np.abs(sp_i.apply(chirp, cols) - chirp @ V_i[:, cols]).max() <= 1e-14
-    Y = chirp @ V_i
-    assert np.abs(sp_i.project(Y) - V_i.T @ Y).max() <= 1e-14
-    res = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar)
-    some = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar, columns=cols)
-    assert np.abs(some.amplitudes - res.amplitudes[:, cols]).max() <= 1e-14
+    # the dense eigenvector matrices, whose zeros only reorder the sums; at
+    # the assembly cases' (hbar, m) too, whose references take the routes'
+    # own block products
+    for hbar, m in ((0.9, 8), (0.9, 6), (1.3, 8)):
+        sp_i, sp_f = _pair_box(1.0, coupling, m, hbar), _pair_box(2.0, coupling, 2 * m, hbar)
+        V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
+        O2 = boxspec.pair_embed_overlaps(1.0, 2.0, sp_i.basis, sp_f.basis)
+        P = wk.sudden_wall_drive(1.0, 2.0, coupling, m, 2 * m, hbar).P
+        assert np.abs(P - (V_f.T @ O2 @ V_i) ** 2).max() <= 1e-14
+        if not math.isinf(coupling):
+            sp_c = _pair_box(1.0, 7.0, m, hbar)
+            P = wk.sudden_coupling_drive(1.0, coupling, 7.0, m, hbar).P
+            assert np.abs(P - (oracles.dense_vectors(sp_c).T @ V_i) ** 2).max() <= 1e-14
+        # the ramp's two products: the start chirp on some columns, and the
+        # final projection
+        chirp = boxspec.pair_chirp(-1.25, sp_i.basis)
+        cols = [5, 0, 3, 3, 1]
+        assert np.abs(sp_i.apply(chirp, cols) - chirp @ V_i[:, cols]).max() <= 1e-14
+        Y = chirp @ V_i
+        assert np.abs(sp_i.project(Y) - V_i.T @ Y).max() <= 1e-14
+        res = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar)
+        some = wk.propagate_ramp(LinearRamp(1.0, 5.0, 0.2), coupling, m, hbar, columns=cols)
+        assert np.abs(some.amplitudes - res.amplitudes[:, cols]).max() <= 1e-14
 
 
 def slater_minors(o, rows, cols):

@@ -39,7 +39,6 @@ __all__ = [
     "DensityGrid",
     "unit_pair_operators",
     "contact_block",
-    "contact_form",
     "contact_coupling",
     "diagonalize",
     "box_modes",
@@ -122,8 +121,8 @@ def unit_pair_operators(cutoff: int, sign: int = 1) -> dict:
     so S ((2M+1) x dim, rank 2M-1) has S[q-p, pq] = 1 and S[p+q, pq] = -1.
     The harmonics are orthogonal on [0, lam], the constant one (row 0) twice
     as heavy: w = (2, 1, ..., 1).  `contact_block` forms v1 on a set of
-    pairs (a parity block), and `contact_form` gives <delta(x1-x2)> =
-    v.T @ v1 @ v / lam without it.  The factor takes (2M+1) dim values
+    pairs (a parity block); `contact_expectation` takes the same harmonics
+    from a state's mode matrix.  The factor takes (2M+1) dim values
     against dim^2 for v1 and is built on every call.  The antisymmetric
     pairs vanish at x1 = x2, so their S is zero.  `pair_chirp` and
     `pair_embed_overlaps` lift one-body matrices.
@@ -146,13 +145,6 @@ def contact_block(ops: dict, pairs) -> np.ndarray:
     S = ops["S"][:, pairs]
     c = ops["c"][pairs]
     return np.multiply.outer(2.0 * c, c) * (S.T @ (ops["w"][:, None] * S))
-
-
-def contact_form(ops: dict, V) -> np.ndarray:
-    """The unit contact form v.T @ v1 @ v = 2 sum_r w_r (S (c v))_r^2 of every
-    column v of V."""
-    Y = ops["S"] @ (ops["c"][:, None] * V)
-    return 2.0 * (ops["w"] @ (Y * Y))
 
 
 def contact_coupling(coupling: float) -> float:
@@ -199,12 +191,12 @@ def _check_pair_model(model: ModelSpec) -> None:
 class BoxSpectrum:
     """Levels ascending, with their eigenvectors kept per reflection block.
 
-    blocks[b] = (pairs, X): the block's pair indices and the eigenvectors
-    its own `eigh` gave, one column per level, on those pairs alone.  Level
-    i lies in block block_of[i], whose columns follow the order of its
-    levels.  No dim x dim eigenvector matrix is formed: `state` scatters
-    one column into the basis, and `apply`, `project` and `overlaps` take
-    their products block by block.
+    blocks[b] = (pairs, X, levels): the block's pair indices, the
+    eigenvectors its own `eigh` gave, one column per level, on those pairs
+    alone, and the ascending index of each column's level.  No dim x dim
+    eigenvector matrix is formed: `state` turns one column into its mode
+    matrix, and `apply`, `project` and `overlaps` take their products
+    block by block.
     """
 
     model: ModelSpec
@@ -212,7 +204,6 @@ class BoxSpectrum:
     energies: np.ndarray
     residual: float
     blocks: list
-    block_of: np.ndarray
 
     def __len__(self) -> int:
         return self.energies.size
@@ -221,39 +212,25 @@ class BoxSpectrum:
     def parity(self) -> np.ndarray:
         """(p + q) % 2 of each level's pairs: its reflection block."""
         p, q = self.basis.labels()
-        block = np.array([(p[b[0]] + q[b[0]]) % 2 for b, _ in self.blocks], dtype=np.int8)
-        return block[self.block_of]
-
-    def _block_levels(self):
-        """(pairs, X, the level of each column of X) of every block."""
-        for b, (pairs, x) in enumerate(self.blocks):
-            yield pairs, x, np.flatnonzero(self.block_of == b)
-
-    def _vector(self, index: int) -> np.ndarray:
-        """Level index's eigenvector on the whole basis, zero off its block."""
-        b = self.block_of[index]
-        pairs, x = self.blocks[b]
-        v = np.zeros(self.basis.dim)
-        v[pairs] = x[:, np.count_nonzero(self.block_of[:index] == b)]
-        return v
+        out = np.empty(len(self), dtype=np.int8)
+        for pairs, _, levels in self.blocks:
+            out[levels] = (p[pairs[0]] + q[pairs[0]]) % 2
+        return out
 
     def apply(self, M, levels=None) -> np.ndarray:
         """M @ V[:, levels] (all levels by default), V the eigenvectors as
         columns: each block's columns meet only M's columns on its pairs."""
         levels = np.arange(len(self)) if levels is None else np.asarray(levels, dtype=int)
-        column = np.empty(len(self), dtype=int)  # each level's column in its block
-        for _, _, in_block in self._block_levels():
-            column[in_block] = np.arange(in_block.size)
         out = np.empty((M.shape[0], levels.size), dtype=np.result_type(M, float))
-        for b, (pairs, x) in enumerate(self.blocks):
-            at = np.flatnonzero(self.block_of[levels] == b)
-            out[:, at] = M[:, pairs] @ x[:, column[levels[at]]]
+        for pairs, x, in_block in self.blocks:
+            at = np.flatnonzero(np.isin(levels, in_block))
+            out[:, at] = M[:, pairs] @ x[:, np.searchsorted(in_block, levels[at])]
         return out
 
     def project(self, Y) -> np.ndarray:
         """V.T @ Y: the amplitude on every level of each column of Y."""
         out = np.empty((len(self), Y.shape[1]), dtype=np.result_type(Y, float))
-        for pairs, x, levels in self._block_levels():
+        for pairs, x, levels in self.blocks:
             out[levels] = x.T @ Y[pairs]
         return out
 
@@ -263,7 +240,7 @@ class BoxSpectrum:
         if other.basis != self.basis:
             raise ConfigError("overlaps need two spectra on one pair basis")
         out = np.zeros((len(self), len(other)))
-        for (_, x, rows), (_, y, cols) in zip(self._block_levels(), other._block_levels()):
+        for (_, x, rows), (_, y, cols) in zip(self.blocks, other.blocks):
             out[np.ix_(rows, cols)] = x.T @ y
         return out
 
@@ -273,10 +250,18 @@ class BoxSpectrum:
                 f"state {index} is outside the {self.energies.size} levels "
                 f"of cutoff {self.basis.cutoff}"
             )
+        pairs, x, levels = next(b for b in self.blocks if index in b[2])
+        v = x[:, np.searchsorted(levels, index)]
+        p, q = (lab[pairs] - 1 for lab in self.basis.labels())
+        # c_pq v_pq, doubled on the diagonal, where |pp> = u_p u_p
+        a = np.where(p == q, v, v / np.sqrt(2.0))
+        A = np.zeros((self.basis.cutoff,) * 2)
+        A[q, p] = self.basis.sign * a
+        A[p, q] = a
         return BoxState(
             model=self.model,
             basis=self.basis,
-            coefficients=self._vector(index),
+            A=A,
             energy=float(self.energies[index]),
             index=index,
             statistics=statistics,
@@ -297,9 +282,9 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     Reflection about the box centre maps |pq> to (-1)^(p+q) |pq> and
     commutes with H, so v1 vanishes exactly between the p+q-even and
     p+q-odd pairs.  Each block is solved on its own and keeps its own
-    eigenvectors; one stable argsort merges the levels, and `parity` names
-    each level's block.  The hard-core pair is solved on the antisymmetric
-    pairs, where H is kinetic only.
+    eigenvectors; one stable argsort merges the levels, and its rank gives
+    each block's columns their levels.  The hard-core pair is solved on the
+    antisymmetric pairs, where H is kinetic only.
     """
     _check_pair_model(model)
     ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
@@ -312,13 +297,19 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     solved = [np.linalg.eigh(_parity_block(ops, g, kin, b)) for b in pairs]
     levels = np.concatenate([w for w, _ in solved])
     order = np.argsort(levels, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)  # the level of each block column
+    ranks = np.split(rank, np.cumsum([b.size for b in pairs])[:-1])
     evals = levels[order]
-    block_of = np.repeat(np.arange(len(pairs)), [b.size for b in pairs])[order]
     sp = BoxSpectrum(model, basis, evals, 0.0,
-                     [(b, x) for b, (_, x) in zip(pairs, solved)], block_of)
+                     [(b, x, r) for b, (_, x), r in zip(pairs, solved, ranks)])
     # spot-check the whole factorization on the six lowest levels, with
     # v1 X applied through the factor
-    X = np.column_stack([sp._vector(i) for i in range(min(6, basis.dim))])
+    k = min(6, basis.dim)
+    X = np.zeros((basis.dim, k))
+    for b, x, r in sp.blocks:
+        low = r[r < k]
+        X[np.ix_(b, low)] = x[:, :low.size]
     S, w, c = ops["S"], ops["w"], ops["c"][:, None]
     v1X = 2.0 * c * (S.T @ (w[:, None] * (S @ (c * X))))
     R = g * v1X + kin[:, None] * X - X * evals[:6]
@@ -328,9 +319,12 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
 
 @dataclass
 class BoxState:
+    """One level as its mode matrix A, psi(x1, x2) = sum_ab A_ab u_a(x1)
+    u_b(x2) in the basis's symmetry, A[q, p] = sign A[p, q]."""
+
     model: ModelSpec
     basis: PairBasis
-    coefficients: np.ndarray
+    A: np.ndarray
     energy: float
     index: int
     statistics: str = "boson"
@@ -345,18 +339,6 @@ class BoxState:
         so that the amplitude takes the sign map sign(x2 - x1)."""
         return (self.statistics == "fermion") == (self.basis.sign > 0)
 
-    def mode_matrix(self) -> np.ndarray:
-        """A with psi(x1,x2) = sum_ab A_ab u_a(x1) u_b(x2) in the basis's
-        symmetry, A[q, p] = sign A[p, q]."""
-        m = self.basis.cutoff
-        p, q = self.basis.labels()
-        A = np.zeros((m, m))
-        off = p != q
-        A[p[off] - 1, q[off] - 1] = self.coefficients[off] / np.sqrt(2.0)
-        A[q[off] - 1, p[off] - 1] = self.basis.sign * self.coefficients[off] / np.sqrt(2.0)
-        A[p[~off] - 1, q[~off] - 1] = self.coefficients[~off]
-        return A
-
 
 def box_modes(x, lam: float, cutoff: int) -> np.ndarray:
     """(len(x), cutoff) table of u_n(x) = sqrt(2/lam) sin(n pi x / lam)."""
@@ -369,7 +351,7 @@ def amplitude(state: BoxState, x1, x2) -> np.ndarray:
     """Wavefunction on the outer grid x1 x x2 (sign map applied when the
     statistics differ from the basis's symmetry)."""
     lam = state.model.length
-    A = state.mode_matrix()
+    A = state.A
     U1 = box_modes(x1, lam, state.basis.cutoff)
     U2 = box_modes(x2, lam, state.basis.cutoff)
     psi = U1 @ A @ U2.T
@@ -482,7 +464,7 @@ def momentum_density(
     if not 0.0 < k_max < math.inf:
         raise ConfigError(f"k_max must be positive and finite, got {k_max}")
     k = np.linspace(-k_max, k_max, n_k)
-    A = state.mode_matrix()
+    A = state.A
     meta = {"statistics": state.statistics, "k_max": k_max, "n_k": n_k}
 
     if not state.sign_mapped:
@@ -523,20 +505,32 @@ def momentum_density(
 
 
 def contact_expectation(state: BoxState) -> float:
-    """<delta(x1 - x2)> in the Galerkin state (exact matrix element)."""
-    ops = unit_pair_operators(state.basis.cutoff, state.basis.sign)
-    return float(contact_form(ops, state.coefficients[:, None])[0]) / state.model.length
+    """<delta(x1 - x2)> in the Galerkin state (exact matrix element).
+
+    At x1 = x2, u_a u_b = [cos((a-b) pi x/lam) - cos((a+b) pi x/lam)] / lam,
+    so psi(x, x) has the harmonics h_r = sum_{|a-b|=r} A_ab - sum_{a+b=r}
+    A_ab of A's symmetric part (exactly zero on the antisymmetric pairs).
+    They are orthogonal on [0, lam], the constant one twice as heavy:
+    <delta> = (2 h_0^2 + sum_{r>0} h_r^2) / (2 lam).
+    """
+    m = state.basis.cutoff
+    A = 0.5 * (state.A + state.A.T)
+    a, b = np.indices((m, m))
+    h = (np.bincount(np.abs(a - b).ravel(), A.ravel(), 2 * m + 1)
+         - np.bincount((a + b + 2).ravel(), A.ravel(), 2 * m + 1))
+    return float(h @ h + h[0] ** 2) / (2.0 * state.model.length)
 
 
-def cusp_check(state: BoxState) -> dict:
-    """Derivative-jump diagnostic at coincidence for the symmetric amplitude.
+def cusp_check(state: BoxState) -> np.ndarray:
+    """Derivative-jump residual at coincidence of the symmetric amplitude.
 
     The contact condition demands
         2 d psi/dr |_{r->0+} = (C / (2 hbar^2)) psi(r=0)
     along the relative coordinate r = x2 - x1 at fixed center of mass.  A
     cutoff-M expansion is smooth, so the residual measures basis-set
     convergence; it is evaluated with one-sided 3-point stencils at several
-    centers away from the walls (five, steps of lam/64).  Uses the symmetric
+    centers away from the walls (five, steps of lam/64), and returned per
+    center as |jump - rhs| over the largest |rhs|.  Uses the symmetric
     (bosonic) amplitude regardless of the state's statistics tag.
     """
     model = state.model
@@ -545,14 +539,12 @@ def cusp_check(state: BoxState) -> dict:
     lam = model.length
     delta = lam / 64.0
     centers = np.linspace(0.25 * lam, 0.75 * lam, 5)
-    A = state.mode_matrix()
+    A = state.A
     m = state.basis.cutoff
 
     def sym_amp(c, r):
-        x1 = c - 0.5 * r
-        x2 = c + 0.5 * r
-        U1 = box_modes(x1, lam, m)
-        U2 = box_modes(x2, lam, m)
+        U1 = box_modes(c - 0.5 * r, lam, m)
+        U2 = box_modes(c + 0.5 * r, lam, m)
         return np.einsum("ia,ab,ib->i", U1, A, U2)
 
     f0 = sym_amp(centers, 0.0)
@@ -561,15 +553,7 @@ def cusp_check(state: BoxState) -> dict:
     slope = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * delta)
     jump = 2.0 * slope
     rhs = (model.coupling / (2.0 * model.hbar**2)) * f0
-    scale = float(np.max(np.abs(rhs))) or 1.0
-    return {
-        "centers": centers,
-        "slope_jump": jump,
-        "contact_rhs": rhs,
-        "residual": np.abs(jump - rhs) / scale,
-        "scale": scale,
-        "delta": delta,
-    }
+    return np.abs(jump - rhs) / (float(np.max(np.abs(rhs))) or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +583,28 @@ def pair_embed_overlaps(
     return _pair_lift(o, basis_f, basis_i)
 
 
+# leggauss holds an order x order matrix: 4096 nodes take 128 MiB
+_MAX_NODES = 4096
+
+
 def chirp_matrix(a: float, cutoff: int) -> np.ndarray:
     """X[p, q] = <u_p| exp(i a y^2) |u_q> on the unit box, complex symmetric.
 
     2 sin(p pi y) sin(q pi y) = cos((p - q) pi y) - cos((p + q) pi y), so
     X[p, q] = g(p - q) - g(p + q) with g(k) = int_0^1 cos(k pi y) exp(i a y^2) dy,
     by Gauss-Legendre with 24 nodes more than the integrands' largest phase
-    rate, pi M + |a| radians per unit of the rule's interval [-1, 1].
+    rate, pi M + |a| radians per unit of the rule's interval [-1, 1].  A
+    rule of more than 4096 nodes is a ConfigError.
     """
     from numpy.polynomial.legendre import leggauss
 
-    t, wt = leggauss(math.ceil(np.pi * cutoff + abs(a)) + 24)
+    rate = np.pi * cutoff + abs(a)
+    if not rate <= _MAX_NODES - 24:  # also inf and nan
+        raise ConfigError(
+            f"the chirp at a = {a:.6g} on {cutoff} modes needs {rate + 24:.3g} "
+            f"Gauss-Legendre nodes, more than {_MAX_NODES}"
+        )
+    t, wt = leggauss(math.ceil(rate) + 24)
     y = 0.5 * (t + 1.0)
     g = np.cos(np.pi * np.outer(np.arange(2 * cutoff + 1), y)) @ (0.5 * wt * np.exp(1j * a * y * y))
     n = np.arange(1, cutoff + 1)

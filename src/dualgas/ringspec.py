@@ -256,6 +256,12 @@ def enumerate_states(
     I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
     K, res = solve_bethe_batch(I, lam, coupling, hbar, tol=tol)
     energies = hbar**2 * np.sum(K**2, axis=1)
+    bad = np.count_nonzero(~np.isfinite(energies))
+    if bad:
+        raise BetheSolverError(
+            f"{bad} of {energies.size} states have no finite energy at "
+            f"lam={lam}, C={coupling}, hbar={hbar}"
+        )
     order = np.lexsort(tuple(I[:, j] for j in range(n - 1, -1, -1)) + (energies,))
     return SpectrumTable(
         quantum_numbers=I[order],

@@ -274,7 +274,8 @@ class Drive:
             probabilities=probs,
             log_probabilities=log_probs,
             beta=beta,
-            tail_mass=float(tail * np.exp(-ln_zi)),
+            # a zero bound stays 0 where exp(-ln Z_i) overflows
+            tail_mass=float(tail * np.exp(-ln_zi)) if tail else 0.0,
             metadata=metadata,
         )
 
@@ -364,8 +365,8 @@ def adiabatic_box_drive(
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
     e_f = np.empty_like(sp_f.energies)
-    for block in (0, 1):
-        e_f[sp_i.parity == block] = sp_f.energies[sp_f.parity == block]
+    for (_, _, rows), (_, _, cols) in zip(sp_i.blocks, sp_f.blocks):
+        e_f[rows] = sp_f.energies[cols]
     return Drive(
         sp_i.energies, e_f, None, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
         metadata=dict(route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff),
@@ -439,6 +440,8 @@ _S6_A_STAGES = (0, 1, 2, 2, 1, 0)  # b1 b2 b3 b3 b2 b1, as indices into _S6_A
 # one step per this much of the ramp's total phase: the fastest kinetic
 # mode's plus max|eig(iA)| over the whole span in s
 _STEP_PHASE = 0.5
+# a ramp that needs more steps is refused before it runs
+_MAX_STEPS = 10**7
 
 
 @dataclass
@@ -518,7 +521,8 @@ def propagate_ramp(
     symmetric iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
     carries the clock.  A symmetric fourth-order splitting (S6) composes
     them in n equal steps in s, with n set by the total phases of the two
-    parts, so only the time-integration error depends on the step.
+    parts, so only the time-integration error depends on the step.  A ramp
+    that needs more than 1e7 steps is a ConfigError.
     """
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
@@ -540,7 +544,13 @@ def propagate_ramp(
     span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
     phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
              + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
-    n_steps = math.ceil(phase / _STEP_PHASE)
+    n_steps = phase / _STEP_PHASE
+    if not n_steps <= _MAX_STEPS:  # also inf and nan
+        raise ConfigError(
+            f"the ramp needs {n_steps:.3g} split steps, more than {_MAX_STEPS:.0e}; "
+            "lower C, the cutoff or the duration, or widen the box"
+        )
+    n_steps = math.ceil(n_steps)
     h = span / n_steps
     # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
     # per step the stages shift by h, which scales these by exp(-v h)

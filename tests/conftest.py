@@ -11,13 +11,14 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=600):
     """Run ``python -m dualgas *args`` in ``cwd`` on the package pytest imported."""
-    return run_python(["-m", "dualgas", *args], cwd)
+    return run_python(["-m", "dualgas", *args], cwd, timeout)
 
 
-def run_python(args, cwd):
-    """Run ``python *args`` in ``cwd`` with the package pytest imported.
+def run_python(args, cwd, timeout=600):
+    """Run ``python *args`` in ``cwd`` with the package pytest imported,
+    for at most ``timeout`` seconds (``subprocess.TimeoutExpired`` past it).
 
     The child gets a copy of this process's environment with the absolute
     directory holding the imported ``dualgas`` first on PYTHONPATH.  A
@@ -34,5 +35,5 @@ def run_python(args, cwd):
     )
     return subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )

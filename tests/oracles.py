@@ -89,7 +89,10 @@ def a2_profile(
 def dense_vectors(sp: BoxSpectrum) -> np.ndarray:
     """The dim x dim matrix whose columns are the levels' eigenvectors,
     zero off each level's parity block, as the package once stored them."""
-    return np.column_stack([sp.state(i).coefficients for i in range(len(sp))])
+    V = np.zeros((sp.basis.dim, len(sp)))
+    for pairs, x, levels in sp.blocks:
+        V[np.ix_(pairs, levels)] = x
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def sign_mapped_momentum(state: BoxState, k: np.ndarray, n_gauss: int = 400) -> 
     y, wy = 0.5 * lam * (t + 1.0), 0.5 * lam * tw
     n = np.arange(1, m + 1)
     U = math.sqrt(2.0 / lam) * np.sin(np.pi * np.outer(n, y) / lam)  # (m, len(y))
-    B = state.mode_matrix() @ U  # B[a, j] = sum_b A_ab u_b(y_j)
+    B = state.A @ U  # B[a, j] = sum_b A_ab u_b(y_j)
     G = np.zeros((k.size, y.size), dtype=complex)
     for a in range(m):
         q = (a + 1) * np.pi / lam

@@ -113,6 +113,14 @@ def test_chirp_matrix_matches_fresnel_integrals():
         assert np.abs(bs.chirp_matrix(a, cutoff) - ref).max() <= 1e-13
 
 
+def test_chirp_matrix_refuses_a_rule_past_its_bound():
+    # leggauss would hold an order x order matrix; the bound trips before
+    # it is asked for one
+    for a, cutoff in ((1e300, 4), (-1e300, 4), (4096.0, 1)):
+        with pytest.raises(ConfigError, match="Gauss-Legendre nodes, more than 4096"):
+            bs.chirp_matrix(a, cutoff)
+
+
 def test_pair_chirp_is_the_unitary_lift_of_the_polar_factor():
     x = bs.chirp_matrix(2.5, 10)
     assert np.abs(x.conj().T @ x - np.eye(10)).max() > 0.1  # truncated: not unitary
@@ -386,9 +394,9 @@ def test_diagonalize_keeps_eigenvectors_per_block():
             for y in x:
                 yield from arrays(y)
 
-    # energies, the level -> block map and each block's pairs and vectors
+    # energies, then each block's pairs, vectors and levels
     sizes = [a.size for a in arrays(list(vars(sp).values()))]
-    assert len(sizes) == 6 and max(sizes) < sp.basis.dim**2
+    assert len(sizes) == 7 and max(sizes) < sp.basis.dim**2
 
 
 def test_weak_coupling_first_order_shift():
@@ -478,7 +486,7 @@ def test_cusp_residual_decreases_with_cutoff():
     res = []
     for m in (12, 24, 48):
         sp = bs.diagonalize(model(5.0), m)
-        res.append(float(bs.cusp_check(sp.state(0))["residual"].max()))
+        res.append(float(bs.cusp_check(sp.state(0)).max()))
     assert res[0] > res[1] > res[2]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import tempfile
 import warnings
@@ -607,3 +608,38 @@ def test_hostile_value_exits_zero_two_or_three():
                     if code not in (0, 2, 3):
                         failed.append((argv, code))
     assert failed == []
+
+
+# Finite inputs at the ends of double range.  Each once stopped with an
+# OverflowError or ZeroDivisionError, ran a ramp of ~1e300 steps, wrote inf
+# energies, or wrote a NaN tail mass (0 * inf at beta = 1e300).
+EXTREME = [
+    "eos --c 1e300 --mu-grid=-1:-1:1",
+    "eos --mu-grid=-2:-1:3 --hbar 1e-300",
+    "work --m 4 --lambda-f 1e300",
+    "work --m 6 --hbar 1e-200",
+    "work --m 6 --lambda-i 1e-200",
+    "work --m 6 --beta 1e300",
+    "work --protocol ramp --m 4 --tau 1e300",
+    "work --protocol ramp --m 4 --tau 0.1 --v 1e300",
+    "work --protocol ramp --m 4 --tau 0.1 --c 1e300",
+    "work --protocol ramp --m 4 --tau 0.1 --lambda-i 1e-300",
+    "work --protocol ramp --m 4 --tau 0.1 --beta 1e300",
+    "work --protocol sudden-coupling --c-f 2 --m 4 --beta 1e300",
+    "work --geometry ring --imax 2.5 --lambda-i 1e-300",
+    "work --geometry ring --imax 2.5 --beta 1e300",
+    "ring-spectrum --n 2 --imax 2.5 --lambda 1e-300",
+    "fig1 --m 4 --n-grid 9 --n-k 9 --n-x 9 --lambda 1e300",
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME)
+def test_extreme_finite_input_exits_zero_two_or_three(tmp_path, argv):
+    # a subprocess with a time limit: a route that stops terminating fails
+    # here instead of stalling the suite
+    r = run([*shlex.split(argv), "--out-dir", "."], tmp_path, timeout=60)
+    assert r.returncode in (0, 2, 3), r.stderr
+    if r.returncode == 0:
+        nan = [p.name for p in sorted(tmp_path.iterdir())
+               if re.search(r"\bnan\b", p.read_text(), re.IGNORECASE)]
+        assert nan == []

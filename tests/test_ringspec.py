@@ -138,6 +138,13 @@ def test_enumeration_rejects_nonpositive_circumference(coupling):
         rs.enumerate_states(-1.0, coupling, 2, 3)
 
 
+@pytest.mark.parametrize("coupling", [1.0, math.inf])
+def test_enumeration_rejects_energies_past_double_range(coupling):
+    # at lam = 1e-300 every k ~ 1e300 and k^2 overflows: no state is solved
+    with pytest.raises(rs.BetheSolverError, match="15 of 15 states have no finite energy"):
+        rs.enumerate_states(1e-300, coupling, 2, 2.5)
+
+
 def test_enumeration_cap():
     with pytest.raises(ConfigError):
         rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=10)

@@ -420,6 +420,18 @@ def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
         assert np.abs(P - exact[np.ix_(pairs, pairs)]).max() <= bound
 
 
+def test_ramp_refuses_a_step_count_past_its_bound(monkeypatch):
+    # the step count grows with C and with 1 / lam_i: at C = 1e300 it is
+    # about 7e299, named in the error before any step runs
+    def no_steps(*args):
+        raise AssertionError("a split step ran")
+
+    monkeypatch.setattr(wk, "_split_steps", no_steps)
+    for coupling, lam in ((1e300, 1.0), (1.0, 1e-300)):
+        with pytest.raises(ConfigError, match="split steps, more than 1e"):
+            wk.propagate_ramp(LinearRamp(lam, 5.0, 0.1), coupling, 4)
+
+
 def test_static_wall_ramp_is_diagonal():
     # v = 0: U = exp(-i H tau / hbar) keeps every eigenstate, so P = I
     res = wk.propagate_ramp(LinearRamp(1.0, 0.0, 0.3), 1.0, 10)
@@ -488,6 +500,27 @@ def test_sudden_wall_mean_work_identity_is_zero():
         # the truncated atom sum is far from zero: slow algebraic completeness
         d = wk.sudden_wall_drive(1.0, 2.0, coupling, 12, 24).at(1.0)
         assert np.sum(d.works * d.probabilities) < -0.1
+
+
+@pytest.mark.parametrize("coupling", [1.0, math.inf])
+def test_sudden_wall_mean_energy_converges_through_the_embedding(coupling):
+    # the frozen state's <H_f> is E_i; through pair_embed_overlaps and the
+    # final spectrum, the weight the final cutoff keeps carries a mean
+    # energy below it by a gap that halves as the cutoff doubles.  At C = 1
+    # the ground state's gap reads -2.46e-2, -1.23e-2, -6.13e-3 at final
+    # cutoffs 16, 32, 64; a final spectrum of C = 2 tagged C = 1 reads
+    # +4.2 %, +5.4 %, +6.1 % there.
+    # The ratios near 2 by the last doubling: 2.002-2.016 there, and up to
+    # 2.07 at the first for the hard-core pair's excited levels
+    gaps = []
+    for cutoff_f in (16, 32, 64):
+        d = wk.sudden_wall_drive(1.0, 2.0, coupling, 8, cutoff_f)
+        P, e_i = d.P[:, :3], d.energies_i[:3]
+        gaps.append((d.energies_f @ P / P.sum(axis=0) - e_i) / e_i)
+    gaps = np.array(gaps)
+    assert np.all(gaps < 0)
+    ratio = gaps[-2] / gaps[-1]
+    assert np.all((1.95 <= ratio) & (ratio <= 2.05)), ratio
 
 
 def test_sudden_coupling_mean_work_matches_distribution():

@@ -192,11 +192,12 @@ class BoxSpectrum:
     """Levels ascending, with their eigenvectors kept per reflection block.
 
     blocks[b] = (pairs, X, levels): the block's pair indices, the
-    eigenvectors its own `eigh` gave, one column per level, on those pairs
-    alone, and the ascending index of each column's level.  No dim x dim
-    eigenvector matrix is formed: `state` turns one column into its mode
-    matrix, and `apply`, `project` and `overlaps` take their products
-    block by block.
+    eigenvectors its own solve gave, one column per level, on those pairs
+    alone, and the ascending index of each column's level.  A spectrum of
+    the n lowest levels keeps each block's share of them, which may be no
+    column at all.  No dim x dim eigenvector matrix is formed: `state`
+    turns one column into its mode matrix, and `apply`, `project` and
+    `overlaps` take their products block by block.
     """
 
     model: ModelSpec
@@ -248,7 +249,7 @@ class BoxSpectrum:
         if not 0 <= index < self.energies.size:
             raise ConfigError(
                 f"state {index} is outside the {self.energies.size} levels "
-                f"of cutoff {self.basis.cutoff}"
+                f"solved at cutoff {self.basis.cutoff}"
             )
         pairs, x, levels = next(b for b in self.blocks if index in b[2])
         v = x[:, np.searchsorted(levels, index)]
@@ -276,8 +277,123 @@ def _parity_block(ops, g, kin, b):
     return h
 
 
-def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
-    """Levels ascending, each eigenvector of pure centre-reflection parity.
+def _contact_factor(ops, b) -> np.ndarray:
+    """F with v1 on the pairs b equal to F^T F: the coincidence factor's
+    rows that are nonzero on b, about M + 1 of them, times sqrt(2 w) and
+    the pair norms."""
+    S = ops["S"][:, b]
+    rows = np.flatnonzero(S.any(axis=1))
+    return np.sqrt(2.0 * ops["w"][rows])[:, None] * S[rows] * ops["c"][b]
+
+
+# The few-levels solver: a block of n_levels + 4 vectors, grown by one
+# block per step for at most 24 steps.  A parity block no larger than that
+# basis is solved by eigh, since the basis could span it.
+_KRYLOV_PAD = 4
+_KRYLOV_STEPS = 24
+_KRYLOV_TOL = 1e-13
+
+
+def _krylov_lowest(kin, F, g, k):
+    """The k lowest levels and eigenvectors (columns) of H = diag(kin) +
+    g F^T F, g > 0, or None if the basis stops growing or reaches its cap,
+    or if g is so large that I / g is lost in the Cholesky factorization.
+
+    Shift-invert block Krylov (Grimes, Lewis & Simon, SIAM J. Matrix Anal.
+    Appl. 15, 228 (1994)).  The contact is positive semi-definite, so
+    sigma = min(kin) / 2 lies below every level, and by Woodbury (Hager,
+    SIAM Rev. 31, 221 (1989)) (H - sigma)^-1 = D^-1 - G^T G, with D =
+    diag(kin - sigma), G = L^-1 F D^-1 and L L^T = I / g + F D^-1 F^T: one
+    Cholesky factorization the size of F's rows.  The start block is a
+    fixed cosine table passed once through the inverse, so that its
+    high-kinetic components are as small as the levels' own.  Each step
+    applies the inverse to the last block and orthogonalizes the result
+    twice against the basis, then column by column, dropping a column
+    left with less than 1e-8 of its norm.  Every other step, Rayleigh-Ritz
+    on H, applied through F and never formed, gives the k lowest Ritz
+    pairs.  They are returned once max|H x - theta x| <= 1e-13 theta_k, or
+    16 eps max(|H| |x|), the rounding of H x itself, when that is larger:
+    at strong coupling (alpha >~ 1e4) no solver gets below it, eigh
+    included.
+    """
+    # in units of the least kinetic entry, so that no scale of lambda and
+    # hbar over- or underflows below
+    unit = kin.min()
+    kin, g = kin / unit, g / unit
+    if not math.isfinite(g):
+        return None
+    n, s = kin.size, k + _KRYLOV_PAD
+    d = kin - 0.5
+    Fd = F / d
+    K = F @ Fd.T
+    K[np.diag_indices_from(K)] += 1.0 / g
+    try:
+        G = np.linalg.solve(np.linalg.cholesky(K), Fd)
+    except np.linalg.LinAlgError:
+        return None
+
+    # vectors are rows
+    def inverse(Y):
+        return Y / d - (Y @ G.T) @ G
+
+    def apply(Y):
+        return Y * kin + g * ((Y @ F.T) @ F)
+
+    absF, eps = np.abs(F), np.finfo(float).eps
+
+    j = np.arange(s)[:, None]
+    W = inverse(np.cos(j * np.arange(n) * ((math.sqrt(5.0) - 1.0) * math.pi) + j))
+    Q = np.empty((s * _KRYLOV_STEPS, n))
+    T = np.zeros((Q.shape[0],) * 2)  # Q H Q^T, lower triangle
+    m = 0
+    for step in range(1, _KRYLOV_STEPS + 1):
+        W /= np.linalg.norm(W, axis=1)[:, None]
+        for _ in range(2):
+            W -= (W @ Q[:m].T) @ Q[:m]
+        new = 0
+        for w in W:
+            for _ in range(2):
+                w -= (W[:new] @ w) @ W[:new]
+            norm = np.linalg.norm(w)
+            if norm > 1e-8:
+                W[new] = w / norm
+                new += 1
+        if new == 0:
+            return None
+        Q[m:m + new] = W[:new]
+        T[m:m + new, :m + new] = apply(W[:new]) @ Q[:m + new].T
+        m += new
+        if step % 2 == 0 and m >= k:
+            theta, U = np.linalg.eigh(T[:m, :m])
+            X = U[:, :k].T @ Q[:m]
+            R = apply(X) - theta[:k, None] * X
+            aX = np.abs(X)
+            rounding = eps * (aX * kin + g * ((aX @ absF.T) @ absF)).max()
+            if np.abs(R).max() <= max(_KRYLOV_TOL * theta[k - 1], 16.0 * rounding):
+                return unit * theta[:k], np.ascontiguousarray(X.T)
+        W = inverse(Q[m - new:m])
+    return None
+
+
+def _solve_block(ops, g, kin, b, n_levels):
+    """Levels ascending and eigenvectors (columns) of H on the pairs b: all
+    of them, or the n_levels lowest."""
+    if n_levels is not None:
+        k = min(n_levels, b.size)
+        if g > 0.0 and b.size > (k + _KRYLOV_PAD) * _KRYLOV_STEPS:
+            found = _krylov_lowest(kin[b], _contact_factor(ops, b), g, k)
+            if found is not None:
+                return found
+    # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
+    w, x = np.linalg.eigh(_parity_block(ops, g, kin, b))
+    if n_levels is None:
+        return w, x
+    return w[:k], x[:, :k].copy()
+
+
+def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -> BoxSpectrum:
+    """Levels ascending, each eigenvector of pure centre-reflection parity:
+    all of them, or the n_levels lowest.
 
     Reflection about the box centre maps |pq> to (-1)^(p+q) |pq> and
     commutes with H, so v1 vanishes exactly between the p+q-even and
@@ -285,27 +401,50 @@ def diagonalize(model: ModelSpec, cutoff: int) -> BoxSpectrum:
     eigenvectors; one stable argsort merges the levels, and its rank gives
     each block's columns their levels.  The hard-core pair is solved on the
     antisymmetric pairs, where H is kinetic only.
+
+    Without n_levels, every level comes from `eigh` on its block, as the
+    work routes need.  With n_levels, each block gives its n_levels lowest
+    and the spectrum keeps the n_levels lowest of both.  A block larger
+    than the Krylov basis cap, with g > 0, is solved by shift-invert block
+    Krylov (`_krylov_lowest`, eigh if it does not converge); any other block
+    by eigh, keeping its lowest columns.
     """
     _check_pair_model(model)
+    if n_levels is not None and n_levels < 1:
+        raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
     ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
     basis, k1 = ops["basis"], ops["k1"]
-    lam = model.length
+    lam, hbar = model.length, model.hbar
     g = contact_coupling(model.coupling) / lam
-    kin = model.hbar**2 * k1 / lam**2
+    if not math.isfinite(g):
+        raise ConfigError(f"the contact C / lambda overflows at C = {model.coupling:g}, "
+                          f"lambda = {lam:g}")
+    lam2 = lam * lam
+    with np.errstate(over="ignore", divide="ignore"):
+        kin = hbar * hbar * k1 / lam2
+    # an overflowed or vanished kinetic scale gives nan levels, and the
+    # Krylov solve works in units of min(kin)
+    if not (math.isfinite(lam2) and np.isfinite(kin).all()
+            and kin.min() >= np.finfo(float).tiny):
+        raise ConfigError(
+            f"the kinetic diagonal hbar^2 pi^2 (p^2 + q^2) / lambda^2 is not a "
+            f"finite normal number at lambda = {lam:g}, hbar = {hbar:g}, cutoff {cutoff}"
+        )
     pairs = basis.parity_blocks()
-    # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
-    solved = [np.linalg.eigh(_parity_block(ops, g, kin, b)) for b in pairs]
+    solved = [_solve_block(ops, g, kin, b, n_levels) for b in pairs]
     levels = np.concatenate([w for w, _ in solved])
-    order = np.argsort(levels, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)  # the level of each block column
-    ranks = np.split(rank, np.cumsum([b.size for b in pairs])[:-1])
+    order = np.argsort(levels, kind="stable")[:n_levels]
+    rank = np.full(levels.size, -1)
+    rank[order] = np.arange(order.size)  # the level of each kept block column
+    ranks = np.split(rank, np.cumsum([w.size for w, _ in solved])[:-1])
     evals = levels[order]
+    # a block's kept levels are its lowest: a prefix of its columns
     sp = BoxSpectrum(model, basis, evals, 0.0,
-                     [(b, x, r) for b, (_, x), r in zip(pairs, solved, ranks)])
+                     [(b, x[:, :(r >= 0).sum()], r[r >= 0])
+                      for b, (_, x), r in zip(pairs, solved, ranks)])
     # spot-check the whole factorization on the six lowest levels, with
     # v1 X applied through the factor
-    k = min(6, basis.dim)
+    k = min(6, len(sp))
     X = np.zeros((basis.dim, k))
     for b, x, r in sp.blocks:
         low = r[r < k]
@@ -431,6 +570,11 @@ def box_mode_ft(k, lam: float, cutoff: int) -> np.ndarray:
     return np.sqrt(2.0 / lam) * (re + 1j * im)
 
 
+# k rows per slab of the sign-mapped transform: its phases and products
+# take 64 x n_x values each instead of n_k x n_x
+_K_SLAB = 64
+
+
 def momentum_density(
     state: BoxState,
     k_max: Optional[float] = None,
@@ -482,11 +626,17 @@ def momentum_density(
         psi = U @ A @ U.T
         # w(x1) psi_F(x1, x2), with sign(x2 - x1) = 0 on the diagonal
         core = np.sign(x - x[:, None]) * (w[:, None] * psi)
-        kx = np.outer(k, x)
-        cos, sin = np.cos(kx), np.sin(kx)
-        # G = (cos - i sin) @ core + (i k h^2 / 6) psi(x2, x2) e^{-ik x2}
-        jump = (h * h / 6.0) * np.outer(k, np.diag(psi))
-        nk = ((cos @ core + jump * sin) ** 2 + (sin @ core - jump * cos) ** 2) @ w / np.pi
+        edge = np.diag(psi)
+        # G = (cos - i sin) @ core + (i k h^2 / 6) psi(x2, x2) e^{-ik x2},
+        # a slab of k rows at a time
+        nk = np.empty(n_k)
+        for lo in range(0, n_k, _K_SLAB):
+            ks = k[lo:lo + _K_SLAB]
+            kx = np.outer(ks, x)
+            cos, sin = np.cos(kx), np.sin(kx)
+            jump = (h * h / 6.0) * np.outer(ks, edge)
+            nk[lo:lo + ks.size] = ((cos @ core + jump * sin) ** 2
+                                   + (sin @ core - jump * cos) ** 2) @ w / np.pi
         meta["method"] = "grid-parseval"
         meta["n_x"] = n_x
         tail = 8.0 * contact_expectation(state) / (np.pi * k_max)

@@ -263,10 +263,9 @@ def _box_pair(cfg: RunConfig) -> ModelSpec:
 def _cmd_box_spectrum(cfg: RunConfig) -> None:
     m, n_levels = cfg.values["m"], cfg.values["n_levels"]
     model = _box_pair(cfg)
-    spec = boxspec.diagonalize(model, m)
-    k = min(int(n_levels), spec.energies.size)
+    spec = boxspec.diagonalize(model, m, int(n_levels))
     contact = [
-        boxspec.contact_expectation(spec.state(i, "boson")) for i in range(k)
+        boxspec.contact_expectation(spec.state(i, "boson")) for i in range(len(spec))
     ]
     meta = cfg.metadata()
     meta.update(coupling=model.coupling, basis_dim=spec.basis.dim,
@@ -274,8 +273,8 @@ def _cmd_box_spectrum(cfg: RunConfig) -> None:
     write_csv(
         cfg.out_dir / "box_spectrum.csv",
         {
-            "index": np.arange(k),
-            "energy": spec.energies[:k],
+            "index": np.arange(len(spec)),
+            "energy": spec.energies,
             "contact": contact,
         },
         meta,
@@ -286,7 +285,7 @@ def _cmd_box_spectrum(cfg: RunConfig) -> None:
 def _cmd_fig1(cfg: RunConfig) -> None:
     m, n_grid, n_k, n_x = (cfg.values[k] for k in ("m", "n_grid", "n_k", "n_x"))
     model = _box_pair(cfg)
-    spec = boxspec.diagonalize(model, m)
+    spec = boxspec.diagonalize(model, m, n_levels=2)
     meta = cfg.metadata()
     meta.update(coupling=model.coupling, basis_dim=spec.basis.dim)
     for idx, tag in ((0, "ground"), (1, "excited1")):
@@ -441,7 +440,7 @@ def _cmd_fig2(cfg: RunConfig) -> None:
 def _cmd_duality_check(cfg: RunConfig) -> None:
     m, n_states = cfg.values["m"], cfg.values["states"]
     model = _box_pair(cfg)
-    spec = boxspec.diagonalize(model, m)
+    spec = boxspec.diagonalize(model, m, int(n_states))
     meta = cfg.metadata()
     meta["coupling"] = model.coupling
     states = {}
@@ -491,10 +490,10 @@ def _cmd_convergence(cfg: RunConfig) -> None:
     cusp = {}
     energy_table = []
     for m in m_list:
-        spec = boxspec.diagonalize(model, int(m))
-        k = min(int(n_levels), spec.energies.size)
-        energy_table.append(spec.energies[:k])
-        for lvl in range(k):
+        # n_levels >= 1, so state 0 is there for the cusp
+        spec = boxspec.diagonalize(model, int(m), int(n_levels))
+        energy_table.append(spec.energies)
+        for lvl in range(len(spec)):
             rows_m.append(int(m))
             rows_level.append(lvl)
             rows_e.append(spec.energies[lvl])

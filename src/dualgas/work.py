@@ -340,7 +340,13 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     """
     if not (0 < beta < math.inf):  # also rejects nan
         raise ConfigError(f"beta must be positive and finite, got {beta}")
-    g = beta * hbar**2 * np.pi**2 / lam**2
+    lam2 = lam * lam
+    g = beta * (hbar * hbar) * np.pi**2 / lam2 if lam2 > 0.0 else math.inf
+    if not 0.0 < g < math.inf:
+        raise ConfigError(
+            f"the box tail bound needs beta hbar^2 pi^2 / lambda^2 positive and "
+            f"finite, got {g:g} at beta = {beta:g}, hbar = {hbar:g}, lambda = {lam:g}"
+        )
     n = np.arange(1, cutoff + 2000)
     w = np.exp(-g * n.astype(float) ** 2)
     rest = 0.5 * math.sqrt(math.pi / g) * math.erfc(n[-1] * math.sqrt(g))
@@ -522,20 +528,13 @@ def propagate_ramp(
     carries the clock.  A symmetric fourth-order splitting (S6) composes
     them in n equal steps in s, with n set by the total phases of the two
     parts, so only the time-integration error depends on the step.  A ramp
-    that needs more than 1e7 steps is a ConfigError.
+    that needs more than 1e7 steps is a ConfigError, raised before either
+    box is diagonalized.
     """
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
-    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
-    sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
-    basis = sp_i.basis
-    ops = boxspec.unit_pair_operators(cutoff, basis.sign)
-    k1 = ops["k1"]
-    if columns is None:
-        cols = np.arange(len(sp_i))
-    else:
-        cols = np.asarray(list(columns), dtype=int)
+    ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
+    basis, k1 = ops["basis"], ops["k1"]
     speed = ramp.speed
-    y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), cols)
     kin = -hbar * k1
     blocks = basis.parity_blocks()
     # iA = (C / hbar) v1, real symmetric on each block
@@ -552,6 +551,13 @@ def propagate_ramp(
         )
     n_steps = math.ceil(n_steps)
     h = span / n_steps
+    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
+    sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
+    if columns is None:
+        cols = np.arange(len(sp_i))
+    else:
+        cols = np.asarray(list(columns), dtype=int)
+    y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), cols)
     # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
     # per step the stages shift by h, which scales these by exp(-v h)
     widths = _S6_K_STAGES * h

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -397,6 +398,115 @@ def test_diagonalize_keeps_eigenvectors_per_block():
     # energies, then each block's pairs, vectors and levels
     sizes = [a.size for a in arrays(list(vars(sp).values()))]
     assert len(sizes) == 7 and max(sizes) < sp.basis.dim**2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5.0, 50.0, 1e3, math.inf])
+@pytest.mark.parametrize("cutoff", [2, 3, 12, 40, 60])
+def test_few_levels_are_the_lowest_of_the_full_spectrum(alpha, cutoff):
+    # blocks past the Krylov cap (M = 40 and 60 at g > 0) take the
+    # shift-invert path; smaller ones and g = 0 take eigh
+    full = bs.diagonalize(model(alpha), cutoff)
+    V = oracles.dense_vectors(full)
+    e = full.energies
+    # a level with its degenerate partners, which span its eigenspace
+    group = np.cumsum(np.r_[True, np.diff(e) > 1e-10 * e[1:]])
+    for k in (1, 6, 10):
+        sp = bs.diagonalize(model(alpha), cutoff, n_levels=k)
+        n = min(k, len(full))
+        assert len(sp) == n
+        with pytest.raises(ConfigError, match=f"outside the {n} levels"):
+            sp.state(n)
+        assert np.abs(sp.energies - e[:n]).max() <= 1e-12 * e[n - 1]
+        X = oracles.dense_vectors(sp)
+        for gid in np.unique(group[:n]):
+            Vg = V[:, group == gid]
+            Xg = X[:, group[:n] == gid]
+            # |<v_k|v_all>| = 1, or the projector for a degenerate level
+            assert np.abs(Xg.T @ Vg @ Vg.T @ Xg - np.eye(Xg.shape[1])).max() <= 1e-10
+        assert np.abs(X.T @ X - np.eye(n)).max() <= 1e-12
+        again = bs.diagonalize(model(alpha), cutoff, n_levels=k)
+        assert np.array_equal(again.energies, sp.energies)
+        assert all(np.array_equal(x, y) for (_, x, _), (_, y, _) in zip(sp.blocks, again.blocks))
+        assert sp.residual <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e6])
+def test_few_levels_at_strong_coupling_stop_at_the_rounding_of_h(monkeypatch, alpha):
+    # 1e-13 theta_k is out of reach here, eigh's residual included; the
+    # solve stops at the rounding of H x instead of exhausting its basis
+    # and falling back to eigh
+    solved = []
+    krylov = bs._krylov_lowest
+
+    def spy(*args):
+        solved.append(krylov(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(bs, "_krylov_lowest", spy)
+    full = bs.diagonalize(model(alpha), 60)
+    sp = bs.diagonalize(model(alpha), 60, n_levels=10)
+    assert len(solved) == 2 and all(x is not None for x in solved)
+    e = full.energies[:10]
+    assert np.abs(sp.energies - e).max() <= 10.0 * full.residual * e[-1]
+    assert sp.residual <= full.residual
+    X, V = oracles.dense_vectors(sp), oracles.dense_vectors(full)[:, :10]
+    assert np.abs(np.abs(np.sum(X * V, axis=0)) - 1.0).max() <= 1e-10
+
+
+def test_few_levels_reject_a_count_below_one():
+    with pytest.raises(ConfigError, match="n_levels must be >= 1, got 0"):
+        bs.diagonalize(model(5.0), 4, n_levels=0)
+
+
+def test_few_levels_memory_peaks():
+    # M = 60, ten levels: 22.4 MiB with both dense blocks and their eigh,
+    # about 7 by shift-invert Krylov
+    m = model(5.0)
+    bs.diagonalize(m, 60, n_levels=10)
+    tracemalloc.start()
+    try:
+        bs.diagonalize(m, 60, n_levels=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    # the sign-mapped transform at M = 40 on the default grids: 17.4 MiB
+    # with the whole 481 x 513 phase tables, about 6.3 in k-slabs
+    state = bs.diagonalize(m, 40, n_levels=2).state(1, "fermion")
+    bs.momentum_density(state)
+    tracemalloc.start()
+    try:
+        bs.momentum_density(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("lam, hbar", [(1e-160, 1.0), (1e300, 1.0), (1.0, 1e-200), (1.0, 1e200)])
+def test_kinetic_scale_out_of_range_is_a_config_error(lam, hbar):
+    # lambda^2 subnormal or overflowed, hbar^2 gone to 0 or inf: the levels
+    # came out nan or an OverflowError named no input
+    with pytest.raises(ConfigError, match=re.escape(f"lambda = {lam:g}, hbar = {hbar:g}, cutoff 6")):
+        bs.diagonalize(ModelSpec(2, Box(lam), 1.0, hbar), 6)
+
+
+def test_contact_scale_out_of_range_is_a_config_error():
+    # C / lambda = inf made every level nan
+    with pytest.raises(ConfigError, match=re.escape("C = 1e+300, lambda = 1e-150")):
+        bs.diagonalize(ModelSpec(2, Box(1e-150), 1e300), 6)
+
+
+@pytest.mark.parametrize("lam, hbar", [(1e-150, 1.0), (1e150, 1.0), (1.0, 1e-150)])
+def test_few_levels_at_any_kinetic_scale(lam, hbar):
+    # the solver works in units of the least kinetic entry: in absolute
+    # units its shift-inverse under- or overflowed
+    m = ModelSpec(2, Box(lam), DimensionlessCoupling(5.0).coupling(lam, hbar), hbar)
+    full = bs.diagonalize(m, 40).energies[:6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = bs.diagonalize(m, 40, n_levels=6)
+    assert np.abs(sp.energies - full).max() <= 1e-12 * full[-1]
 
 
 def test_weak_coupling_first_order_shift():

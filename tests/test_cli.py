@@ -630,7 +630,18 @@ EXTREME = [
     "work --geometry ring --imax 2.5 --beta 1e300",
     "ring-spectrum --n 2 --imax 2.5 --lambda 1e-300",
     "fig1 --m 4 --n-grid 9 --n-k 9 --n-x 9 --lambda 1e300",
+    "box-spectrum --lambda 1e-160 --c 1 --m 6",
+    "work --m 6 --hbar 1e-150 --beta 1e-30",
 ]
+
+# the quantity an input's error message must name: the kinetic scale
+# hbar^2 / lambda^2 overflows or vanishes, or beta hbar^2 in the tail bound
+NAMED = {
+    "work --protocol ramp --m 4 --tau 1e300": "lambda = 5e+300",
+    "work --m 6 --hbar 1e-200": "hbar = 1e-200",
+    "box-spectrum --lambda 1e-160 --c 1 --m 6": "lambda = 1e-160",
+    "work --m 6 --hbar 1e-150 --beta 1e-30": "beta = 1e-30, hbar = 1e-150",
+}
 
 
 @pytest.mark.parametrize("argv", EXTREME)
@@ -639,6 +650,8 @@ def test_extreme_finite_input_exits_zero_two_or_three(tmp_path, argv):
     # here instead of stalling the suite
     r = run([*shlex.split(argv), "--out-dir", "."], tmp_path, timeout=60)
     assert r.returncode in (0, 2, 3), r.stderr
+    if argv in NAMED:
+        assert r.returncode == 2 and NAMED[argv] in r.stderr, r.stderr
     if r.returncode == 0:
         nan = [p.name for p in sorted(tmp_path.iterdir())
                if re.search(r"\bnan\b", p.read_text(), re.IGNORECASE)]

@@ -28,20 +28,36 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_package_imports_no_scipy():
-    # scipy is a test dependency only: an import at any depth, even inside
-    # a function no command calls, would make it a runtime one again
-    found = []
+def _package_imports():
+    """(file, line, module) of every absolute import in the package, with
+    `from numpy import random` read as numpy.random and an attribute
+    np.random (numpy loads it on first access) as an import of it."""
     for path in sorted(Path(dualgas.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")):
+                names = [f"numpy.{node.attr}"]
             else:
                 continue
-            found += [(path.name, node.lineno, n) for n in names
-                      if n.split(".")[0] == "scipy"]
+            yield from ((path.name, node.lineno, n) for n in names)
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: an import at any depth, even inside
+    # a function no command calls, would make it a runtime one again
+    found = [imp for imp in _package_imports() if imp[2].split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_package_imports_no_numpy_random():
+    # numpy.random adds about 6 MiB to every process that loads it, and the
+    # Krylov start block is a fixed table, the same on every run
+    found = [imp for imp in _package_imports()
+             if imp[2] == "numpy.random" or imp[2].startswith("numpy.random.")]
     assert found == []
 
 

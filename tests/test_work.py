@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -219,6 +220,14 @@ def test_box_tail_bound_rejects_beta_not_positive_and_finite(beta):
     # 0 divided by zero, -1 took a square root of a negative, nan came back
     with pytest.raises(ConfigError, match="beta must be positive and finite"):
         wk.box_tail_bound(1.0, 14, beta)
+
+
+@pytest.mark.parametrize("lam, beta, hbar", [(1.0, 1e-30, 1e-150), (1e300, 1.0, 1.0), (1e-200, 1.0, 1.0)])
+def test_box_tail_bound_names_the_inputs_of_a_scale_out_of_range(lam, beta, hbar):
+    # beta hbar^2 / lambda^2 gone to 0 divided by zero; lambda^2 overflowed
+    # with an error that named no input
+    with pytest.raises(ConfigError, match=re.escape(f"beta = {beta:g}, hbar = {hbar:g}, lambda = {lam:g}")):
+        wk.box_tail_bound(lam, 14, beta, hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,11 @@ _KRYLOV_PAD = 4
 _KRYLOV_STEPS = 24
 _KRYLOV_TOL = 1e-13
 
+# Largest relative eigen-residual `diagonalize` returns.  At lambda = hbar = 1
+# it reads <= 6.4e-11 up to alpha = 1e6 and grows with C / lambda, to about
+# 1e-2 at alpha = 1e14, where E1 is off by about 1 %.
+_RESIDUAL_TOL = 1e-7
+
 
 def _krylov_lowest(kin, F, g, k):
     """The k lowest levels and eigenvectors (columns) of H = diag(kin) +
@@ -407,7 +412,8 @@ def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -
     and the spectrum keeps the n_levels lowest of both.  A block larger
     than the Krylov basis cap, with g > 0, is solved by shift-invert block
     Krylov (`_krylov_lowest`, eigh if it does not converge); any other block
-    by eigh, keeping its lowest columns.
+    by eigh, keeping its lowest columns.  A relative residual on the six
+    lowest levels above 1e-7 raises LinAlgError.
     """
     _check_pair_model(model)
     if n_levels is not None and n_levels < 1:
@@ -453,6 +459,13 @@ def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -
     v1X = 2.0 * c * (S.T @ (w[:, None] * (S @ (c * X))))
     R = g * v1X + kin[:, None] * X - X * evals[:6]
     sp.residual = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:6]).max()))
+    if not sp.residual <= _RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"eigen-residual {sp.residual:.3g} exceeds {_RESIDUAL_TOL:g} at "
+            f"C = {model.coupling:g}, cutoff {cutoff}: the contact outweighs "
+            "the kinetic scale in double precision; for the hard-core limit "
+            "use --c inf"
+        )
     return sp
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: spectra, figure pipelines, work statistics, EOS.
 
 Commands write CSV tables (with a '#' key=value header carrying the
-resolved configuration), JSON reports, and quick-look SVG rasters into
+resolved configuration), JSON reports, and quick-look SVG curves into
 --out-dir.  A flat key=value config file can preset any flag; explicit
 flags win.  Exit codes: 0 success, 2 configuration/schema error, 3
 numeric failure.
@@ -186,16 +186,6 @@ def _require(cfg: RunConfig, *keys: str) -> list:
     return vals
 
 
-def _bar_raster(values: np.ndarray, rows: int = 48) -> np.ndarray:
-    """Render a nonnegative curve as a filled-bar raster for the SVG dump."""
-    v = np.asarray(values, dtype=float)
-    top = float(v.max())
-    u = v / top if top > 0 else np.zeros_like(v)
-    # 1e-12 below each row, so peaks equal up to roundoff (mirror images) fill alike
-    thresh = (rows - np.arange(rows, dtype=float)) / rows * (1.0 - 1e-12)
-    return np.where(u[None, :] >= thresh[:, None], u[None, :], 0.0)
-
-
 def _atom_columns(merged: work.WorkDistribution) -> Dict[str, np.ndarray]:
     """Work and probability columns of the atoms that carry mass.
 
@@ -291,24 +281,20 @@ def _cmd_fig1(cfg: RunConfig) -> None:
     for idx, tag in ((0, "ground"), (1, "excited1")):
         for stat in ("boson", "fermion"):
             state = spec.state(idx, stat)
+            head = dict(meta, state=tag, statistics=stat, energy=state.energy)
             dg = boxspec.spatial_density(state, n_grid=n_grid)
-            head = dict(meta, state=tag, statistics=stat,
-                        energy=state.energy, kind="spatial")
-            stem = f"fig1_{tag}_spatial_{stat}"
-            write_csv(cfg.out_dir / f"{stem}.csv",
-                      {"x": dg.axis, "density": dg.values}, head)
-            write_svg_heatmap(cfg.out_dir / f"{stem}.svg",
-                              _bar_raster(dg.values), title=stem)
             mg = boxspec.momentum_density(state, n_k=n_k, n_x=n_x)
-            head = dict(meta, state=tag, statistics=stat,
-                        energy=state.energy, kind="momentum",
-                        window_mass=mg.mass,
-                        contact_tail=mg.metadata["contact_tail"])
-            stem = f"fig1_{tag}_momentum_{stat}"
-            write_csv(cfg.out_dir / f"{stem}.csv",
-                      {"k": mg.axis, "density": mg.values}, head)
-            write_svg_heatmap(cfg.out_dir / f"{stem}.svg",
-                              _bar_raster(mg.values), title=stem)
+            for kind, axis, grid, extra in (
+                ("spatial", "x", dg, {}),
+                ("momentum", "k", mg, dict(window_mass=mg.mass,
+                                           contact_tail=mg.metadata["contact_tail"])),
+            ):
+                stem = f"fig1_{tag}_{kind}_{stat}"
+                write_csv(cfg.out_dir / f"{stem}.csv",
+                          {axis: grid.axis, "density": grid.values},
+                          dict(head, kind=kind, **extra))
+                write_svg_heatmap(cfg.out_dir / f"{stem}.svg",
+                                  grid.axis, grid.values, title=stem)
     write_json(cfg.out_dir / "fig1_config.json", meta)
 
 
@@ -682,10 +668,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _resolve(args)
         _COMMANDS[cfg.command][0](cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"dualgas: config error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it is caught first
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"dualgas: numeric failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError included
+        print(f"dualgas: config error: {exc}", file=sys.stderr)
+        return 2
     return 0

@@ -1,4 +1,4 @@
-"""Deterministic file emitters: CSV with metadata header, JSON, SVG rasters.
+"""Deterministic file emitters: CSV with metadata header, JSON, SVG curves.
 
 Every artifact embeds the resolved run configuration so a file is
 self-describing; identical configurations must produce byte-identical
@@ -81,65 +81,40 @@ def write_json(path: Pathish, payload: Mapping[str, object]) -> Path:
     return path
 
 
-# Seven-stop dark-to-light map; linear interpolation between stops.
-_STOPS = np.array(
-    [
-        (68, 1, 84),
-        (70, 50, 127),
-        (54, 92, 141),
-        (39, 127, 142),
-        (31, 161, 135),
-        (74, 194, 109),
-        (253, 231, 37),
-    ],
-    dtype=float,
-)
+# Fixed canvas: the plot box spans x in [_LEFT, _RIGHT], y in [_TOP, _BOTTOM];
+# the left margin holds a y label of up to 24 characters.
+_WIDTH, _HEIGHT = 800, 360
+_LEFT, _RIGHT, _TOP, _BOTTOM = 184.0, 784.0, 24.0, 328.0
 
 
-def _rgb(u: np.ndarray) -> list:
-    """'#rrggbb' for each u, the map clipped to [0, 1]; rounds half to even."""
-    pos = np.clip(u, 0.0, 1.0) * (len(_STOPS) - 1)
-    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
-    frac = (pos - i)[..., None]
-    rgb = np.rint(_STOPS[i] + frac * (_STOPS[i + 1] - _STOPS[i])).astype(int)
-    return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in rgb.reshape(-1, 3).tolist()]
+# The name is the benchmark's: perfbench/tracer.py wraps and counts this
+# writer by name, so a rename waits for a change to the benchmark.
+def write_svg_heatmap(path: Pathish, x, y, title: str = "") -> Path:
+    """Minimal SVG of the curve (x, y) as one polyline; no plotting deps.
 
-
-def write_svg_heatmap(
-    path: Pathish,
-    values: np.ndarray,
-    title: str = "",
-    width: int = 640,
-) -> Path:
-    """Minimal rect-raster SVG for quick inspection; no plotting deps.
-
-    values[i, j] is drawn with row i at the top.  The color scale is
-    linear between the array min and max (flat arrays render as the low
-    color).
+    The plot box runs from x[0] to x[-1] and from 0 to max y; the x ends
+    and max y are printed as labels in round-trip form.  Points have two
+    decimals in the fixed viewBox.  A flat curve draws a flat line.
     """
-    z = np.atleast_2d(np.asarray(values, dtype=float))
-    rows, cols = z.shape
-    cell = max(1, width // cols)
-    w, h = cell * cols, cell * rows
-    pad_top = 18 if title else 0
-    lo, hi = float(z.min()), float(z.max())
-    span = hi - lo
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x_lo, x_hi, y_hi = float(x[0]), float(x[-1]), float(y.max())
+    sx = (_RIGHT - _LEFT) / (x_hi - x_lo) if x_hi != x_lo else 0.0
+    sy = (_BOTTOM - _TOP) / y_hi if y_hi > 0.0 else 0.0
+    points = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(
+        (_LEFT + (x - x_lo) * sx).tolist(), (_BOTTOM - y * sy).tolist()))
+    text = '<text font-family="monospace" font-size="12"'
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
-        f'height="{h + pad_top}" shape-rendering="crispEdges">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'{text} x="4" y="14">{title}</text>',
+        f'<path d="M{_LEFT:g} {_TOP:g}V{_BOTTOM:g}H{_RIGHT:g}" fill="none" stroke="black"/>',
+        f'{text} class="y-hi" x="{_LEFT - 4:g}" y="{_TOP + 4:g}" '
+        f'text-anchor="end">{format_value(y_hi)}</text>',
+        f'{text} class="x-lo" x="{_LEFT:g}" y="{_BOTTOM + 16:g}">{format_value(x_lo)}</text>',
+        f'{text} class="x-hi" x="{_RIGHT:g}" y="{_BOTTOM + 16:g}" '
+        f'text-anchor="end">{format_value(x_hi)}</text>',
+        f'<polyline points="{points}" fill="none" stroke="#3b528b"/>',
+        "</svg>",
     ]
-    if title:
-        parts.append(
-            f'<text x="4" y="13" font-family="monospace" font-size="12">'
-            f"{title}</text>"
-        )
-    u = (z - lo) / span if span > 0.0 else np.zeros_like(z)
-    # cell k is row k // cols, column k % cols
-    parts.extend(
-        f'<rect x="{(k % cols) * cell}" y="{(k // cols) * cell + pad_top}" '
-        f'width="{cell}" height="{cell}" fill="{fill}"/>'
-        for k, fill in enumerate(_rgb(u))
-    )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-    return Path(path)
+    path = Path(path)
+    path.write_text("\n".join(parts) + "\n")
+    return path

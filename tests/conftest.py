@@ -1,9 +1,11 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import hypothesis
+import numpy as np
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=60, derandomize=True
@@ -37,3 +39,12 @@ def run_python(args, cwd, timeout=600):
         [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def svg_curve(path):
+    """(labels, points) of a curve SVG: its axis-end labels by class, as
+    floats, and its one polyline's points as an (n, 2) array."""
+    text = Path(path).read_text()
+    labels = {k: float(v) for k, v in re.findall(r'<text [^>]*class="([^"]+)"[^>]*>([^<]*)<', text)}
+    (points,) = re.findall(r'<polyline points="([^"]*)"', text)
+    return labels, np.array([[float(v) for v in p.split(",")] for p in points.split()])

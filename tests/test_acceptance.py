@@ -420,6 +420,7 @@ def test_repeated_runs_byte_identical(tmp_path):
             ["fig2", "--c-list", "0.5,1", "--beta-list", "1,0.1", "--m", "8"],
             {"a": "1", "b": "3"},  # thread counts must not leak into bytes
         ),
+        "fig1": (["fig1", "--m", "8", "--n-grid", "33", "--n-k", "41", "--n-x", "49"], {}),
     }
     for name, (args, threads) in specs.items():
         dirs = []

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import run_cli as run
-from conftest import run_python
-from dualgas import boxspec, cli
+from conftest import run_python, svg_curve
+from dualgas import boxspec, cli, output
 from dualgas.core import Box, ModelSpec
 
 
@@ -147,17 +147,6 @@ def test_scipy_guard_covers_every_command():
     assert guarded == set(cli._COMMANDS)
 
 
-def test_bar_raster_fills_mirror_peaks_alike():
-    # a mirror-symmetric density whose right peak lost one ulp to roundoff
-    x = np.linspace(0.0, 1.0, 41)
-    curve = np.sin(2.0 * np.pi * x) ** 2
-    right = int(np.argmax(curve[20:])) + 20
-    curve[right] = np.nextafter(curve[right], 0.0)
-    raster = cli._bar_raster(curve)
-    assert np.flatnonzero(raster[0]).tolist() == [40 - right, right]
-    assert np.array_equal(raster != 0.0, raster[:, ::-1] != 0.0)
-
-
 def test_failed_solve_exits_three(tmp_path):
     # so deep in the degenerate regime that the contraction is too slow to
     # converge within the iteration cap
@@ -170,6 +159,29 @@ def test_failed_solve_exits_three(tmp_path):
             tmp_path)
     assert r.returncode == 3
     assert "density inversion" in r.stderr
+
+
+def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet a failed factorization is a
+    # numeric failure, not a configuration error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(boxspec.np.linalg, "eigh", fail)
+    argv = ["box-spectrum", "--alpha", "5", "--m", "4", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "numeric failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_unresolved_strong_coupling_exits_three(tmp_path, capsys):
+    # at alpha = 1e14 the contact swamps the kinetic scale in double
+    # precision: E1 is off by about 1 %, and the residual gate says so
+    out = ["--out-dir", str(tmp_path)]
+    assert cli.main(["box-spectrum", "--alpha", "1e14", "--m", "20", *out]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: eigen-residual" in err and "--c inf" in err
+    assert not (tmp_path / "box_spectrum.csv").exists()
+    assert cli.main(["box-spectrum", "--alpha", "1e6", "--m", "20", *out]) == 0
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -302,6 +314,28 @@ def test_density_profile_files_show_duality(tmp_path):
     assert tail_b == 0.0 < tail_f
     assert "window_mass" in meta_lines(raw_f)
     assert (tmp_path / "fig1_ground_spatial_boson.svg").exists()
+
+
+def test_fig1_svgs_draw_their_csv_curves(tmp_path):
+    r = run(["fig1", "--m", "8", "--n-grid", "33", "--n-k", "41", "--n-x", "49"],
+            tmp_path)
+    assert r.returncode == 0, r.stderr
+    svgs = sorted(tmp_path.glob("fig1_*.svg"))
+    assert len(svgs) == 8
+    for svg in svgs:
+        text = svg.read_text()
+        assert text.count("<polyline") == 1 and "<rect" not in text
+        rows = strip_meta(svg.with_suffix(".csv").read_bytes())[1:]
+        axis, density = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+        labels, pts = svg_curve(svg)
+        assert labels == {"x-lo": axis[0], "x-hi": axis[-1], "y-hi": density.max()}
+        # points have two decimals: each is within 0.005 of its exact place
+        dx = (labels["x-hi"] - labels["x-lo"]) / (output._RIGHT - output._LEFT)
+        dy = labels["y-hi"] / (output._BOTTOM - output._TOP)
+        x = labels["x-lo"] + (pts[:, 0] - output._LEFT) * dx
+        y = (output._BOTTOM - pts[:, 1]) * dy
+        assert np.abs(x - axis).max() <= 0.005 * dx * (1.0 + 1e-9)
+        assert np.abs(y - density).max() <= 0.005 * dy * (1.0 + 1e-9)
 
 
 def strip_meta(raw: bytes) -> list:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import dualgas
-from dualgas import work
+from conftest import run_python
+from dualgas import cli, work
 from dualgas.core import LinearRamp
 
 MODULES = sorted(
@@ -127,3 +129,35 @@ def test_tracer_counters_read_work_results(tracer):
     args = (np.array([0.0, 1e-12, 1.0]), p, np.log(p))
     merged = work.merge_atoms(*args)
     assert tracer._INFO["work.merge_atoms"](args, {}, merged) == [3, 2]
+
+
+# One small op per command, each in its own output directory.
+TRACED_OPS = [
+    ["ring-spectrum", "--n", "2", "--imax", "6.5"],
+    ["box-spectrum", "--alpha", "5", "--m", "8", "--n-levels", "3"],
+    ["fig1", "--m", "6", "--n-grid", "33", "--n-k", "41", "--n-x", "49"],
+    ["work", "--geometry", "box", "--protocol", "ramp", "--v", "5", "--tau", "0.05",
+     "--m", "4"],
+    ["fig2", "--c-list", "1", "--beta-list", "1", "--tau", "0.05", "--m", "4"],
+    ["duality-check", "--alpha", "5", "--m", "8"],
+    ["convergence", "--m-list", "4,6", "--n-levels", "2"],
+    ["eos", "--mu-grid=-2:0:3"],
+]
+
+
+def test_tracer_runs_every_command(tmp_path, tracer):
+    # `--trace 1` runs the CLI under the tracer: a writer renamed away, or a
+    # result attribute a counter reads, fails its ops
+    assert {argv[0] for argv in TRACED_OPS} == set(cli._COMMANDS)
+    ops = [[*argv, "--out-dir", str(tmp_path / str(i)), "--threads", "1"]
+           for i, argv in enumerate(TRACED_OPS)]
+    (tmp_path / "ops.json").write_text(json.dumps(ops))
+    r = run_python(["-B", str(TRACER), "ops.json", "spans.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / "spans.json").read_text())
+    assert doc["exit_codes"] == [0] * len(ops), r.stderr
+    names = {span[tracer.NAME] for span in doc["spans"]}
+    assert {"output.write_svg_heatmap", "work.propagate_ramp",
+            "eos.solve_yang_yang", "boxspec.diagonalize"} <= names
+    metrics = tracer.layer_metrics(doc)
+    assert metrics["output.write_svg_heatmap.s"] > 0.0 and metrics["output.bytes"] > 0

@@ -441,6 +441,24 @@ def test_ramp_refuses_a_step_count_past_its_bound(monkeypatch):
             wk.propagate_ramp(LinearRamp(lam, 5.0, 0.1), coupling, 4)
 
 
+@pytest.mark.parametrize("coupling, cutoff, speed, duration, hbar", [
+    (0.5, 8, 5.0, 0.2, 1.0),
+    (10.0, 8, 2.0, 0.5, 0.7),
+    (math.inf, 10, 5.0, 0.2, 1.0),
+])
+def test_ramp_is_microreversible(coupling, cutoff, speed, duration, hbar):
+    # Crooks: H is real, so the compression LinearRamp(L_f, -v, tau) has
+    # amplitudes U_B = U_F^T and P_B[i, f] = P_F[f, i] level by level.
+    # Jarzynski holds for any unitary P; this pins the palindromic clock,
+    # the L_i <-> L_f symmetry of the step count and both chirp signs (a
+    # wrong sign on the final chirp alone reads 0.18 here)
+    forward = LinearRamp(1.0, speed, duration)
+    backward = LinearRamp(forward.lambda_final, -speed, duration)
+    P_F = wk.propagate_ramp(forward, coupling, cutoff, hbar).transition_matrix
+    P_B = wk.propagate_ramp(backward, coupling, cutoff, hbar).transition_matrix
+    assert np.abs(P_B - P_F.T).max() <= 1e-12
+
+
 def test_static_wall_ramp_is_diagonal():
     # v = 0: U = exp(-i H tau / hbar) keeps every eigenstate, so P = I
     res = wk.propagate_ramp(LinearRamp(1.0, 0.0, 0.3), 1.0, 10)

@@ -264,7 +264,6 @@ class BoxSpectrum:
             basis=self.basis,
             A=A,
             energy=float(self.energies[index]),
-            index=index,
             statistics=statistics,
         )
 
@@ -478,7 +477,6 @@ class BoxState:
     basis: PairBasis
     A: np.ndarray
     energy: float
-    index: int
     statistics: str = "boson"
 
     def __post_init__(self):
@@ -519,7 +517,6 @@ class DensityGrid:
     axis: np.ndarray
     values: np.ndarray
     mass: float
-    kind: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -548,7 +545,6 @@ def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
         axis=x,
         values=rho,
         mass=mass,
-        kind="spatial",
         metadata={"statistics": state.statistics, "n_grid": n_grid},
     )
 
@@ -664,7 +660,7 @@ def momentum_density(
             RuntimeWarning,
             stacklevel=2,
         )
-    return DensityGrid(axis=k, values=nk, mass=mass, kind="momentum", metadata=meta)
+    return DensityGrid(axis=k, values=nk, mass=mass, metadata=meta)
 
 
 def contact_expectation(state: BoxState) -> float:

@@ -176,32 +176,38 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _require(cfg: RunConfig, *keys: str) -> list:
-    vals = []
-    for key in keys:
-        val = cfg.values.get(key)
-        if val is None:
-            raise ConfigError(f"{cfg.command} needs {_flag(key)}")
-        vals.append(val)
-    return vals
-
-
-def _atom_columns(merged: work.WorkDistribution) -> Dict[str, np.ndarray]:
-    """Work and probability columns of the atoms that carry mass.
-
-    Atoms whose probability is exactly 0 (forbidden transitions, or masses
-    below the smallest double) are not written.
-    """
-    keep = merged.probabilities > 0.0
-    return {"work": merged.works[keep], "probability": merged.probabilities[keep]}
-
-
 def _jarzynski_residual(dist: work.WorkDistribution) -> float:
     j = dist.jarzynski_average()
     if j <= 0:
         return math.inf
     ln_ratio = dist.metadata["ln_z_final"] - dist.metadata["ln_z_initial"]
     return abs(math.exp(math.log(j) - ln_ratio) - 1.0)
+
+
+def _write_work(
+    path: Path, dist: work.WorkDistribution, head: Dict[str, object], tol: float = 1e-9
+) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Write the merged atoms of `dist` as work and probability columns.
+
+    The CSV header is `head` plus the distribution's scalar metadata.
+    Atoms whose probability is exactly 0 (forbidden transitions, or masses
+    below the smallest double) are not written.  Returns that header and
+    the moments, Jarzynski residual and atom count of the distribution.
+    """
+    merged = dist.merged(tol)
+    keep = merged.probabilities > 0.0
+    head = dict(head)
+    head.update({k: v for k, v in dist.metadata.items()
+                 if isinstance(v, (int, float, str))})
+    write_csv(path, {"work": merged.works[keep],
+                     "probability": merged.probabilities[keep]}, head)
+    m1, m2 = dist.moments(2)
+    return head, {
+        "mean_work": m1,
+        "second_moment": m2,
+        "jarzynski_residual": _jarzynski_residual(dist),
+        "atom_count": int(np.count_nonzero(keep)),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -306,8 +312,9 @@ def _protocol_from(cfg: RunConfig):
     if name == "sudden-wall":
         return SuddenWall(lam_i, float(cfg.values["lam_f"]))
     if name == "sudden-coupling":
-        (c_f,) = _require(cfg, "c_f")
-        return SuddenCoupling(float(cfg.values["c"]), float(c_f))
+        if cfg.values["c_f"] is None:
+            raise ConfigError(f"{cfg.command} needs --c-f")
+        return SuddenCoupling(float(cfg.values["c"]), float(cfg.values["c_f"]))
     if name == "ramp":
         return LinearRamp(lam_i, float(cfg.values["v"]), float(cfg.values["tau"]))
     raise ConfigError(f"unknown protocol {name!r}; expected adiabatic, "
@@ -330,22 +337,10 @@ def _cmd_work(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
     protocol = _protocol_from(cfg)
     dist = work.drive(model, protocol, **kwargs).at(beta)
-    atoms = _atom_columns(dist.merged(float(cfg.values["merge_tol"])))
-    meta = cfg.metadata()
-    meta.update({k: v for k, v in dist.metadata.items()
-                 if isinstance(v, (int, float, str))})
-    write_csv(cfg.out_dir / "work_atoms.csv", atoms, meta)
-    m1, m2 = dist.moments(2)
-    summary = dict(
-        meta,
-        mass=dist.mass,
-        tail_mass=dist.tail_mass,
-        mean_work=m1,
-        second_moment=m2,
-        jarzynski_average=dist.jarzynski_average(),
-        jarzynski_residual=_jarzynski_residual(dist),
-        atom_count=atoms["work"].size,
-    )
+    head, stats = _write_work(cfg.out_dir / "work_atoms.csv", dist, cfg.metadata(),
+                              float(cfg.values["merge_tol"]))
+    summary = dict(head, mass=dist.mass, tail_mass=dist.tail_mass,
+                   jarzynski_average=dist.jarzynski_average(), **stats)
     write_json(cfg.out_dir / "work_summary.json", summary)
 
 
@@ -389,20 +384,9 @@ def _cmd_fig2(cfg: RunConfig) -> None:
     for coupling, dists in zip(c_list, by_c):
         entry: Dict[str, object] = {}
         for beta in beta_list:
-            dist = dists[beta]
-            atoms = _atom_columns(dist.merged())
-            head = dict(meta, c=coupling, beta=beta)
-            head.update({k: val for k, val in dist.metadata.items()
-                         if isinstance(val, (int, float, str))})
-            write_csv(cfg.out_dir / f"fig2_C{coupling:g}_beta{beta:g}.csv",
-                      atoms, head)
-            m1, m2 = dist.moments(2)
-            entry[f"beta={beta:g}"] = {
-                "mean_work": m1,
-                "second_moment": m2,
-                "jarzynski_residual": _jarzynski_residual(dist),
-                "atom_count": atoms["work"].size,
-            }
+            _, entry[f"beta={beta:g}"] = _write_work(
+                cfg.out_dir / f"fig2_C{coupling:g}_beta{beta:g}.csv",
+                dists[beta], dict(meta, c=coupling, beta=beta))
         report[f"c={coupling:g}"] = entry
 
     # Interaction sensitivity washes out toward the classical limit: the

@@ -26,6 +26,12 @@ class ConfigError(ValueError):
     """Invalid model/protocol parameters."""
 
 
+def _check_positive(label: str, value: float) -> None:
+    """Raise ConfigError unless value is positive and finite (nan included)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{label} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Ring:
     """Periodic geometry of circumference `circumference`."""
@@ -33,8 +39,7 @@ class Ring:
     circumference: float
 
     def __post_init__(self):
-        if not (self.circumference > 0 and math.isfinite(self.circumference)):
-            raise ConfigError(f"ring circumference must be positive, got {self.circumference}")
+        _check_positive("ring circumference", self.circumference)
 
     @property
     def length(self) -> float:
@@ -48,8 +53,7 @@ class Box:
     width: float
 
     def __post_init__(self):
-        if not (self.width > 0 and math.isfinite(self.width)):
-            raise ConfigError(f"box width must be positive, got {self.width}")
+        _check_positive("box width", self.width)
 
     @property
     def length(self) -> float:
@@ -116,10 +120,8 @@ class Adiabatic:
     lambda_final: float
 
     def __post_init__(self):
-        for name in ("lambda_initial", "lambda_final"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive, got {v}")
+        _check_positive("lambda_initial", self.lambda_initial)
+        _check_positive("lambda_final", self.lambda_final)
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,8 @@ class SuddenWall:
     lambda_final: float
 
     def __post_init__(self):
-        for name in ("lambda_initial", "lambda_final"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive, got {v}")
+        _check_positive("lambda_initial", self.lambda_initial)
+        _check_positive("lambda_final", self.lambda_final)
         if self.lambda_final < self.lambda_initial:
             raise ConfigError("sudden compression not supported: final width < initial width")
 
@@ -161,21 +161,16 @@ class LinearRamp:
     duration: float
 
     def __post_init__(self):
-        if not (self.lambda_initial > 0 and math.isfinite(self.lambda_initial)):
-            raise ConfigError(f"lambda_initial must be positive, got {self.lambda_initial}")
+        _check_positive("lambda_initial", self.lambda_initial)
         if not math.isfinite(self.speed):
             raise ConfigError(f"speed must be finite, got {self.speed}")
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise ConfigError(f"duration must be positive, got {self.duration}")
+        _check_positive("duration", self.duration)
         if self.lambda_final <= 0:
             raise ConfigError("ramp collapses the box: L_i + v*tau <= 0")
 
     @property
     def lambda_final(self) -> float:
         return self.lambda_initial + self.speed * self.duration
-
-
-Protocol = Union[Adiabatic, SuddenWall, SuddenCoupling, LinearRamp]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+# Relative step at which the fixed-point iteration stops, and its cap
+_TOL = 1e-12
+_MAX_ITER = 500
+
+
 class EosConvergenceError(RuntimeError):
     """Fixed-point iteration failed to reach tolerance."""
 
@@ -98,8 +103,6 @@ class EosSolution:
 
     beta: float
     mu: float
-    coupling: float
-    hbar: float
     k: np.ndarray = field(repr=False)
     epsilon: np.ndarray = field(repr=False)
     pressure: float
@@ -168,8 +171,6 @@ def solve_yang_yang(
     hbar: float = 1.0,
     k_max: Optional[float] = None,
     n_k: Optional[int] = None,
-    tol: float = 1e-12,
-    max_iter: int = 500,
 ) -> EosSolution:
     """Solve the dressed-energy equation, then its dressed charge.
 
@@ -193,15 +194,13 @@ def solve_yang_yang(
     if math.isinf(coupling):
         eps, charge, it, res = -mu + hbar**2 * k * k, 1.0, 0, 0.0
     else:
-        eps, charge, it, res = _solve_on_grid(
-            beta, mu, coupling, hbar, k, tol, max_iter
-        )
+        eps, charge, it, res = _solve_on_grid(beta, mu, coupling, hbar, k)
     lng = np.logaddexp(0.0, -beta * eps)
     p = float(np.trapezoid(lng, k)) / (2.0 * math.pi * beta)
     f = _filling(beta, eps)
     d = float(np.trapezoid(f * charge, k)) / (2.0 * math.pi)
     slope = beta * float(np.trapezoid(f * (1.0 - f) * charge**3, k)) / (2.0 * math.pi)
-    return EosSolution(beta, mu, coupling, hbar, k, eps, p, d, slope, it, res)
+    return EosSolution(beta, mu, k, eps, p, d, slope, it, res)
 
 
 def _solve_on_grid(
@@ -210,15 +209,13 @@ def _solve_on_grid(
     coupling: float,
     hbar: float,
     k: np.ndarray,
-    tol: float,
-    max_iter: int,
 ):
     """Plain iteration for eps, then for the dressed charge q at that eps.
 
     Both maps have the linearization (2C/pi) h K * (f .), of norm at most
     max f < 1, so both contract.  Returns (eps, q, iterations, residual),
     the count and residual being those of eps; raises EosConvergenceError
-    when either stalls at max_iter or turns non-finite.
+    when either stalls at _MAX_ITER or turns non-finite.
     """
     n = k.size
     h = k[1] - k[0]
@@ -231,11 +228,11 @@ def _solve_on_grid(
 
     def iterate(apply_map, x, scale, name):
         res = math.inf
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             new = apply_map(x)
             res = float(np.abs(new - x).max()) / scale
             x = new
-            if res < tol:
+            if res < _TOL:
                 return x, it, res
             if not math.isfinite(res):
                 break

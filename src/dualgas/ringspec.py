@@ -36,33 +36,44 @@ __all__ = [
 ]
 
 
+# Newton steps per solve, and terms of the tail-bound series, before either
+# gives up
+_MAX_ITER = 80
+_MAX_TERMS = 100_000
+
+
 class BetheSolverError(RuntimeError):
     """Newton iteration failed to converge (should not happen for C > 0)."""
 
 
-def theta(k, coupling: float, hbar: float = 1.0):
-    """Two-body phase shift arctan(2 hbar^2 k / C); odd in k.
-
-    Hard-core limit -> 0 identically; C = 0 -> (pi/2) sign(k) (the
-    distributional limit, returned for completeness only).
-    """
-    k = np.asarray(k, dtype=float)
+def _check_coupling(coupling: float) -> None:
+    """Accept C > 0 or inf; C = 0, a negative C and nan are ConfigErrors."""
     if not (coupling >= 0):  # also rejects nan
         raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
+    if coupling == 0.0:
+        raise ConfigError(
+            "C = 0 rapidities coalesce onto 2*pi*n/lam; use the ideal-gas "
+            "references instead of the Bethe solver"
+        )
+
+
+def theta(k, coupling: float, hbar: float = 1.0):
+    """Two-body phase shift arctan(2 hbar^2 k / C); odd in k, C > 0 or inf.
+
+    Hard-core limit -> 0 identically.
+    """
+    k = np.asarray(k, dtype=float)
+    _check_coupling(coupling)
     if math.isinf(coupling):
         return np.zeros_like(k)
-    if coupling == 0.0:
-        return (np.pi / 2.0) * np.sign(k)
     return np.arctan((2.0 * hbar**2 / coupling) * k)
 
 
 def theta_prime(k, coupling: float, hbar: float = 1.0):
-    """d theta / dk = 2 hbar^2 C / (C^2 + 4 hbar^4 k^2)."""
+    """d theta / dk = 2 hbar^2 C / (C^2 + 4 hbar^4 k^2); C > 0 or inf."""
     k = np.asarray(k, dtype=float)
-    if not (coupling >= 0):  # also rejects nan
-        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
-    if math.isinf(coupling) or coupling == 0.0:
-        # zero a.e.; the C = 0 delta spike at k = 0 is never sampled here
+    _check_coupling(coupling)
+    if math.isinf(coupling):
         return np.zeros_like(k)
     return 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * k**2)
 
@@ -88,7 +99,6 @@ def solve_bethe_batch(
     coupling: float,
     hbar: float = 1.0,
     tol: float = 1e-12,
-    max_iter: int = 80,
 ):
     """Newton solve for a (S, N) stack of quantum-number rows.
 
@@ -102,13 +112,7 @@ def solve_bethe_batch(
     I = np.atleast_2d(np.asarray(quantum_numbers, dtype=float))
     if not (lam > 0):  # also rejects nan
         raise ConfigError(f"ring circumference must be positive, got {lam}")
-    if not (coupling >= 0):  # also rejects nan
-        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
-    if coupling == 0.0:
-        raise ConfigError(
-            "C = 0 rapidities coalesce onto 2*pi*n/lam; use the ideal-gas "
-            "references instead of the Bethe solver"
-        )
+    _check_coupling(coupling)
     K = 2.0 * np.pi * I / lam  # hard-core warm start
     if math.isinf(coupling):
         return K, np.zeros(K.shape[0])
@@ -117,7 +121,7 @@ def solve_bethe_batch(
     scale = np.maximum(1.0, np.abs(I2pi).max(axis=1))
     F = _residual(K, I2pi, lam, coupling, hbar)
     fnorm = np.abs(F).max(axis=1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         active = ~(fnorm <= tol * scale)  # a nan residual stays active
         if not active.any():
             break
@@ -159,7 +163,6 @@ def spectral_tail_bound(
     i_max: float,
     beta: float,
     hbar: float = 1.0,
-    max_terms: int = 100_000,
 ) -> float:
     """Upper bound on sum exp(-beta E) over all states with max|I_l| > i_max.
 
@@ -168,7 +171,9 @@ def spectral_tail_bound(
     |k| >= max(0, (2 pi v - pi N) / lam), hence E >= hbar^2 k^2.  States
     with that extremum number at most 2 * C(2v+1, N-1) (choose the sign of
     the extremal I and the remaining grid points).  C > 0 only tightens the
-    bound, so it is coupling-independent.
+    bound, so it is coupling-independent.  A series that has not closed
+    within its term cap (tiny beta) raises ArithmeticError rather than
+    return a partial sum as the bound.
     """
     if not (0 < beta < math.inf):  # also rejects nan
         raise ConfigError(f"beta must be positive and finite, got {beta}")
@@ -179,8 +184,8 @@ def spectral_tail_bound(
     if v <= i_max:
         v += 1.0
     total = 0.0
-    prev = None
-    for _ in range(max_terms):
+    prev = prev_log = None
+    for _ in range(_MAX_TERMS):
         kmin = max(0.0, (2.0 * np.pi * v - np.pi * n) / lam)
         L = int(2.0 * v + 1.0)
         logterm = math.log(2.0) + _log_comb(L, n - 1) - beta * (hbar * kmin) ** 2
@@ -190,10 +195,17 @@ def spectral_tail_bound(
             # Gaussian decay has set in; close with a geometric remainder
             r = term / prev
             total += term * r / (1.0 - r)
-            break
-        prev = term
+            return total
+        if term == 0.0 and prev_log is not None and logterm < prev_log:
+            # logterm is concave in v: once it falls below underflow and
+            # decreases, every later term is 0 as well
+            return total
+        prev, prev_log = term, logterm
         v += 1.0
-    return total
+    raise ArithmeticError(
+        f"the ring tail bound did not close within {_MAX_TERMS} terms at "
+        f"beta={beta:g}, lambda={lam:g}, i_max={i_max:g}"
+    )
 
 
 @dataclass
@@ -205,7 +217,6 @@ class SpectrumTable:
     residuals: np.ndarray  # (S,)
     energies: np.ndarray  # (S,)
     lam: float
-    coupling: float
     hbar: float
     i_max: float
 
@@ -227,7 +238,6 @@ def enumerate_states(
     n_particles: int,
     i_max: float,
     hbar: float = 1.0,
-    tol: float = 1e-12,
     max_states: int = 2_000_000,
 ) -> SpectrumTable:
     """Solve every state with all |I_l| <= i_max; sorted by (energy, I).
@@ -254,7 +264,7 @@ def enumerate_states(
             f"{n_combo} states exceed max_states={max_states}; lower i_max"
         )
     I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
-    K, res = solve_bethe_batch(I, lam, coupling, hbar, tol=tol)
+    K, res = solve_bethe_batch(I, lam, coupling, hbar)
     energies = hbar**2 * np.sum(K**2, axis=1)
     bad = np.count_nonzero(~np.isfinite(energies))
     if bad:
@@ -269,7 +279,6 @@ def enumerate_states(
         residuals=res[order],
         energies=energies[order],
         lam=lam,
-        coupling=coupling,
         hbar=hbar,
         i_max=i_max,
     )

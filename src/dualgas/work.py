@@ -226,9 +226,13 @@ def kolmogorov_distance(
     return float(max(vals.max(), abs(cum[-1])))
 
 
-def _thermal(energies, beta):
+def _check_beta(beta: float) -> None:
     if not (0 < beta < math.inf):  # also rejects nan
         raise ConfigError(f"beta must be positive and finite, got {beta}")
+
+
+def _thermal(energies, beta):
+    _check_beta(beta)
     e = np.asarray(energies, dtype=float)
     ln_z = _logsumexp(-beta * e)
     p = np.exp(-beta * e - ln_z)
@@ -298,13 +302,6 @@ def _wall_deficits(P, p_i):
     }
 
 
-def _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f):
-    """cutoff_f, by default the one that keeps the top mode's momentum."""
-    if cutoff_f is None:
-        return int(math.ceil(cutoff_i * lam_f / lam_i))
-    return cutoff_f
-
-
 # ---------------------------------------------------------------------------
 # Ring: adiabatic Bethe route
 # ---------------------------------------------------------------------------
@@ -338,8 +335,7 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     summed window add at most int_K^inf e^{-g x^2} dx, since e^{-g x^2}
     decreases; that term is what keeps the bound at very small beta.
     """
-    if not (0 < beta < math.inf):  # also rejects nan
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     lam2 = lam * lam
     g = beta * (hbar * hbar) * np.pi**2 / lam2 if lam2 > 0.0 else math.inf
     if not 0.0 < g < math.inf:
@@ -398,7 +394,8 @@ def sudden_wall_drive(
     while the thermal average's at beta = 1 is 5.1e-5; a larger cutoff_f
     lowers the worst state's (0.002 at 12 -> 48).
     """
-    cutoff_f = _final_cutoff(cutoff_i, lam_i, lam_f, cutoff_f)
+    if cutoff_f is None:
+        cutoff_f = int(math.ceil(cutoff_i * lam_f / lam_i))
     sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
@@ -452,14 +449,9 @@ _MAX_STEPS = 10**7
 
 @dataclass
 class RampResult:
-    ramp: LinearRamp
-    coupling: float
-    cutoff: int
-    hbar: float
     energies_i: np.ndarray
     energies_f: np.ndarray
     amplitudes: np.ndarray  # (n_final, n_columns), complex
-    columns: np.ndarray  # initial eigenstate indices propagated
     norm_drift: float
     n_rhs_evals: int  # dense sub-flow products, six per splitting step
 
@@ -553,11 +545,7 @@ def propagate_ramp(
     h = span / n_steps
     sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
-    if columns is None:
-        cols = np.arange(len(sp_i))
-    else:
-        cols = np.asarray(list(columns), dtype=int)
-    y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), cols)
+    y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), columns)
     # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
     # per step the stages shift by h, which scales these by exp(-v h)
     widths = _S6_K_STAGES * h
@@ -573,14 +561,9 @@ def propagate_ramp(
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())
     amplitudes = sp_f.project(y)
     return RampResult(
-        ramp=ramp,
-        coupling=coupling,
-        cutoff=cutoff,
-        hbar=hbar,
         energies_i=sp_i.energies,
         energies_f=sp_f.energies,
         amplitudes=amplitudes,
-        columns=cols,
         norm_drift=drift,
         n_rhs_evals=len(_S6_A_STAGES) * n_steps,
     )
@@ -608,7 +591,6 @@ def ndp_reference(
     beta: float,
     n_particles: int,
     hbar: float = 1.0,
-    merge_tol: float = 1e-9,
 ) -> WorkDistribution:
     """Adiabatic ring rescaling of noninteracting distinguishable particles.
 
@@ -616,6 +598,7 @@ def ndp_reference(
     one-particle atom list.  The one-particle momenta 2 pi n / lam_i run far
     enough that the dropped Boltzmann weights are below 1e-18 of the peak.
     """
+    _check_beta(beta)
     n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
     k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
     e1 = hbar**2 * k**2
@@ -626,7 +609,7 @@ def ndp_reference(
     for _ in range(n_particles - 1):
         works, probs, log_probs = merge_atoms(
             np.add.outer(works, w1), np.multiply.outer(probs, p1),
-            np.add.outer(log_probs, lp1), merge_tol,
+            np.add.outer(log_probs, lp1),
         )
     return WorkDistribution(
         works=works,

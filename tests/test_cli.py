@@ -59,15 +59,24 @@ def test_flag_prefix_is_not_a_flag(tmp_path, capsys, argv, given):
 
 
 def test_readme_cli_block_runs(tmp_path):
-    # every line of the code block under README's "## CLI", in-process
+    # every command of the two code blocks under README's "## CLI", as
+    # written but in-process, each with its --out-dir moved under tmp_path
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.split("## CLI\n", 1)[1].split("```\n", 2)[1].splitlines()
-    assert len(lines) >= 9
-    for line in lines:
+    blocks = re.findall(r"```\n(.*?)```", text.split("## CLI\n", 1)[1], re.S)[:2]
+    lines = [ln for b in blocks for ln in b.splitlines() if not ln.startswith("#")]
+    assert len(lines) >= 16
+    named = set()
+    for i, line in enumerate(lines):
         argv = shlex.split(line)
         assert argv[:3] == ["python", "-m", "dualgas"], line
-        argv = [str(tmp_path / a) if a == "out/" else a for a in argv[3:]]
+        argv = argv[3:]
+        at = argv.index("--out-dir") + 1
+        out = tmp_path / str(i) / argv[at]
+        argv[at] = str(out)
         assert cli.main(argv) == 0, line
+        assert any(p.is_file() for p in out.iterdir()), line
+        named.add(argv[0])
+    assert named == set(cli._COMMANDS)
 
 
 def test_negative_grid_start_after_a_space(tmp_path):
@@ -159,6 +168,17 @@ def test_failed_solve_exits_three(tmp_path):
             tmp_path)
     assert r.returncode == 3
     assert "density inversion" in r.stderr
+
+
+def test_ring_tail_bound_past_its_term_cap_exits_three(tmp_path, capsys):
+    # the series of the ring's tail bound has not closed by its term cap
+    # at beta = 1e-9: its partial sum would understate tail_mass by 58 %
+    argv = ["work", "--geometry", "ring", "--protocol", "adiabatic", "--n", "3",
+            "--c", "1", "--beta", "1e-9", "--imax", "12", "--lambda-i", "20",
+            "--lambda-f", "40", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "numeric failure: the ring tail bound did not close" in capsys.readouterr().err
+    assert not (tmp_path / "work_summary.json").exists()
 
 
 def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -96,6 +96,59 @@ def test_package_modules_import_nothing_unused():
     assert found == []
 
 
+def _calls_by_name(paths):
+    """name -> [(positional count, keyword names, passes * or **)] of every
+    call in the files, by the called name or attribute; partial(f, ...)
+    counts as a call of f with the rest of its arguments."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "partial" and args:
+                func, args = args[0], args[1:]
+                name = getattr(func, "id", getattr(func, "attr", None))
+            if name is None:
+                continue
+            spread = (any(isinstance(a, ast.Starred) for a in args)
+                      or any(kw.arg is None for kw in node.keywords))
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((len(args), keywords, spread))
+    return calls
+
+
+def _options_no_call_sets():
+    """module.function(parameter) of every parameter with a default, of every
+    function a module exports, that no call in the package or the tests sets."""
+    root = Path(dualgas.__file__).resolve().parents[2]
+    calls = _calls_by_name(sorted((root / "src").rglob("*.py"))
+                           + sorted((root / "tests").glob("*.py")))
+    unset = []
+    for name in MODULES:
+        mod = importlib.import_module(f"dualgas.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            fn = getattr(mod, attr)
+            if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            for i, param in enumerate(params):
+                if param.default is inspect.Parameter.empty:
+                    continue
+                if not any(spread or param.name in keywords
+                           or (n_args > i and param.kind != param.KEYWORD_ONLY)
+                           for n_args, keywords, spread in calls.get(attr, [])):
+                    unset.append(f"{name}.{attr}({param.name})")
+    return unset
+
+
+def test_every_exported_option_is_set_by_some_call():
+    # a default no call changes is a constant that tests and benchmarks
+    # never vary: it belongs in the module, not in the signature
+    assert _options_no_call_sets() == []
+
+
 @pytest.fixture(scope="module")
 def tracer():
     # the benchmark's span recorder, loaded as it stands and left unwritten

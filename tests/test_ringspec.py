@@ -55,6 +55,10 @@ def test_weak_coupling_pair_scaling():
 def test_zero_coupling_rejected():
     with pytest.raises(ConfigError):
         solve_one([-0.5, 0.5], 1.0, 0.0)
+    # the phase shift and its slope take the solver's domain, C > 0 or inf
+    for fn in (rs.theta, rs.theta_prime):
+        with pytest.raises(ConfigError, match="C = 0 rapidities coalesce"):
+            fn(0.5, 0.0)
 
 
 @pytest.mark.parametrize("coupling", [math.nan, -1.0])
@@ -182,6 +186,16 @@ def test_tail_bound_log_count_matches_gammaln(n):
 def test_tail_bound_rejects_beta_not_positive_and_finite(beta):
     with pytest.raises(ConfigError, match="beta must be positive and finite"):
         rs.spectral_tail_bound(1.0, 2, 3.5, beta)
+
+
+def test_tail_bound_raises_at_its_term_cap():
+    # at beta = 1e-8 the series has not closed within its cap, and the
+    # partial sum would understate the bound by 0.019 % (58 % at 1e-9)
+    with pytest.raises(ArithmeticError, match=r"beta=1e-08, lambda=20, i_max=12"):
+        rs.spectral_tail_bound(20.0, 3, 12, 1e-8)
+    assert rs.spectral_tail_bound(20.0, 3, 12, 1e-7) == 1808405024717.832
+    # a series whose every term underflows closes, with the exact sum 0
+    assert rs.spectral_tail_bound(1.0, 2, 4.5, 1.0) == 0.0
 
 
 def test_theta_limits():

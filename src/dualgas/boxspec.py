@@ -209,15 +209,6 @@ class BoxSpectrum:
     def __len__(self) -> int:
         return self.energies.size
 
-    @property
-    def parity(self) -> np.ndarray:
-        """(p + q) % 2 of each level's pairs: its reflection block."""
-        p, q = self.basis.labels()
-        out = np.empty(len(self), dtype=np.int8)
-        for pairs, _, levels in self.blocks:
-            out[levels] = (p[pairs[0]] + q[pairs[0]]) % 2
-        return out
-
     def apply(self, M, levels=None) -> np.ndarray:
         """M @ V[:, levels] (all levels by default), V the eigenvectors as
         columns: each block's columns meet only M's columns on its pairs."""

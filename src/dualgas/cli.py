@@ -177,11 +177,11 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 def _jarzynski_residual(dist: work.WorkDistribution) -> float:
-    j = dist.jarzynski_average()
-    if j <= 0:
-        return math.inf
+    """|<e^{-beta W}> Z_i / Z_f - 1|, taken in log space: at low temperature
+    the average leaves double range while its ratio to Z_f / Z_i does not."""
     ln_ratio = dist.metadata["ln_z_final"] - dist.metadata["ln_z_initial"]
-    return abs(math.exp(math.log(j) - ln_ratio) - 1.0)
+    with np.errstate(over="ignore"):
+        return abs(float(np.expm1(dist.log_jarzynski_average() - ln_ratio)))
 
 
 def _write_work(
@@ -194,13 +194,12 @@ def _write_work(
     below the smallest double) are not written.  Returns that header and
     the moments, Jarzynski residual and atom count of the distribution.
     """
-    merged = dist.merged(tol)
-    keep = merged.probabilities > 0.0
+    w, p, _ = work.merge_atoms(dist.works, dist.probabilities, dist.log_probabilities, tol)
+    keep = p > 0.0
     head = dict(head)
     head.update({k: v for k, v in dist.metadata.items()
                  if isinstance(v, (int, float, str))})
-    write_csv(path, {"work": merged.works[keep],
-                     "probability": merged.probabilities[keep]}, head)
+    write_csv(path, {"work": w[keep], "probability": p[keep]}, head)
     m1, m2 = dist.moments(2)
     return head, {
         "mean_work": m1,
@@ -228,7 +227,7 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
         {
             "index": np.arange(len(table)),
             "energy": table.energies,
-            "momentum": table.hbar * table.rapidities.sum(axis=1),
+            "momentum": cfg.hbar * table.rapidities.sum(axis=1),
             "residual": table.residuals,
             "quantum_numbers": [
                 "|".join(format(q, "g") for q in row)
@@ -339,8 +338,10 @@ def _cmd_work(cfg: RunConfig) -> None:
     dist = work.drive(model, protocol, **kwargs).at(beta)
     head, stats = _write_work(cfg.out_dir / "work_atoms.csv", dist, cfg.metadata(),
                               float(cfg.values["merge_tol"]))
+    with np.errstate(over="ignore"):  # inf past double range; the residual is not
+        average = float(np.exp(dist.log_jarzynski_average()))
     summary = dict(head, mass=dist.mass, tail_mass=dist.tail_mass,
-                   jarzynski_average=dist.jarzynski_average(), **stats)
+                   jarzynski_average=average, **stats)
     write_json(cfg.out_dir / "work_summary.json", summary)
 
 

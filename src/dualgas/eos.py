@@ -111,11 +111,6 @@ class EosSolution:
     iterations: int
     residual: float
 
-    @property
-    def filling(self) -> np.ndarray:
-        """Fermi-type weight 1 / (1 + e^{beta eps(k)})."""
-        return _filling(self.beta, self.epsilon)
-
 
 def _filling(beta: float, eps: np.ndarray) -> np.ndarray:
     """1 / (1 + e^x) at x = beta eps, as e^{-x} / (1 + e^{-x}) for x > 0, so

@@ -210,26 +210,20 @@ def spectral_tail_bound(
 
 @dataclass
 class SpectrumTable:
-    """Enumerated ring spectrum, one row per state, sorted by (energy, I)."""
+    """Enumerated ring spectrum, one row per state, sorted by (energy, I).
+
+    The table holds its rows only: a caller that needs the circumference,
+    hbar or i_max it was enumerated at already has them, and the tail
+    beyond i_max is `spectral_tail_bound`'s.
+    """
 
     quantum_numbers: np.ndarray  # (S, N)
     rapidities: np.ndarray  # (S, N)
     residuals: np.ndarray  # (S,)
     energies: np.ndarray  # (S,)
-    lam: float
-    hbar: float
-    i_max: float
 
     def __len__(self) -> int:
         return self.energies.size
-
-    def partition_function(self, beta: float) -> float:
-        return float(np.exp(-beta * self.energies).sum())
-
-    def tail_bound(self, beta: float) -> float:
-        return spectral_tail_bound(
-            self.lam, self.quantum_numbers.shape[1], self.i_max, beta, self.hbar
-        )
 
 
 def enumerate_states(
@@ -248,21 +242,22 @@ def enumerate_states(
     n = n_particles
     if n < 1:
         raise ConfigError("need at least one particle")
-    if n % 2 == 0:
-        vals = np.arange(0.5, i_max + 1e-9, 1.0)
-        lattice = np.concatenate([-vals[::-1], vals])
-    else:
-        vmax = math.floor(i_max + 1e-9)
-        lattice = np.arange(-vmax, vmax + 1, dtype=float)
-    if lattice.size < n:
+    if not math.isfinite(i_max):
+        raise ConfigError(f"the quantum-number cutoff i_max = {i_max} is not finite")
+    # the grid runs from -top + step0 to top - 1 + odd + step0 in unit
+    # steps; it and its states are counted before either is built
+    odd = n % 2
+    step0 = 0.0 if odd else 0.5
+    top = math.floor(i_max + 1e-9) if odd else math.ceil(i_max + 1e-9 - 0.5)
+    size = max(0, 2 * top + odd)
+    if size < n:
+        raise ConfigError(f"i_max={i_max} admits only {size} grid values for N={n}")
+    if math.comb(size, n) > max_states:
         raise ConfigError(
-            f"i_max={i_max} admits only {lattice.size} grid values for N={n}"
+            f"i_max = {i_max:g} gives more than max_states = {max_states} states "
+            f"for N = {n}; lower i_max"
         )
-    n_combo = math.comb(lattice.size, n)
-    if n_combo > max_states:
-        raise ConfigError(
-            f"{n_combo} states exceed max_states={max_states}; lower i_max"
-        )
+    lattice = np.arange(-top, top + odd, dtype=float) + step0
     I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
     K, res = solve_bethe_batch(I, lam, coupling, hbar)
     energies = hbar**2 * np.sum(K**2, axis=1)
@@ -278,7 +273,4 @@ def enumerate_states(
         rapidities=K[order],
         residuals=res[order],
         energies=energies[order],
-        lam=lam,
-        hbar=hbar,
-        i_max=i_max,
     )

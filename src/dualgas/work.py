@@ -22,7 +22,8 @@ populations ride their levels, the transition matrix P[f, i].  Only the
 thermal weights depend on beta, so one assembly, `Drive.at(beta)`, turns a
 drive into atoms, log-probabilities, ln Z and tail mass, and routes that
 should agree differ only in their physics.  One drive serves every beta:
-`fig2` weighs one drive per coupling at each of its temperatures.
+`fig2` weighs one drive per coupling at each of its temperatures.  The
+distinguishable reference weighs its one-body levels the same way.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class WorkDistribution:
     """Work atoms W with their probabilities p and log p.
 
     log p is exact where p underflows, so atoms far below double range
-    still carry a finite p exp(-beta W) into `jarzynski_average`.
+    still carry a finite p exp(-beta W) into `log_jarzynski_average`.
     """
 
     works: np.ndarray
@@ -175,32 +176,22 @@ class WorkDistribution:
     def mass(self) -> float:
         return float(self.probabilities.sum())
 
-    def merged(self, tol: float = 1e-9) -> "WorkDistribution":
-        w, p, lp = merge_atoms(self.works, self.probabilities, self.log_probabilities, tol)
-        return WorkDistribution(
-            works=w,
-            probabilities=p,
-            log_probabilities=lp,
-            beta=self.beta,
-            tail_mass=self.tail_mass,
-            metadata=dict(self.metadata),
-        )
-
     def moments(self, n_max: int = 2) -> np.ndarray:
         """First n_max moments of the mass-normalized distribution."""
         p = self.probabilities / self.mass
         return np.array([float(np.sum(p * self.works**n)) for n in range(1, n_max + 1)])
 
-    def mean(self) -> float:
-        return float(self.moments(1)[0])
+    def log_jarzynski_average(self) -> float:
+        """ln sum p exp(-beta W), not renormalized; -inf without a finite atom.
 
-    def jarzynski_average(self) -> float:
-        """sum p exp(-beta W), in log space (not renormalized)."""
+        Kept in log space: at low temperature the average itself leaves
+        double range while its ratio to Z_f / Z_i stays near 1.
+        """
         arg = self.log_probabilities - self.beta * self.works
         keep = np.isfinite(arg)
         if not keep.any():
-            return 0.0
-        return float(np.exp(_logsumexp(arg[keep])))
+            return -math.inf
+        return _logsumexp(arg[keep])
 
 
 def kolmogorov_distance(
@@ -245,7 +236,9 @@ class Drive:
 
     P[f, i] is the transition matrix; None means every population rides its
     level to the same index (adiabatic).  tail(beta) bounds the initial
-    thermal weight outside energies_i, unnormalized.  diagnostics(P, p_i)
+    thermal weight outside energies_i, unnormalized; each route binds its
+    bound (`box_tail_bound`, `ringspec.spectral_tail_bound`) to its basis
+    when it builds the drive.  diagnostics(P, p_i)
     returns the route's truncation checks, which may weigh by the initial
     populations.
     """
@@ -316,7 +309,8 @@ def adiabatic_ring_drive(
     k_f, _ = ringspec.solve_bethe_batch(table.quantum_numbers, lam_f, coupling, hbar)
     e_f = hbar**2 * (k_f**2).sum(axis=1)
     return Drive(
-        table.energies, e_f, None, table.tail_bound,
+        table.energies, e_f, None,
+        partial(ringspec.spectral_tail_bound, lam_i, n_particles, i_max, hbar=hbar),
         metadata=dict(route="bethe-adiabatic", coupling=coupling,
                       n_particles=n_particles, i_max=i_max),
     )
@@ -375,8 +369,14 @@ def adiabatic_box_drive(
     )
 
 
+# a sudden expansion is refused a final cutoff above this: there each of
+# the final basis's two parity blocks holds more than 4,000 pairs, every
+# one solved densely
+_MAX_FINAL_CUTOFF = 128
+
+
 def sudden_wall_drive(
-    lam_i: float, lam_f: float, coupling: float, cutoff_i: int,
+    lam_i: float, lam_f: float, coupling: float, cutoff: int,
     cutoff_f: Optional[int] = None, hbar: float = 1.0,
 ) -> Drive:
     """Instant box expansion; the state is frozen and re-measured.
@@ -387,23 +387,31 @@ def sudden_wall_drive(
     of the big one, so the embedding is not centre-symmetric and connects
     levels of opposite centre-reflection parity.
 
-    The default cutoff_f = ceil(cutoff_i * lam_f / lam_i) is a floor: its top
+    The default cutoff_f = ceil(cutoff * lam_f / lam_i) is a floor: its top
     final mode reaches the top initial mode's momentum, but the frozen
     state's weight spreads past it, so the top states lose much of theirs.
-    At cutoff_i 14, lam 1 -> 2 (cutoff_f 28) 'transition_deficit' is 0.41,
+    At cutoff 14, lam 1 -> 2 (cutoff_f 28) 'transition_deficit' is 0.41,
     while the thermal average's at beta = 1 is 5.1e-5; a larger cutoff_f
-    lowers the worst state's (0.002 at 12 -> 48).
+    lowers the worst state's (0.002 at 12 -> 48).  A final cutoff above
+    128 is a ConfigError, raised before either box is diagonalized.
     """
     if cutoff_f is None:
-        cutoff_f = int(math.ceil(cutoff_i * lam_f / lam_i))
-    sp_i = _box_spectrum(lam_i, coupling, cutoff_i, hbar)
+        cutoff_f = cutoff * lam_f / lam_i
+    if not cutoff_f <= _MAX_FINAL_CUTOFF:  # also inf and nan
+        raise ConfigError(
+            f"the sudden expansion to lambda_f = {lam_f:g} from cutoff {cutoff} needs "
+            f"a final cutoff of {cutoff_f:.3g}, more than {_MAX_FINAL_CUTOFF}; "
+            "lower lambda_f or the cutoff"
+        )
+    cutoff_f = int(math.ceil(cutoff_f))
+    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
     sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
     P = sp_f.project(sp_i.apply(O2)) ** 2
     return Drive(
-        sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam_i, cutoff_i, hbar=hbar),
+        sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
         _wall_deficits, dict(route="galerkin-sudden-wall", coupling=coupling,
-                             cutoff_i=cutoff_i, cutoff_f=cutoff_f),
+                             cutoff_i=cutoff, cutoff_f=cutoff_f),
     )
 
 
@@ -602,14 +610,12 @@ def ndp_reference(
     n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
     k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
     e1 = hbar**2 * k**2
-    w1 = (lam_i**2 / lam_f**2 - 1.0) * e1
-    p1, ln_z1 = _thermal(e1, beta)
-    lp1 = -beta * e1 - ln_z1
-    works, probs, log_probs = w1, p1, lp1
+    one = Drive(e1, e1 * (lam_i**2 / lam_f**2), None, lambda _: 0.0).at(beta)
+    works, probs, log_probs = one.works, one.probabilities, one.log_probabilities
     for _ in range(n_particles - 1):
         works, probs, log_probs = merge_atoms(
-            np.add.outer(works, w1), np.multiply.outer(probs, p1),
-            np.add.outer(log_probs, lp1),
+            np.add.outer(works, one.works), np.multiply.outer(probs, one.probabilities),
+            np.add.outer(log_probs, one.log_probabilities),
         )
     return WorkDistribution(
         works=works,
@@ -640,9 +646,9 @@ def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
 
     The protocol starts from the model: its initial width, or a coupling
     quench's initial coupling, must be the model's.  kwargs forward to the
-    route: i_max for ring enumeration, cutoff / cutoff_i / cutoff_f for box
-    bases; a ramp's step count follows from its generator and takes no
-    option.
+    route untouched: i_max for ring enumeration, cutoff for every box basis
+    and cutoff_f for a sudden wall's final one; a ramp's step count follows
+    from its generator and takes no option.
     """
     if isinstance(protocol, SuddenCoupling):
         if math.isinf(protocol.coupling_initial) or math.isinf(protocol.coupling_final):
@@ -669,9 +675,6 @@ def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
             hbar=model.hbar, **kwargs,
         )
     if isinstance(protocol, SuddenWall):
-        # the sudden-wall route names its initial cutoff cutoff_i
-        if "cutoff" in kwargs:
-            kwargs["cutoff_i"] = kwargs.pop("cutoff")
         return sudden_wall_drive(
             protocol.lambda_initial, protocol.lambda_final, model.coupling,
             hbar=model.hbar, **kwargs,

@@ -167,6 +167,15 @@ def comparison_resolution(
     return fraction * (max(a_hi, b_hi) - min(a_lo, b_lo))
 
 
+def level_parity(sp: BoxSpectrum) -> np.ndarray:
+    """(p + q) % 2 of each level's pairs: the reflection block it lies in."""
+    p, q = sp.basis.labels()
+    out = np.empty(len(sp), dtype=np.int8)
+    for pairs, _, levels in sp.blocks:
+        out[levels] = (p[pairs[0]] + q[pairs[0]]) % 2
+    return out
+
+
 def frozen_mean_work(sp: BoxSpectrum, beta: float) -> float:
     """<W> of an instant expansion from sp's box, by its identity.
 

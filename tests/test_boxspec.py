@@ -342,8 +342,9 @@ def test_diagonalize_by_parity_block_matches_full_eigh(cutoff):
     odd = parity_odd(sp.basis)
     on_odd = np.any(V[odd] != 0.0, axis=0)
     on_even = np.any(V[~odd] != 0.0, axis=0)
-    assert np.array_equal(on_odd, sp.parity == 1)  # each eigenvector in its block
-    assert np.array_equal(on_even, sp.parity == 0)
+    parity = oracles.level_parity(sp)
+    assert np.array_equal(on_odd, parity == 1)  # each eigenvector in its block
+    assert np.array_equal(on_even, parity == 0)
     assert sp.residual < 1e-12
 
 

@@ -238,6 +238,30 @@ def test_work_summary_contents(tmp_path):
     assert (tmp_path / "work_atoms.csv").exists()
 
 
+# Cold drives whose <exp(-beta W)> leaves double range, above or below,
+# while its ratio to Z_f / Z_i stays 1: each once wrote a residual of inf.
+COLD = [
+    "work --beta 100 --m 8",
+    "work --lambda-f 0.5 --beta 100 --m 8",
+    "work --protocol sudden-coupling --c 1 --c-f 10 --beta 200 --m 8",
+    "fig2 --c-list 1 --beta-list 100 --m 4 --tau 0.05",
+]
+
+
+@pytest.mark.parametrize("argv", COLD)
+def test_jarzynski_residual_is_read_in_log_space(tmp_path, argv):
+    r = run([*shlex.split(argv), "--out-dir", "."], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "RuntimeWarning" not in r.stderr, r.stderr
+    if argv.startswith("fig2"):
+        residuals = [json.loads((tmp_path / "fig2_report.json").read_text())
+                     ["c=1"]["beta=100"]["jarzynski_residual"]]
+    else:
+        residuals = [json.loads((tmp_path / "work_summary.json").read_text())
+                     ["jarzynski_residual"]]
+    assert all(isinstance(x, float) and x <= 1e-10 for x in residuals), residuals
+
+
 def _atom_rows(path):
     body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     return [line.split(",") for line in body[1:]]
@@ -686,6 +710,10 @@ EXTREME = [
     "fig1 --m 4 --n-grid 9 --n-k 9 --n-x 9 --lambda 1e300",
     "box-spectrum --lambda 1e-160 --c 1 --m 6",
     "work --m 6 --hbar 1e-150 --beta 1e-30",
+    "ring-spectrum --imax inf",
+    "ring-spectrum --imax nan",
+    "work --geometry ring --imax 1e300",
+    "work --protocol sudden-wall --lambda-f 1e300 --m 4",
 ]
 
 # the quantity an input's error message must name: the kinetic scale
@@ -695,6 +723,11 @@ NAMED = {
     "work --m 6 --hbar 1e-200": "hbar = 1e-200",
     "box-spectrum --lambda 1e-160 --c 1 --m 6": "lambda = 1e-160",
     "work --m 6 --hbar 1e-150 --beta 1e-30": "beta = 1e-30, hbar = 1e-150",
+    # counted, or refused, before any array of that size is built
+    "ring-spectrum --imax inf": "i_max = inf",
+    "ring-spectrum --imax nan": "i_max = nan",
+    "work --geometry ring --imax 1e300": "i_max = 1e+300",
+    "work --protocol sudden-wall --lambda-f 1e300 --m 4": "lambda_f = 1e+300 from cutoff 4",
 }
 
 

@@ -87,7 +87,7 @@ def test_degenerate_point_converges():
     sol = eos.solve_yang_yang(1.0, 0.0, 1.0)
     assert sol.residual < 1e-10
     assert sol.pressure > 0
-    f = sol.filling
+    f = eos._filling(sol.beta, sol.epsilon)
     assert np.all((f >= 0) & (f <= 1))
     assert f.max() > 0.5  # genuinely degenerate, not a dilute freebie
 
@@ -154,7 +154,7 @@ def _ring_b2(lam, coupling, beta=1.0):
     # Beth-Uhlenbeck b2 = 2 pi (Z2 - Z1^2 / 2) / L from the ring's pair and
     # one-body spectra, cut where e^{-beta hbar^2 k^2} is below e^{-49}
     i_max = 7.0 * lam / (2.0 * math.pi) + 0.5
-    z2 = ringspec.enumerate_states(lam, coupling, 2, i_max).partition_function(beta)
+    z2 = np.exp(-beta * ringspec.enumerate_states(lam, coupling, 2, i_max).energies).sum()
     n = np.arange(-math.floor(i_max), math.floor(i_max) + 1)
     z1 = float(np.exp(-beta * (2.0 * math.pi * n / lam) ** 2).sum())
     return 2.0 * math.pi * (z2 - 0.5 * z1 * z1) / lam

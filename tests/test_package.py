@@ -149,6 +149,34 @@ def test_every_exported_option_is_set_by_some_call():
     assert _options_no_call_sets() == []
 
 
+def _members_src_never_reads():
+    """module.Class.member of every public method or property of every class
+    a module exports that no attribute access in the package reads."""
+    root = Path(dualgas.__file__).resolve().parents[2]
+    read = {node.attr for path in sorted((root / "src").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)}
+    unread = []
+    for name in MODULES:
+        mod = importlib.import_module(f"dualgas.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            cls = getattr(mod, attr)
+            if not (inspect.isclass(cls) and cls.__module__ == mod.__name__):
+                continue
+            for member, value in vars(cls).items():
+                if member.startswith("_") or member in read:
+                    continue
+                if isinstance(value, (property, staticmethod, classmethod)) or inspect.isfunction(value):
+                    unread.append(f"{name}.{attr}.{member}")
+    return unread
+
+
+def test_every_exported_member_is_read_by_the_package():
+    # a method or property only tests call is an oracle: it belongs in the
+    # tests, where it can be computed from what the package does read
+    assert _members_src_never_reads() == []
+
+
 @pytest.fixture(scope="module")
 def tracer():
     # the benchmark's span recorder, loaded as it stands and left unwritten

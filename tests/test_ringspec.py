@@ -152,6 +152,38 @@ def test_enumeration_rejects_energies_past_double_range(coupling):
 def test_enumeration_cap():
     with pytest.raises(ConfigError):
         rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=10)
+    # the cap reads the counted states: C(20, 2) = 190 pairs at i_max = 9.5
+    assert len(rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=190)) == 190
+    with pytest.raises(ConfigError, match="max_states = 189"):
+        rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=189)
+
+
+@pytest.mark.parametrize("n, i_max", [(2, 1e300), (3, 1e300), (3, 1.7e308)])
+def test_enumeration_cap_counts_before_building_the_grid(n, i_max):
+    # a grid of ~1e300 points is never built: the states are counted first
+    with pytest.raises(ConfigError, match="more than max_states"):
+        rs.enumerate_states(1.0, 1.0, n, i_max)
+
+
+@pytest.mark.parametrize("i_max", [math.inf, -math.inf, math.nan])
+def test_enumeration_rejects_a_cutoff_that_is_not_finite(i_max):
+    with pytest.raises(ConfigError, match=f"i_max = {i_max} is not finite"):
+        rs.enumerate_states(1.0, 1.0, 2, i_max)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("i_max", [-1.0, 0.0, 0.5, 1.0, 1.5 - 1e-12, 2.5, 3.0 + 1e-10])
+def test_enumeration_counts_its_grid(n, i_max):
+    # the counted grid is the built one: every state of it is enumerated
+    if n % 2 == 0:
+        size = 2 * int(np.arange(0.5, i_max + 1e-9, 1.0).size)
+    else:
+        size = int(np.arange(-math.floor(i_max + 1e-9), math.floor(i_max + 1e-9) + 1).size)
+    if size < n:
+        with pytest.raises(ConfigError, match=f"admits only {size} grid values"):
+            rs.enumerate_states(1.0, math.inf, n, i_max)
+    else:
+        assert len(rs.enumerate_states(1.0, math.inf, n, i_max)) == math.comb(size, n)
 
 
 def test_tail_bound_decreases_and_dominates():
@@ -166,7 +198,7 @@ def test_tail_bound_decreases_and_dominates():
     imax = 4.5
     inner = rs.enumerate_states(lam, 1e6, n, imax)
     outer = rs.enumerate_states(lam, 1e6, n, imax + 2)
-    excluded = outer.partition_function(beta) - inner.partition_function(beta)
+    excluded = np.exp(-beta * outer.energies).sum() - np.exp(-beta * inner.energies).sum()
     assert rs.spectral_tail_bound(lam, n, imax, beta) >= excluded
 
 

@@ -11,7 +11,6 @@ from .core import (
     Ring,
     SuddenCoupling,
     SuddenWall,
-    exchange_sign_grid,
 )
 
 __version__ = "0.1.0"

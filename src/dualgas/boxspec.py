@@ -15,8 +15,8 @@ hard-core pair (C = inf) is the same model on the antisymmetric pairs
 (s = -1, p < q), which vanish at coincidence: S is zero there and only
 the kinetic term is left.  The ramp's chirp and the wall embedding lift
 one-body matrices on either basis.  The two statistics share every
-eigenvector; the one the basis does not carry is reached by the sign map
-sign(x2 - x1).
+eigenvector and |psi|^2; the one the basis does not carry differs by the
+sign map sign(x2 - x1), which only the momentum transform takes.
 
 Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2.
 """
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Box, ConfigError, ModelSpec, exchange_sign_grid
+from .core import Box, ConfigError, ModelSpec
 
 __all__ = [
     "PairBasis",
@@ -43,7 +43,6 @@ __all__ = [
     "diagonalize",
     "box_modes",
     "box_mode_ft",
-    "amplitude",
     "spatial_density",
     "momentum_density",
     "l1_distance",
@@ -259,14 +258,6 @@ class BoxSpectrum:
         )
 
 
-def _parity_block(ops, g, kin, b):
-    """H restricted to the pairs b."""
-    h = contact_block(ops, b)
-    h *= g
-    h[np.diag_indices_from(h)] += kin[b]
-    return h
-
-
 def _contact_factor(ops, b) -> np.ndarray:
     """F with v1 on the pairs b equal to F^T F: the coincidence factor's
     rows that are nonzero on b, about M + 1 of them, times sqrt(2 w) and
@@ -291,8 +282,9 @@ _RESIDUAL_TOL = 1e-7
 
 def _krylov_lowest(kin, F, g, k):
     """The k lowest levels and eigenvectors (columns) of H = diag(kin) +
-    g F^T F, g > 0, or None if the basis stops growing or reaches its cap,
-    or if g is so large that I / g is lost in the Cholesky factorization.
+    g F^T F, g > 0.  LinAlgError if g overflows in units of min(kin), if
+    the Cholesky factorization fails, or if the basis stops growing or
+    reaches its cap before the k levels converge.
 
     Shift-invert block Krylov (Grimes, Lewis & Simon, SIAM J. Matrix Anal.
     Appl. 15, 228 (1994)).  The contact is positive semi-definite, so
@@ -312,11 +304,11 @@ def _krylov_lowest(kin, F, g, k):
     included.
     """
     # in units of the least kinetic entry, so that no scale of lambda and
-    # hbar over- or underflows below
-    unit = kin.min()
-    kin, g = kin / unit, g / unit
+    # hbar over- or underflows below; a float quotient overflows quietly
+    unit = float(kin.min())
+    kin, g = kin / unit, float(g) / unit
     if not math.isfinite(g):
-        return None
+        raise np.linalg.LinAlgError(f"the contact overflows in units of min(kin) = {unit:g}")
     n, s = kin.size, k + _KRYLOV_PAD
     d = kin - 0.5
     Fd = F / d
@@ -324,8 +316,9 @@ def _krylov_lowest(kin, F, g, k):
     K[np.diag_indices_from(K)] += 1.0 / g
     try:
         G = np.linalg.solve(np.linalg.cholesky(K), Fd)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"the shift-invert's Cholesky factorization failed: {exc}") from exc
 
     # vectors are rows
     def inverse(Y):
@@ -354,7 +347,8 @@ def _krylov_lowest(kin, F, g, k):
                 W[new] = w / norm
                 new += 1
         if new == 0:
-            return None
+            raise np.linalg.LinAlgError(f"the Krylov basis stopped growing at step {step}, "
+                                        f"before the {k} lowest levels converged")
         Q[m:m + new] = W[:new]
         T[m:m + new, :m + new] = apply(W[:new]) @ Q[:m + new].T
         m += new
@@ -367,7 +361,8 @@ def _krylov_lowest(kin, F, g, k):
             if np.abs(R).max() <= max(_KRYLOV_TOL * theta[k - 1], 16.0 * rounding):
                 return unit * theta[:k], np.ascontiguousarray(X.T)
         W = inverse(Q[m - new:m])
-    return None
+    raise np.linalg.LinAlgError(f"the Krylov solve of the {k} lowest levels did not "
+                                f"converge in {_KRYLOV_STEPS} steps")
 
 
 def _solve_block(ops, g, kin, b, n_levels):
@@ -376,11 +371,12 @@ def _solve_block(ops, g, kin, b, n_levels):
     if n_levels is not None:
         k = min(n_levels, b.size)
         if g > 0.0 and b.size > (k + _KRYLOV_PAD) * _KRYLOV_STEPS:
-            found = _krylov_lowest(kin[b], _contact_factor(ops, b), g, k)
-            if found is not None:
-                return found
+            return _krylov_lowest(kin[b], _contact_factor(ops, b), g, k)
+    h = contact_block(ops, b)
+    h *= g
+    h[np.diag_indices_from(h)] += kin[b]
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
-    w, x = np.linalg.eigh(_parity_block(ops, g, kin, b))
+    w, x = np.linalg.eigh(h)
     if n_levels is None:
         return w, x
     return w[:k], x[:, :k].copy()
@@ -401,9 +397,9 @@ def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -
     work routes need.  With n_levels, each block gives its n_levels lowest
     and the spectrum keeps the n_levels lowest of both.  A block larger
     than the Krylov basis cap, with g > 0, is solved by shift-invert block
-    Krylov (`_krylov_lowest`, eigh if it does not converge); any other block
-    by eigh, keeping its lowest columns.  A relative residual on the six
-    lowest levels above 1e-7 raises LinAlgError.
+    Krylov (`_krylov_lowest`, LinAlgError if it does not converge); any
+    other block by eigh, keeping its lowest columns.  A relative residual
+    on the six lowest levels above 1e-7 raises LinAlgError.
     """
     _check_pair_model(model)
     if n_levels is not None and n_levels < 1:
@@ -477,7 +473,7 @@ class BoxState:
     @property
     def sign_mapped(self) -> bool:
         """Whether the statistics differ from the basis's exchange symmetry,
-        so that the amplitude takes the sign map sign(x2 - x1)."""
+        so that `momentum_density` applies the sign map sign(x2 - x1)."""
         return (self.statistics == "fermion") == (self.basis.sign > 0)
 
 
@@ -486,21 +482,6 @@ def box_modes(x, lam: float, cutoff: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = np.arange(1, cutoff + 1)
     return np.sqrt(2.0 / lam) * np.sin(np.pi * np.outer(x, n) / lam)
-
-
-def amplitude(state: BoxState, x1, x2) -> np.ndarray:
-    """Wavefunction on the outer grid x1 x x2 (sign map applied when the
-    statistics differ from the basis's symmetry)."""
-    lam = state.model.length
-    A = state.A
-    U1 = box_modes(x1, lam, state.basis.cutoff)
-    U2 = box_modes(x2, lam, state.basis.cutoff)
-    psi = U1 @ A @ U2.T
-    if state.sign_mapped:
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        psi = exchange_sign_grid(x1[:, None], x2[None, :]) * psi
-    return psi
 
 
 @dataclass
@@ -518,10 +499,13 @@ def l1_distance(a: DensityGrid, b: DensityGrid) -> float:
 
 
 def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
-    """One-body density, normalized to the particle number (2).
+    """One-body density of either statistics, normalized to the particle
+    number (2).
 
-    Trapezoid quadrature over the partner coordinate is exact here as long
-    as n_grid - 1 > cutoff: the integrand only carries harmonics
+    The sign map sign(x2 - x1) is +-1, so both statistics have the same
+    psi^2, bit for bit: that of the basis's amplitude.  Trapezoid
+    quadrature over the partner coordinate is exact here as long as
+    n_grid - 1 > cutoff: the integrand only carries harmonics
     cos(r pi x / lam) with r <= 2*cutoff, all of which the closed trapezoid
     rule annihilates exactly below the aliasing threshold.
     """
@@ -529,7 +513,8 @@ def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
         raise ConfigError(f"n_grid must be >= 2, got {n_grid}")
     lam = state.model.length
     x = np.linspace(0.0, lam, n_grid)
-    psi = amplitude(state, x, x)  # sign map included
+    U = box_modes(x, lam, state.basis.cutoff)
+    psi = U @ state.A @ U.T
     rho = 2.0 * np.trapezoid(psi * psi, x, axis=1)
     mass = float(np.trapezoid(rho, x))
     return DensityGrid(

@@ -631,14 +631,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _join_negative_values(argv: Sequence[str]) -> List[str]:
-    """Rewrite `--opt -4:0:9` as `--opt=-4:0:9`.
+    """Rewrite `--opt -4:0:9` or `--opt -inf` as `--opt=-4:0:9` or `--opt=-inf`.
 
     argparse takes a token that starts with '-' for a flag unless it is a
-    plain negative number; no dualgas option starts with a digit or '.'.
+    plain negative number; no dualgas option starts with a digit, '.', inf or nan.
     """
     out: List[str] = []
     for tok in argv:
-        if out and re.match(r"-[0-9.]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+        if (out and re.match(r"-(?:[0-9.]|inf|nan)", tok, re.IGNORECASE)
+                and re.fullmatch(r"--[^=]+", out[-1])):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

@@ -1,4 +1,4 @@
-"""Shared conventions, model/protocol dataclasses, and the duality sign map.
+"""Shared conventions and the model and protocol dataclasses.
 
 Units: we set 2m = 1 throughout, so a free plane wave of momentum hbar*k
 carries kinetic energy hbar^2 k^2.  Planck's constant is kept symbolic
@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 # 2m = 1 everywhere; MASS is exported for reference-model code (Boltzmann
 # weights, convolution references) that wants an explicit m.
@@ -171,21 +169,3 @@ class LinearRamp:
     @property
     def lambda_final(self) -> float:
         return self.lambda_initial + self.speed * self.duration
-
-
-# ---------------------------------------------------------------------------
-# Bose <-> Fermi duality sign map
-# ---------------------------------------------------------------------------
-
-
-def exchange_sign_grid(x1, x2):
-    """Two-body sign factor sign(x2 - x1) on a coordinate grid, +1 on the diagonal.
-
-    It maps the pair's symmetric amplitude to its antisymmetric dual and
-    back, unitarily away from contact.  Broadcasts like np.where; the diagonal convention is irrelevant for any
-    integrated quantity (measure zero) but makes |psi_F|^2 == |psi_B|^2
-    bit-identical on shared grids.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return np.where(x2 >= x1, 1.0, -1.0)

@@ -47,13 +47,12 @@ def write_csv(
     if len(lengths) > 1:
         raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    lines = []
-    for key in sorted(metadata or {}):
-        lines.append(f"# {key} = {format_value((metadata or {})[key])}")
-    lines.append(",".join(cols))
-    for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in cols.values()))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # row by row: a joined text set large tables' peak memory
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key} = {format_value((metadata or {})[key])}\n")
+        fh.write(",".join(cols) + "\n")
+        for i in range(n):
+            fh.write(",".join(format_value(c[i]) for c in cols.values()) + "\n")
     return path
 
 

@@ -75,7 +75,8 @@ def theta_prime(k, coupling: float, hbar: float = 1.0):
     _check_coupling(coupling)
     if math.isinf(coupling):
         return np.zeros_like(k)
-    return 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * k**2)
+    with np.errstate(over="ignore"):  # k^2 past double range: the slope is 0
+        return 2.0 * hbar**2 * coupling / (coupling**2 + 4.0 * hbar**4 * k**2)
 
 
 def _residual(K, I2pi, lam, coupling, hbar):
@@ -260,7 +261,8 @@ def enumerate_states(
     lattice = np.arange(-top, top + odd, dtype=float) + step0
     I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
     K, res = solve_bethe_batch(I, lam, coupling, hbar)
-    energies = hbar**2 * np.sum(K**2, axis=1)
+    with np.errstate(over="ignore"):  # counted as not finite just below
+        energies = hbar**2 * np.sum(K**2, axis=1)
     bad = np.count_nonzero(~np.isfinite(energies))
     if bad:
         raise BetheSolverError(

@@ -2,7 +2,7 @@
 
 Pure oracles that no command reaches: the cluster profiles a1 and a2 of
 the Yang-Yang fixed point (a2 by quadrature), the box pair's eigenvectors
-as one dense matrix, the sign-mapped box pair's
+as one dense matrix, the box pair's sign-mapped amplitude and its
 momentum distribution with its partner integral done exactly, the bulk
 span of a work distribution and the alignment tolerance built from it,
 the mean-work identities of the two sudden box quenches, the ideal Bose
@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from dualgas.boxspec import (
     BoxSpectrum,
     BoxState,
+    box_modes,
     contact_block,
     contact_coupling,
     contact_expectation,
@@ -108,6 +109,13 @@ def _partial_ft(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     cy = np.multiply.outer(c, y)
     return y * (np.sinc(cy / np.pi) + 1j * np.sin(0.5 * cy) * np.sinc(cy / (2.0 * np.pi)))
+
+
+def sign_mapped_amplitude(state: BoxState, x: np.ndarray) -> np.ndarray:
+    """sign(x2 - x1) psi(x1, x2) on the grid x x x, +1 on the diagonal,
+    with psi = U A U^T the basis's amplitude."""
+    U = box_modes(x, state.model.length, state.basis.cutoff)
+    return np.where(x[None, :] >= x[:, None], 1.0, -1.0) * (U @ state.A @ U.T)
 
 
 def sign_mapped_momentum(state: BoxState, k: np.ndarray, n_gauss: int = 400) -> np.ndarray:

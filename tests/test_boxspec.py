@@ -435,7 +435,7 @@ def test_few_levels_are_the_lowest_of_the_full_spectrum(alpha, cutoff):
 def test_few_levels_at_strong_coupling_stop_at_the_rounding_of_h(monkeypatch, alpha):
     # 1e-13 theta_k is out of reach here, eigh's residual included; the
     # solve stops at the rounding of H x instead of exhausting its basis
-    # and falling back to eigh
+    # and raising LinAlgError
     solved = []
     krylov = bs._krylov_lowest
 
@@ -446,12 +446,47 @@ def test_few_levels_at_strong_coupling_stop_at_the_rounding_of_h(monkeypatch, al
     monkeypatch.setattr(bs, "_krylov_lowest", spy)
     full = bs.diagonalize(model(alpha), 60)
     sp = bs.diagonalize(model(alpha), 60, n_levels=10)
-    assert len(solved) == 2 and all(x is not None for x in solved)
+    assert len(solved) == 2  # a solve that gives up raises
     e = full.energies[:10]
     assert np.abs(sp.energies - e).max() <= 10.0 * full.residual * e[-1]
     assert sp.residual <= full.residual
     X, V = oracles.dense_vectors(sp), oracles.dense_vectors(full)[:, :10]
     assert np.abs(np.abs(np.sum(X * V, axis=0)) - 1.0).max() <= 1e-10
+
+
+def test_few_levels_raise_when_the_krylov_solve_reaches_its_cap(monkeypatch):
+    # one step never reaches Rayleigh-Ritz, which runs every other step
+    monkeypatch.setattr(bs, "_KRYLOV_STEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Krylov solve of the 2 lowest levels did not converge in 1 steps"):
+        bs.diagonalize(model(5.0), 60, n_levels=2)
+
+
+def test_few_levels_raise_when_the_krylov_basis_stops_growing():
+    # the first step spans all 3 pairs, so the second finds nothing new
+    ops = bs.unit_pair_operators(2)
+    b = np.arange(3)
+    with pytest.raises(np.linalg.LinAlgError, match="basis stopped growing at step 2"):
+        bs._krylov_lowest(ops["k1"], bs._contact_factor(ops, b), 1.0, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_few_levels_raise_when_the_contact_overflows_the_kinetic_units():
+    ops = bs.unit_pair_operators(2)
+    F = bs._contact_factor(ops, np.arange(3))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=re.escape("contact overflows in units of min(kin) = 1e-300")):
+        bs._krylov_lowest(np.full(3, 1e-300), F, 1e300, 1)
+
+
+def test_few_levels_raise_when_the_cholesky_factorization_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Cholesky factorization failed: Matrix is not positive definite"):
+        bs.diagonalize(model(5.0), 60, n_levels=2)
 
 
 def test_few_levels_reject_a_count_below_one():
@@ -616,6 +651,20 @@ def test_spatial_density_identical_for_dual_pair():
         assert rb.mass == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [5.0, math.inf])
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_spatial_density_is_the_square_of_the_sign_mapped_amplitude(alpha, statistics):
+    # the sign map squares away bit for bit, so one psi^2 serves both
+    # statistics: the dual's density is that of sign(x2 - x1) psi
+    state = bs.diagonalize(model(alpha), 12).state(1, statistics)
+    got = bs.spatial_density(state, n_grid=65)
+    x = np.linspace(0.0, LAM, 65)
+    psi = oracles.sign_mapped_amplitude(state, x)
+    want = 2.0 * np.trapezoid(psi * psi, x, axis=1)
+    assert np.array_equal(got.values, want)
+    assert got.mass == float(np.trapezoid(want, x))
+
+
 def test_momentum_density_distinguishes_statistics():
     sp = bs.diagonalize(model(5.0), 30)
     g = sp.state(0)
@@ -660,7 +709,7 @@ def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling
     w = np.full(n_x, h)
     w[0] = w[-1] = 0.5 * h
     E = np.exp(-1j * np.outer(got.axis, x))
-    psi = bs.amplitude(state, x, x)  # sign +1 on the diagonal: the basis's amplitude
+    psi = oracles.sign_mapped_amplitude(state, x)  # sign +1 on the diagonal
     jump = (1j * h * h / 6.0) * np.outer(got.axis, np.diag(psi)) * E
     psi[np.diag_indices(n_x)] = 0.0
     G = E @ (w[:, None] * psi) + jump

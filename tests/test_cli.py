@@ -193,6 +193,17 @@ def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
     assert "numeric failure: Eigenvalues did not converge" in capsys.readouterr().err
 
 
+def test_unconverged_krylov_solve_exits_three(tmp_path, capsys, monkeypatch):
+    # M = 60 takes the few-levels Krylov solve; one step cannot converge
+    monkeypatch.setattr(boxspec, "_KRYLOV_STEPS", 1)
+    argv = ["box-spectrum", "--alpha", "5", "--m", "60", "--n-levels", "2",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "numeric failure: the Krylov solve of the 2 lowest levels did not converge" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "box_spectrum.csv").exists()
+
+
 def test_unresolved_strong_coupling_exits_three(tmp_path, capsys):
     # at alpha = 1e14 the contact swamps the kinetic scale in double
     # precision: E1 is off by about 1 %, and the residual gate says so
@@ -575,6 +586,14 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
      "--c-list: 1.0 repeats the label '1'"),
     (["fig2", "--c-list", "1", "--beta-list", "1,0.5,1.0", "--m", "4"],
      "--beta-list: 1.0 repeats the label '1'"),
+    # a value of -inf or -nan, in any case, is a value and not a flag
+    (["ring-spectrum", "--imax", "-inf"], "i_max = -inf is not finite"),
+    (["ring-spectrum", "--lambda", "-inf"], "ring circumference must be positive, got -inf"),
+    (["box-spectrum", "--c", "-inf", "--m", "4"], "contact coupling must be >= 0, got -inf"),
+    (["box-spectrum", "--lambda", "-inf", "--c", "1", "--m", "4"],
+     "box width must be positive, got -inf"),
+    (["work", "--beta", "-nan", "--m", "4"], "beta must be positive and finite, got nan"),
+    (["eos", "--c", "-Infinity"], "coupling must be nonnegative, got -inf"),
 ])
 def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +16,6 @@ from dualgas.core import (
     Ring,
     SuddenCoupling,
     SuddenWall,
-    exchange_sign_grid,
 )
 
 
@@ -63,16 +61,3 @@ def test_protocol_validation():
         LinearRamp(1.0, 5.0, -1.0)
     ramp = LinearRamp(1.0, 5.0, 1.0)
     assert ramp.lambda_final == pytest.approx(6.0)
-
-
-def test_exchange_sign_grid_convention():
-    x = np.array([0.0, 0.5, 1.0])
-    s = exchange_sign_grid(x[:, None], x[None, :])
-    assert s.shape == (3, 3)
-    # sign(0) = +1 keeps the diagonal bosonic so |psi_F| = |psi_B| pointwise
-    assert np.all(np.diag(s) == 1.0)
-    assert s[0, 2] == 1.0 and s[2, 0] == -1.0
-    assert np.all((s == 1.0) | (s == -1.0))
-    # off-diagonal antisymmetry
-    off = ~np.eye(3, dtype=bool)
-    assert np.all(s[off] == -s.T[off])

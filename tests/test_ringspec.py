@@ -143,8 +143,10 @@ def test_enumeration_rejects_nonpositive_circumference(coupling):
 
 
 @pytest.mark.parametrize("coupling", [1.0, math.inf])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_enumeration_rejects_energies_past_double_range(coupling):
-    # at lam = 1e-300 every k ~ 1e300 and k^2 overflows: no state is solved
+    # at lam = 1e-300 every k ~ 1e300 and k^2 overflows: no state is solved,
+    # and the overflow reaches its limit without a warning
     with pytest.raises(rs.BetheSolverError, match="15 of 15 states have no finite energy"):
         rs.enumerate_states(1e-300, coupling, 2, 2.5)
 

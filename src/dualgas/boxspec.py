@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Box, ConfigError, ModelSpec
+from .core import Box, ConfigError, ModelSpec, check_positive
 
 __all__ = [
     "PairBasis",
@@ -503,19 +503,16 @@ def spatial_density(state: BoxState, n_grid: int = 257) -> DensityGrid:
     number (2).
 
     The sign map sign(x2 - x1) is +-1, so both statistics have the same
-    psi^2, bit for bit: that of the basis's amplitude.  Trapezoid
-    quadrature over the partner coordinate is exact here as long as
-    n_grid - 1 > cutoff: the integrand only carries harmonics
-    cos(r pi x / lam) with r <= 2*cutoff, all of which the closed trapezoid
-    rule annihilates exactly below the aliasing threshold.
+    psi^2, bit for bit: that of the basis's amplitude.  The partner
+    integral is closed form on any grid: the modes are orthonormal, so
+    int psi(x, x2)^2 dx2 = sum_b (U A)_xb^2, rho = 2 diag(U A A^T U^T).
     """
     if n_grid < 2:
         raise ConfigError(f"n_grid must be >= 2, got {n_grid}")
     lam = state.model.length
     x = np.linspace(0.0, lam, n_grid)
-    U = box_modes(x, lam, state.basis.cutoff)
-    psi = U @ state.A @ U.T
-    rho = 2.0 * np.trapezoid(psi * psi, x, axis=1)
+    UA = box_modes(x, lam, state.basis.cutoff) @ state.A
+    rho = 2.0 * (UA * UA).sum(axis=1)
     mass = float(np.trapezoid(rho, x))
     return DensityGrid(
         axis=x,
@@ -590,8 +587,7 @@ def momentum_density(
     m = state.basis.cutoff
     if k_max is None:
         k_max = 1.5 * np.pi * m / lam
-    if not 0.0 < k_max < math.inf:
-        raise ConfigError(f"k_max must be positive and finite, got {k_max}")
+    check_positive("k_max", k_max)
     k = np.linspace(-k_max, k_max, n_k)
     A = state.A
     meta = {"statistics": state.statistics, "k_max": k_max, "n_k": n_k}

@@ -10,7 +10,6 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from .core import (
     Ring,
     SuddenCoupling,
     SuddenWall,
+    check_positive,
 )
 from .output import write_csv, write_json, write_svg_heatmap
 
@@ -41,14 +41,6 @@ __all__ = ["main"]
 # Configuration plumbing
 # --------------------------------------------------------------------------
 
-# Keys every command takes besides its own schema (see _COMMANDS).
-_GLOBAL_SCHEMA = {
-    "out_dir": (str, "."),
-    "threads": (int, 1),
-    "hbar": (float, 1.0),
-}
-
-
 def _positive_count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -56,29 +48,33 @@ def _positive_count(text: str) -> int:
     return n
 
 
-def _floats(text: str) -> List[float]:
-    try:
-        vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"empty list {text!r}")
-    return vals
+# Keys every command takes besides its own schema (see _COMMANDS).
+_GLOBAL_SCHEMA = {
+    "out_dir": (str, "."),
+    "threads": (_positive_count, 1),
+    "hbar": (float, 1.0),
+}
 
 
-def _ints(text: str) -> List[int]:
-    try:
-        vals = [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad int list {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"empty list {text!r}")
-    return vals
+def _list_of(kind: type) -> Callable[[str], list]:
+    """Parser of a comma-separated list of at least one `kind` value."""
+    def parse(text: str) -> list:
+        try:
+            vals = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad {kind.__name__} list {text!r}") from exc
+        if not vals:
+            raise ConfigError(f"empty list {text!r}")
+        return vals
+    return parse
+
+
+_floats, _ints = _list_of(float), _list_of(int)
 
 
 def _grid(text: str) -> np.ndarray:
     """start:stop:count -> inclusive linspace."""
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:count, got {text!r}")
     try:
@@ -157,14 +153,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             resolved[key] = default if text is None else parse(text)
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{_flag(key)}: {exc}") from exc
-    out_dir = Path(str(resolved.pop("out_dir")))
+    out_dir = Path(resolved.pop("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = int(resolved.pop("threads"))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    hbar = float(resolved.pop("hbar"))
-    if not (hbar > 0 and math.isfinite(hbar)):
-        raise ConfigError(f"hbar must be positive and finite, got {hbar}")
+    threads, hbar = resolved.pop("threads"), resolved.pop("hbar")
+    # checked here, not by the model: a nan hbar turns --alpha into a nan C,
+    # and the model's error would name C
+    check_positive("hbar", hbar)
     return RunConfig(command, resolved, out_dir, threads, hbar)
 
 
@@ -216,9 +210,6 @@ def _write_work(
 
 def _cmd_ring_spectrum(cfg: RunConfig) -> None:
     n, lam, c, imax = (cfg.values[k] for k in ("n", "lam", "c", "imax"))
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    Ring(lam)  # rejects a circumference that is not positive and finite
     table = ringspec.enumerate_states(lam, c, n, imax, hbar=cfg.hbar)
     meta = cfg.metadata()
     meta["state_count"] = len(table)
@@ -244,21 +235,21 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
 
 def _box_pair(cfg: RunConfig) -> ModelSpec:
     """The pair in Box(--lambda) at coupling --c, or --alpha in box units."""
-    box = Box(float(cfg.values["lam"]))
+    box = Box(cfg.values["lam"])
     c, alpha = cfg.values.get("c"), cfg.values.get("alpha")
     if c is not None and alpha is not None:
         raise ConfigError("give either --c or --alpha, not both")
     if c is None and alpha is None:
         raise ConfigError("one of --c / --alpha is required")
     if c is None:
-        c = DimensionlessCoupling(float(alpha)).coupling(box.length, cfg.hbar)
-    return ModelSpec(2, box, float(c), hbar=cfg.hbar)
+        c = DimensionlessCoupling(alpha).coupling(box.length, cfg.hbar)
+    return ModelSpec(2, box, c, hbar=cfg.hbar)
 
 
 def _cmd_box_spectrum(cfg: RunConfig) -> None:
     m, n_levels = cfg.values["m"], cfg.values["n_levels"]
     model = _box_pair(cfg)
-    spec = boxspec.diagonalize(model, m, int(n_levels))
+    spec = boxspec.diagonalize(model, m, n_levels)
     contact = [
         boxspec.contact_expectation(spec.state(i, "boson")) for i in range(len(spec))
     ]
@@ -304,44 +295,38 @@ def _cmd_fig1(cfg: RunConfig) -> None:
 
 
 def _protocol_from(cfg: RunConfig):
-    name = str(cfg.values["protocol"])
-    lam_i = float(cfg.values["lam_i"])
+    name, lam_i, lam_f = (cfg.values[k] for k in ("protocol", "lam_i", "lam_f"))
     if name == "adiabatic":
-        return Adiabatic(lam_i, float(cfg.values["lam_f"]))
+        return Adiabatic(lam_i, lam_f)
     if name == "sudden-wall":
-        return SuddenWall(lam_i, float(cfg.values["lam_f"]))
+        return SuddenWall(lam_i, lam_f)
     if name == "sudden-coupling":
         if cfg.values["c_f"] is None:
             raise ConfigError(f"{cfg.command} needs --c-f")
-        return SuddenCoupling(float(cfg.values["c"]), float(cfg.values["c_f"]))
+        return SuddenCoupling(cfg.values["c"], cfg.values["c_f"])
     if name == "ramp":
-        return LinearRamp(lam_i, float(cfg.values["v"]), float(cfg.values["tau"]))
+        return LinearRamp(lam_i, cfg.values["v"], cfg.values["tau"])
     raise ConfigError(f"unknown protocol {name!r}; expected adiabatic, "
                       "sudden-wall, sudden-coupling or ramp")
 
 
 def _cmd_work(cfg: RunConfig) -> None:
-    geometry = str(cfg.values["geometry"])
-    lam_i = float(cfg.values["lam_i"])
-    n = int(cfg.values["n"])
-    coupling = float(cfg.values["c"])
-    beta = float(cfg.values["beta"])
+    geometry, lam_i, n, coupling = (cfg.values[k] for k in ("geometry", "lam_i", "n", "c"))
     if geometry == "ring":
         model = ModelSpec(n, Ring(lam_i), coupling, hbar=cfg.hbar)
-        kwargs = {"i_max": float(cfg.values["imax"])}
+        kwargs = {"i_max": cfg.values["imax"]}
     elif geometry == "box":
         model = ModelSpec(n, Box(lam_i), coupling, hbar=cfg.hbar)
-        kwargs = {"cutoff": int(cfg.values["m"])}
+        kwargs = {"cutoff": cfg.values["m"]}
     else:
         raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
     protocol = _protocol_from(cfg)
-    dist = work.drive(model, protocol, **kwargs).at(beta)
+    dist = work.drive(model, protocol, **kwargs).at(cfg.values["beta"])
     head, stats = _write_work(cfg.out_dir / "work_atoms.csv", dist, cfg.metadata(),
-                              float(cfg.values["merge_tol"]))
-    with np.errstate(over="ignore"):  # inf past double range; the residual is not
-        average = float(np.exp(dist.log_jarzynski_average()))
+                              cfg.values["merge_tol"])
+    # the average itself leaves double range in a cold drive; its log does not
     summary = dict(head, mass=dist.mass, tail_mass=dist.tail_mass,
-                   jarzynski_average=average, **stats)
+                   ln_jarzynski_average=dist.log_jarzynski_average(), **stats)
     write_json(cfg.out_dir / "work_summary.json", summary)
 
 
@@ -358,14 +343,10 @@ def _distinct_labels(key: str, values: Sequence[float]) -> None:
 
 
 def _cmd_fig2(cfg: RunConfig) -> None:
-    c_list = list(cfg.values["c_list"])
-    beta_list = list(cfg.values["beta_list"])
+    c_list, beta_list, name, lam, v, tau, m = (
+        cfg.values[k] for k in ("c_list", "beta_list", "protocol", "lam", "v", "tau", "m"))
     _distinct_labels("c_list", c_list)
     _distinct_labels("beta_list", beta_list)
-    name = str(cfg.values["protocol"])
-    lam = float(cfg.values["lam"])
-    v, tau, m = (float(cfg.values["v"]), float(cfg.values["tau"]),
-                 int(cfg.values["m"]))
     lam_f = lam + v * tau
     if name == "ramp":
         protocol = LinearRamp(lam, v, tau)
@@ -411,12 +392,12 @@ def _cmd_fig2(cfg: RunConfig) -> None:
 def _cmd_duality_check(cfg: RunConfig) -> None:
     m, n_states = cfg.values["m"], cfg.values["states"]
     model = _box_pair(cfg)
-    spec = boxspec.diagonalize(model, m, int(n_states))
+    spec = boxspec.diagonalize(model, m, n_states)
     meta = cfg.metadata()
     meta["coupling"] = model.coupling
     states = {}
     worst = 0.0
-    for i in range(int(n_states)):
+    for i in range(n_states):
         bose = spec.state(i, "boson")
         fermi = spec.state(i, "fermion")
         db = boxspec.spatial_density(bose)
@@ -462,14 +443,14 @@ def _cmd_convergence(cfg: RunConfig) -> None:
     energy_table = []
     for m in m_list:
         # n_levels >= 1, so state 0 is there for the cusp
-        spec = boxspec.diagonalize(model, int(m), int(n_levels))
+        spec = boxspec.diagonalize(model, m, n_levels)
         energy_table.append(spec.energies)
         for lvl in range(len(spec)):
-            rows_m.append(int(m))
+            rows_m.append(m)
             rows_level.append(lvl)
             rows_e.append(spec.energies[lvl])
         # the residual is already scale-normalized
-        cusp[f"m={int(m)}"] = float(boxspec.cusp_check(spec.state(0, "boson")).max())
+        cusp[f"m={m}"] = float(boxspec.cusp_check(spec.state(0, "boson")).max())
         del spec  # one spectrum alive at a time
     meta = cfg.metadata()
     meta["coupling"] = model.coupling
@@ -495,23 +476,20 @@ def _cmd_convergence(cfg: RunConfig) -> None:
 
 
 def _cmd_eos(cfg: RunConfig) -> None:
-    beta = float(cfg.values["beta"])
-    coupling = float(cfg.values["c"])
-    mu_grid = np.asarray(cfg.values["mu_grid"], dtype=float)
-    sweep = cfg.values.get("hbar_sweep")
-    target = float(cfg.values["density"])
+    beta, coupling, mu_grid, sweep, target = (
+        cfg.values[k] for k in ("beta", "c", "mu_grid", "hbar_sweep", "density"))
     # the sweep runs last: check its inputs before anything is written
-    if sweep and not all(0.0 < hb < math.inf for hb in sweep):
-        raise ConfigError(f"--hbar-sweep values must be positive and finite, got {sweep}")
-    if sweep and not 0.0 < target < math.inf:
-        raise ConfigError(f"--density must be positive and finite, got {target}")
+    if sweep:
+        for hb in sweep:
+            check_positive(_flag("hbar_sweep"), hb)
+        check_positive(_flag("density"), target)
     meta = cfg.metadata()
 
     def point(mu: float):
         sol = eos.solve_yang_yang(beta, mu, coupling, cfg.hbar)
         return sol.pressure, sol.density, sol.iterations
 
-    rows = _pmap(point, [float(m) for m in mu_grid], cfg.threads)
+    rows = _pmap(point, mu_grid, cfg.threads)
     write_csv(
         cfg.out_dir / "eos_isotherm.csv",
         {
@@ -528,14 +506,12 @@ def _cmd_eos(cfg: RunConfig) -> None:
 
     if sweep:
         ratios = _pmap(
-            lambda hb: eos.virial_ratio(beta, coupling, target, hb),
-            list(sweep),
-            cfg.threads,
+            lambda hb: eos.virial_ratio(beta, coupling, target, hb), sweep, cfg.threads
         )
         write_csv(
             cfg.out_dir / "eos_virial_sweep.csv",
             {
-                "hbar": list(sweep),
+                "hbar": sweep,
                 "ratio_full": [r["full"] for r in ratios],
                 "ratio_expansion": [r["expansion"] for r in ratios],
                 "ratio_tabulated": [r["tabulated"] for r in ratios],
@@ -554,7 +530,7 @@ _COMMANDS: Dict[str, Tuple[Callable[[RunConfig], None], str, Dict[str, tuple]]] 
     "ring-spectrum": (
         _cmd_ring_spectrum,
         "enumerate periodic Bethe states below a cutoff",
-        {"n": (int, 2), "lam": (float, 1.0), "c": (float, 1.0),
+        {"n": (_positive_count, 2), "lam": (float, 1.0), "c": (float, 1.0),
          "imax": (float, 10.0)},
     ),
     "box-spectrum": (

@@ -24,10 +24,21 @@ class ConfigError(ValueError):
     """Invalid model/protocol parameters."""
 
 
-def _check_positive(label: str, value: float) -> None:
-    """Raise ConfigError unless value is positive and finite (nan included)."""
+# The only two validity rules for a physical parameter.  Every entry point
+# that takes beta, C, hbar or a width applies them; `ringspec` and `eos`
+# add their own C = 0 rules, which are physics, not validity.
+
+
+def check_positive(label: str, value: float) -> None:
+    """Raise ConfigError unless value is positive and finite (nan refused)."""
     if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{label} must be positive, got {value}")
+        raise ConfigError(f"{label} must be positive and finite, got {value}")
+
+
+def check_coupling(label: str, value: float) -> None:
+    """Raise ConfigError unless the contact strength is >= 0 or inf (nan refused)."""
+    if not value >= 0:
+        raise ConfigError(f"{label} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,7 @@ class Ring:
     circumference: float
 
     def __post_init__(self):
-        _check_positive("ring circumference", self.circumference)
+        check_positive("ring circumference", self.circumference)
 
     @property
     def length(self) -> float:
@@ -51,7 +62,7 @@ class Box:
     width: float
 
     def __post_init__(self):
-        _check_positive("box width", self.width)
+        check_positive("box width", self.width)
 
     @property
     def length(self) -> float:
@@ -79,10 +90,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ConfigError(f"need at least one particle, got {self.n_particles}")
-        if not (self.coupling >= 0):  # also rejects nan
-            raise ConfigError(f"contact coupling must be >= 0, got {self.coupling}")
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ConfigError(f"hbar must be positive and finite, got {self.hbar}")
+        check_coupling("contact coupling", self.coupling)
+        check_positive("hbar", self.hbar)
 
     @property
     def length(self) -> float:
@@ -118,8 +127,8 @@ class Adiabatic:
     lambda_final: float
 
     def __post_init__(self):
-        _check_positive("lambda_initial", self.lambda_initial)
-        _check_positive("lambda_final", self.lambda_final)
+        check_positive("lambda_initial", self.lambda_initial)
+        check_positive("lambda_final", self.lambda_final)
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,8 @@ class SuddenWall:
     lambda_final: float
 
     def __post_init__(self):
-        _check_positive("lambda_initial", self.lambda_initial)
-        _check_positive("lambda_final", self.lambda_final)
+        check_positive("lambda_initial", self.lambda_initial)
+        check_positive("lambda_final", self.lambda_final)
         if self.lambda_final < self.lambda_initial:
             raise ConfigError("sudden compression not supported: final width < initial width")
 
@@ -144,10 +153,8 @@ class SuddenCoupling:
     coupling_final: float
 
     def __post_init__(self):
-        for name in ("coupling_initial", "coupling_final"):
-            v = getattr(self, name)
-            if not (v >= 0):
-                raise ConfigError(f"{name} must be >= 0, got {v}")
+        check_coupling("coupling_initial", self.coupling_initial)
+        check_coupling("coupling_final", self.coupling_final)
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,10 @@ class LinearRamp:
     duration: float
 
     def __post_init__(self):
-        _check_positive("lambda_initial", self.lambda_initial)
+        check_positive("lambda_initial", self.lambda_initial)
         if not math.isfinite(self.speed):
             raise ConfigError(f"speed must be finite, got {self.speed}")
-        _check_positive("duration", self.duration)
+        check_positive("duration", self.duration)
         if self.lambda_final <= 0:
             raise ConfigError("ramp collapses the box: L_i + v*tau <= 0")
 

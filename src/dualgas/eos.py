@@ -49,7 +49,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_coupling, check_positive
 
 __all__ = [
     "EosConvergenceError",
@@ -84,10 +84,9 @@ def default_grid(
     discrete convolution only needs the *kernel* resolved -- the solution
     itself stays thermally smooth.
     """
-    if not (0.0 < beta < math.inf):  # also rejects nan
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
-    if hbar <= 0.0:
-        raise ConfigError(f"hbar must be positive, got {hbar}")
+    check_positive("beta", beta)
+    check_coupling("contact coupling", coupling)
+    check_positive("hbar", hbar)
     k_max = math.sqrt((36.0 + max(2.0 * beta * mu, 0.0)) / beta) / hbar
     h = 1.0 / (20.0 * math.sqrt(beta) * hbar)
     if math.isfinite(coupling) and coupling > 0.0:
@@ -176,11 +175,9 @@ def solve_yang_yang(
     f q on the same grid, so it is the exact mu-derivative of the returned
     (discrete) pressure; its slope dD/dmu integrates beta f (1 - f) q^3.
     """
-    if not (coupling >= 0.0):  # also rejects nan
-        raise ConfigError(f"coupling must be nonnegative, got {coupling}")
+    km_auto, n_auto = default_grid(beta, mu, coupling, hbar)  # checks the inputs
     if coupling == 0.0:
         raise ConfigError("C = 0 dressed-energy kernel is singular; use a small C")
-    km_auto, n_auto = default_grid(beta, mu, coupling, hbar)
     km = km_auto if k_max is None else float(k_max)
     n = n_auto if n_k is None else int(n_k)
     if n % 2 == 0:
@@ -273,10 +270,9 @@ def fugacity_coefficients(
     free-boson value at C = 0 to the free-fermion value
     -sqrt(pi/2)/(2 sqrt(beta) hbar) at C = inf.
     """
-    if not coupling >= 0.0:  # also rejects nan
-        raise ConfigError(f"coupling must be nonnegative, got {coupling}")
-    if not 0.0 < hbar < math.inf:
-        raise ConfigError(f"hbar must be positive and finite, got {hbar}")
+    check_positive("beta", beta)
+    check_coupling("contact coupling", coupling)
+    check_positive("hbar", hbar)
     b1 = math.sqrt(math.pi / beta) / hbar
     b1_tab = 2.0 * math.pi / (math.sqrt(beta) * hbar)
     x = coupling * math.sqrt(beta) / (2.0 * math.sqrt(2.0) * hbar)
@@ -300,11 +296,8 @@ def virial_ratio(
     consistent two-term result 1 - 2 pi D b2 / b1^2; "tabulated" is the
     shorthand 1 - b2 sqrt(beta) D kept for comparison.
     """
-    if not 0.0 < density_target < math.inf:
-        raise ConfigError(
-            f"density_target must be positive and finite, got {density_target}"
-        )
-    co = fugacity_coefficients(beta, coupling, hbar)
+    check_positive("density_target", density_target)
+    co = fugacity_coefficients(beta, coupling, hbar)  # checks the other inputs
     mu = math.log(2.0 * math.pi * density_target / co["b1"]) / beta
     lo, hi = -math.inf, math.inf  # mu below and above the target density
     for _ in range(40):

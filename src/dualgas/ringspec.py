@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_coupling, check_positive
 
 __all__ = [
     "BetheSolverError",
@@ -46,10 +46,10 @@ class BetheSolverError(RuntimeError):
     """Newton iteration failed to converge (should not happen for C > 0)."""
 
 
-def _check_coupling(coupling: float) -> None:
-    """Accept C > 0 or inf; C = 0, a negative C and nan are ConfigErrors."""
-    if not (coupling >= 0):  # also rejects nan
-        raise ConfigError(f"contact coupling must be >= 0, got {coupling}")
+def _check_phase_shift(coupling: float, hbar: float) -> None:
+    """The phase shift takes C > 0 or inf and hbar positive and finite."""
+    check_coupling("contact coupling", coupling)
+    check_positive("hbar", hbar)
     if coupling == 0.0:
         raise ConfigError(
             "C = 0 rapidities coalesce onto 2*pi*n/lam; use the ideal-gas "
@@ -63,7 +63,7 @@ def theta(k, coupling: float, hbar: float = 1.0):
     Hard-core limit -> 0 identically.
     """
     k = np.asarray(k, dtype=float)
-    _check_coupling(coupling)
+    _check_phase_shift(coupling, hbar)
     if math.isinf(coupling):
         return np.zeros_like(k)
     return np.arctan((2.0 * hbar**2 / coupling) * k)
@@ -72,7 +72,7 @@ def theta(k, coupling: float, hbar: float = 1.0):
 def theta_prime(k, coupling: float, hbar: float = 1.0):
     """d theta / dk = 2 hbar^2 C / (C^2 + 4 hbar^4 k^2); C > 0 or inf."""
     k = np.asarray(k, dtype=float)
-    _check_coupling(coupling)
+    _check_phase_shift(coupling, hbar)
     if math.isinf(coupling):
         return np.zeros_like(k)
     with np.errstate(over="ignore"):  # k^2 past double range: the slope is 0
@@ -110,10 +110,9 @@ def solve_bethe_batch(
     Rows are taken as given: `enumerate_states` builds them on the Pauli
     grid, strictly increasing.
     """
+    check_positive("ring circumference", lam)
+    _check_phase_shift(coupling, hbar)
     I = np.atleast_2d(np.asarray(quantum_numbers, dtype=float))
-    if not (lam > 0):  # also rejects nan
-        raise ConfigError(f"ring circumference must be positive, got {lam}")
-    _check_coupling(coupling)
     K = 2.0 * np.pi * I / lam  # hard-core warm start
     if math.isinf(coupling):
         return K, np.zeros(K.shape[0])
@@ -176,8 +175,9 @@ def spectral_tail_bound(
     within its term cap (tiny beta) raises ArithmeticError rather than
     return a partial sum as the bound.
     """
-    if not (0 < beta < math.inf):  # also rejects nan
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
+    check_positive("ring circumference", lam)
+    check_positive("beta", beta)
+    check_positive("hbar", hbar)
     n = n_particles
     step0 = 0.5 if n % 2 == 0 else 0.0
     # first grid value strictly above i_max
@@ -240,6 +240,8 @@ def enumerate_states(
     For even N, i_max is compared against the half-odd-integer grid, so
     e.g. i_max = 9.5 admits 20 grid values and C(20, 2) = 190 pair states.
     """
+    check_positive("ring circumference", lam)
+    _check_phase_shift(coupling, hbar)
     n = n_particles
     if n < 1:
         raise ConfigError("need at least one particle")
@@ -253,13 +255,17 @@ def enumerate_states(
     size = max(0, 2 * top + odd)
     if size < n:
         raise ConfigError(f"i_max={i_max} admits only {size} grid values for N={n}")
-    if math.comb(size, n) > max_states:
+    count = math.comb(size, n)
+    if count > max_states:
         raise ConfigError(
             f"i_max = {i_max:g} gives more than max_states = {max_states} states "
             f"for N = {n}; lower i_max"
         )
     lattice = np.arange(-top, top + odd, dtype=float) + step0
-    I = np.array(list(itertools.combinations(lattice, n)), dtype=float)
+    # the rows' grid indices stream into one array, with no Python tuple
+    # or float kept per state
+    picks = itertools.chain.from_iterable(itertools.combinations(range(size), n))
+    I = lattice[np.fromiter(picks, dtype=np.intp, count=count * n).reshape(count, n)]
     K, res = solve_bethe_batch(I, lam, coupling, hbar)
     with np.errstate(over="ignore"):  # counted as not finite just below
         energies = hbar**2 * np.sum(K**2, axis=1)

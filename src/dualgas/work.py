@@ -45,6 +45,8 @@ from .core import (
     Ring,
     SuddenCoupling,
     SuddenWall,
+    check_coupling,
+    check_positive,
 )
 
 __all__ = [
@@ -217,13 +219,7 @@ def kolmogorov_distance(
     return float(max(vals.max(), abs(cum[-1])))
 
 
-def _check_beta(beta: float) -> None:
-    if not (0 < beta < math.inf):  # also rejects nan
-        raise ConfigError(f"beta must be positive and finite, got {beta}")
-
-
 def _thermal(energies, beta):
-    _check_beta(beta)
     e = np.asarray(energies, dtype=float)
     ln_z = _logsumexp(-beta * e)
     p = np.exp(-beta * e - ln_z)
@@ -252,6 +248,7 @@ class Drive:
 
     def at(self, beta: float) -> WorkDistribution:
         """The TPM distribution of this drive from the thermal state at beta."""
+        check_positive("beta", beta)
         e_i, e_f, P = self.energies_i, self.energies_f, self.P
         tail = self.tail(beta)
         p_i, ln_zi = _thermal(e_i, beta)
@@ -305,6 +302,8 @@ def adiabatic_ring_drive(
     hbar: float = 1.0,
 ) -> Drive:
     """Quasistatic ring rescaling: populations ride their quantum numbers."""
+    check_positive("lambda_initial", lam_i)
+    check_positive("lambda_final", lam_f)
     table = ringspec.enumerate_states(lam_i, coupling, n_particles, i_max, hbar)
     k_f, _ = ringspec.solve_bethe_batch(table.quantum_numbers, lam_f, coupling, hbar)
     e_f = hbar**2 * (k_f**2).sum(axis=1)
@@ -329,14 +328,14 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     summed window add at most int_K^inf e^{-g x^2} dx, since e^{-g x^2}
     decreases; that term is what keeps the bound at very small beta.
     """
-    _check_beta(beta)
+    check_positive("box width", lam)
+    check_positive("beta", beta)
+    check_positive("hbar", hbar)
     lam2 = lam * lam
     g = beta * (hbar * hbar) * np.pi**2 / lam2 if lam2 > 0.0 else math.inf
-    if not 0.0 < g < math.inf:
-        raise ConfigError(
-            f"the box tail bound needs beta hbar^2 pi^2 / lambda^2 positive and "
-            f"finite, got {g:g} at beta = {beta:g}, hbar = {hbar:g}, lambda = {lam:g}"
-        )
+    # the scale itself may leave double range though its inputs do not
+    check_positive(f"beta hbar^2 pi^2 / lambda^2 (beta = {beta:g}, hbar = {hbar:g}, "
+                   f"lambda = {lam:g})", g)
     n = np.arange(1, cutoff + 2000)
     w = np.exp(-g * n.astype(float) ** 2)
     rest = 0.5 * math.sqrt(math.pi / g) * math.erfc(n[-1] * math.sqrt(g))
@@ -350,6 +349,14 @@ def _box_spectrum(lam, coupling, cutoff, hbar):
     return boxspec.diagonalize(model, cutoff)
 
 
+def _block_levels(lam, coupling, cutoff, hbar):
+    """The levels at width lam and the level indices of each parity block.
+    The eigenvectors are dropped here, so one width's are not held while
+    the other width is solved."""
+    sp = _box_spectrum(lam, coupling, cutoff, hbar)
+    return sp.energies, [rows for _, _, rows in sp.blocks]
+
+
 def adiabatic_box_drive(
     lam_i: float, lam_f: float, coupling: float, cutoff: int, hbar: float = 1.0
 ) -> Drive:
@@ -358,13 +365,15 @@ def adiabatic_box_drive(
     Levels of opposite parity cross as the box grows; followed by overlap,
     those of one block keep their order.
     """
-    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
-    sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
-    e_f = np.empty_like(sp_f.energies)
-    for (_, _, rows), (_, _, cols) in zip(sp_i.blocks, sp_f.blocks):
-        e_f[rows] = sp_f.energies[cols]
+    check_positive("lambda_initial", lam_i)
+    check_positive("lambda_final", lam_f)
+    e_i, rows_i = _block_levels(lam_i, coupling, cutoff, hbar)
+    levels_f, cols_f = _block_levels(lam_f, coupling, cutoff, hbar)
+    e_f = np.empty_like(levels_f)
+    for rows, cols in zip(rows_i, cols_f):
+        e_f[rows] = levels_f[cols]
     return Drive(
-        sp_i.energies, e_f, None, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
+        e_i, e_f, None, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
         metadata=dict(route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff),
     )
 
@@ -395,6 +404,8 @@ def sudden_wall_drive(
     lowers the worst state's (0.002 at 12 -> 48).  A final cutoff above
     128 is a ConfigError, raised before either box is diagonalized.
     """
+    check_positive("lambda_initial", lam_i)
+    check_positive("lambda_final", lam_f)
     if cutoff_f is None:
         cutoff_f = cutoff * lam_f / lam_i
     if not cutoff_f <= _MAX_FINAL_CUTOFF:  # also inf and nan
@@ -424,6 +435,8 @@ def sudden_coupling_drive(
     P[f, i] is exactly 0 between levels of opposite parity, and P is
     formed one block product at a time.
     """
+    check_coupling("coupling_initial", coupling_i)
+    check_coupling("coupling_final", coupling_f)
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
     P = sp_f.overlaps(sp_i) ** 2
@@ -531,6 +544,8 @@ def propagate_ramp(
     that needs more than 1e7 steps is a ConfigError, raised before either
     box is diagonalized.
     """
+    check_coupling("contact coupling", coupling)
+    check_positive("hbar", hbar)
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
     basis, k1 = ops["basis"], ops["k1"]
@@ -606,7 +621,10 @@ def ndp_reference(
     one-particle atom list.  The one-particle momenta 2 pi n / lam_i run far
     enough that the dropped Boltzmann weights are below 1e-18 of the peak.
     """
-    _check_beta(beta)
+    check_positive("lambda_initial", lam_i)
+    check_positive("lambda_final", lam_f)
+    check_positive("beta", beta)
+    check_positive("hbar", hbar)
     n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
     k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
     e1 = hbar**2 * k**2

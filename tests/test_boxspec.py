@@ -654,15 +654,25 @@ def test_spatial_density_identical_for_dual_pair():
 @pytest.mark.parametrize("alpha", [5.0, math.inf])
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_spatial_density_is_the_square_of_the_sign_mapped_amplitude(alpha, statistics):
-    # the sign map squares away bit for bit, so one psi^2 serves both
-    # statistics: the dual's density is that of sign(x2 - x1) psi
+    # the sign map squares away, so one psi^2 serves both statistics: the
+    # dual's density is that of sign(x2 - x1) psi.  The trapezoid rule on
+    # 65 nodes is exact for cutoff 12, so the closed form meets it at roundoff
     state = bs.diagonalize(model(alpha), 12).state(1, statistics)
     got = bs.spatial_density(state, n_grid=65)
     x = np.linspace(0.0, LAM, 65)
     psi = oracles.sign_mapped_amplitude(state, x)
     want = 2.0 * np.trapezoid(psi * psi, x, axis=1)
-    assert np.array_equal(got.values, want)
-    assert got.mass == float(np.trapezoid(want, x))
+    np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-14)
+    assert got.mass == pytest.approx(float(np.trapezoid(want, x)), abs=1e-14)
+
+
+def test_spatial_density_exact_on_a_grid_coarser_than_the_cutoff():
+    # the partner integral is closed form: on 9 nodes at cutoff 16 the
+    # trapezoid rule was off by 1.2e-2 at a node
+    state = bs.diagonalize(model(5.0), 16).state(0)
+    coarse = bs.spatial_density(state, 9).values
+    np.testing.assert_allclose(coarse, bs.spatial_density(state, 257).values[::32],
+                               rtol=0.0, atol=1e-13)
 
 
 def test_momentum_density_distinguishes_statistics():

@@ -273,6 +273,15 @@ def test_jarzynski_residual_is_read_in_log_space(tmp_path, argv):
     assert all(isinstance(x, float) and x <= 1e-10 for x in residuals), residuals
 
 
+def test_cold_work_summary_holds_only_finite_numbers(tmp_path):
+    # <exp(-beta W)> leaves double range here, and was written as "inf":
+    # the summary carries its logarithm instead
+    assert cli.main(["work", "--beta", "100", "--m", "8", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "work_summary.json"
+    assert _non_finite_values(path, set()) == []
+    assert math.isfinite(json.loads(path.read_text())["ln_jarzynski_average"])
+
+
 def _atom_rows(path):
     body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     return [line.split(",") for line in body[1:]]
@@ -588,12 +597,12 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
      "--beta-list: 1.0 repeats the label '1'"),
     # a value of -inf or -nan, in any case, is a value and not a flag
     (["ring-spectrum", "--imax", "-inf"], "i_max = -inf is not finite"),
-    (["ring-spectrum", "--lambda", "-inf"], "ring circumference must be positive, got -inf"),
+    (["ring-spectrum", "--lambda", "-inf"], "ring circumference must be positive and finite, got -inf"),
     (["box-spectrum", "--c", "-inf", "--m", "4"], "contact coupling must be >= 0, got -inf"),
     (["box-spectrum", "--lambda", "-inf", "--c", "1", "--m", "4"],
-     "box width must be positive, got -inf"),
+     "box width must be positive and finite, got -inf"),
     (["work", "--beta", "-nan", "--m", "4"], "beta must be positive and finite, got nan"),
-    (["eos", "--c", "-Infinity"], "coupling must be nonnegative, got -inf"),
+    (["eos", "--c", "-Infinity"], "coupling must be >= 0, got -inf"),
 ])
 def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2

@@ -72,9 +72,10 @@ def test_nan_or_negative_coupling_rejected(coupling):
 
 
 def test_nan_residual_is_not_converged():
-    # nan compares False both ways: it must keep Newton running, not stop it
+    # nan compares False both ways: it must keep Newton running, not stop it.
+    # The rows are taken as given, so a nan quantum number makes one.
     with pytest.raises(rs.BetheSolverError):
-        rs.solve_bethe_batch(np.array([[-0.5, 0.5]]), 1.0, 1.0, hbar=math.nan)
+        rs.solve_bethe_batch(np.array([[-0.5, math.nan]]), 1.0, 1.0)
 
 
 def test_quantum_number_grid_validation():

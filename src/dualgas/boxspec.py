@@ -143,7 +143,9 @@ def contact_block(ops: dict, pairs) -> np.ndarray:
     count S^T diag(w) S, whose small integers one GEMM sums without rounding."""
     S = ops["S"][:, pairs]
     c = ops["c"][pairs]
-    return np.multiply.outer(2.0 * c, c) * (S.T @ (ops["w"][:, None] * S))
+    v = S.T @ (ops["w"][:, None] * S)
+    v *= np.multiply.outer(2.0 * c, c)
+    return v
 
 
 def contact_coupling(coupling: float) -> float:
@@ -605,9 +607,14 @@ def momentum_density(
         w[0] = w[-1] = 0.5 * h
         U = box_modes(x, lam, m)
         psi = U @ A @ U.T
-        # w(x1) psi_F(x1, x2), with sign(x2 - x1) = 0 on the diagonal
-        core = np.sign(x - x[:, None]) * (w[:, None] * psi)
-        edge = np.diag(psi)
+        edge = psi.diagonal().copy()
+        # w(x1) psi_F(x1, x2), with sign(x2 - x1) = 0 on the diagonal,
+        # formed in psi's place: at most two n_x x n_x arrays are held
+        sign = x - x[:, None]
+        core = psi
+        core *= w[:, None]
+        core *= np.sign(sign, out=sign)
+        del sign  # the slabs below hold core alone
         # G = (cos - i sin) @ core + (i k h^2 / 6) psi(x2, x2) e^{-ik x2},
         # a slab of k rows at a time
         nk = np.empty(n_k)

@@ -30,6 +30,7 @@ from .core import (
     Ring,
     SuddenCoupling,
     SuddenWall,
+    check_coupling,
     check_positive,
 )
 from .output import write_csv, write_json, write_svg_heatmap
@@ -242,6 +243,7 @@ def _box_pair(cfg: RunConfig) -> ModelSpec:
     if c is None and alpha is None:
         raise ConfigError("one of --c / --alpha is required")
     if c is None:
+        check_coupling("--alpha", alpha)
         c = DimensionlessCoupling(alpha).coupling(box.length, cfg.hbar)
     return ModelSpec(2, box, c, hbar=cfg.hbar)
 

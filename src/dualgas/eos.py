@@ -174,8 +174,14 @@ def solve_yang_yang(
     eps0 is returned exactly.  The density is the trapezoid integral of
     f q on the same grid, so it is the exact mu-derivative of the returned
     (discrete) pressure; its slope dD/dmu integrates beta f (1 - f) q^3.
+    k_max > 0 and an integer n_k >= 3 (made odd) replace `default_grid`'s
+    window and point count.
     """
     km_auto, n_auto = default_grid(beta, mu, coupling, hbar)  # checks the inputs
+    if k_max is not None:
+        check_positive("k_max", k_max)
+    if n_k is not None and not (isinstance(n_k, (int, np.integer)) and n_k >= 3):
+        raise ConfigError(f"n_k must be an integer >= 3, got {n_k}")
     if coupling == 0.0:
         raise ConfigError("C = 0 dressed-energy kernel is singular; use a small C")
     km = km_auto if k_max is None else float(k_max)

@@ -39,20 +39,21 @@ def write_csv(
     """Comma-separated table with a '#'-prefixed key=value header block.
 
     Column order is the mapping order (callers fix it); metadata keys are
-    sorted.  All columns must share one length.
+    sorted.  All columns must share one length.  Each is read as given: a
+    list of strings copied into a numpy array would take four bytes a
+    character at its longest string's width.
     """
     path = Path(path)
-    cols = {name: np.asarray(vals) for name, vals in columns.items()}
-    lengths = {c.shape[0] for c in cols.values()}
+    lengths = {len(c) for c in columns.values()}
     if len(lengths) > 1:
         raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
     with open(path, "w") as fh:  # row by row: a joined text set large tables' peak memory
         for key in sorted(metadata or {}):
             fh.write(f"# {key} = {format_value((metadata or {})[key])}\n")
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(columns) + "\n")
         for i in range(n):
-            fh.write(",".join(format_value(c[i]) for c in cols.values()) + "\n")
+            fh.write(",".join(format_value(c[i]) for c in columns.values()) + "\n")
     return path
 
 

@@ -40,6 +40,9 @@ __all__ = [
 # gives up
 _MAX_ITER = 80
 _MAX_TERMS = 100_000
+# rows per Newton batch: every row's steps are its own, and a slab keeps
+# the (rows, N, N) phase-shift temporaries small
+_ROW_SLAB = 1024
 
 
 class BetheSolverError(RuntimeError):
@@ -108,7 +111,7 @@ def solve_bethe_batch(
     definite, so the undamped step is well posed; a per-row backtracking
     line search on the residual norm guards the far-from-solution regime.
     Rows are taken as given: `enumerate_states` builds them on the Pauli
-    grid, strictly increasing.
+    grid, strictly increasing.  They are solved 1024 at a time.
     """
     check_positive("ring circumference", lam)
     _check_phase_shift(coupling, hbar)
@@ -116,8 +119,17 @@ def solve_bethe_batch(
     K = 2.0 * np.pi * I / lam  # hard-core warm start
     if math.isinf(coupling):
         return K, np.zeros(K.shape[0])
+    residuals = np.empty(K.shape[0])
+    for lo in range(0, K.shape[0], _ROW_SLAB):
+        rows = slice(lo, lo + _ROW_SLAB)
+        residuals[rows] = _newton(K[rows], 2.0 * np.pi * I[rows], lam, coupling, hbar, tol, lo)
+    return K, residuals
 
-    I2pi = 2.0 * np.pi * I
+
+def _newton(K, I2pi, lam, coupling, hbar, tol, first):
+    """Newton steps on the rows K (updated in place) from the warm start to
+    residual <= tol * scale; returns the residuals over scale.  `first` is
+    the index of K's first row in the caller's batch, for the error."""
     scale = np.maximum(1.0, np.abs(I2pi).max(axis=1))
     F = _residual(K, I2pi, lam, coupling, hbar)
     fnorm = np.abs(F).max(axis=1)
@@ -147,9 +159,9 @@ def solve_bethe_batch(
     else:
         bad = np.nonzero(~(fnorm <= tol * scale))[0]
         raise BetheSolverError(
-            f"Newton did not converge for {bad.size} state(s), first index {bad[0]}"
+            f"Newton did not converge for {bad.size} state(s), first index {first + bad[0]}"
         )
-    return K, fnorm / scale
+    return fnorm / scale
 
 
 def _log_comb(n: int, k: int) -> float:

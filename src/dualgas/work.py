@@ -453,7 +453,7 @@ def sudden_coupling_drive(
 
 # Blanes & Moan's S6 (J. Comput. Appl. Math. 142, 313 (2002)), a symmetric
 # fourth-order partitioned splitting of dc/ds = (A + K(s)) c: seven clocked
-# diagonal K stages around six dense A stages,
+# diagonal K stages around six low-rank contact A stages,
 # K a1 A b1 K a2 A b2 K a3 A b3 K a4 A b3 K a3 A b2 K a2 A b1 K a1
 _S6_K = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
 _S6_K += (1.0 - 2.0 * sum(_S6_K),)
@@ -474,40 +474,63 @@ class RampResult:
     energies_f: np.ndarray
     amplitudes: np.ndarray  # (n_final, n_columns), complex
     norm_drift: float
-    n_rhs_evals: int  # dense sub-flow products, six per splitting step
+    n_rhs_evals: int  # contact sub-flow applications, six per splitting step
 
     @property
     def transition_matrix(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-def _unitary_flow(mu: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
-    """exp(-i x H) from H = w diag(mu) w^H, polished toward unitarity.
+# the K phases of this many steps come from one np.exp call
+_PHASE_SLAB = 64
 
-    One Newton-Schulz step E(3I - E^H E)/2 removes the roundoff that the
-    eigenvector product leaves, which would otherwise accumulate over
-    thousands of steps.
+
+def _contact_flows(ops, blocks, g, n):
+    """W (blocks, n, r) and mu (blocks, r) with iA = W diag(mu) W^T on each
+    block: each block's W has orthonormal columns, zero-padded to n pairs
+    and r columns.
+
+    v1 on the block is F^T F, F its coincidence factor (about M + 1 rows,
+    `boxspec._contact_factor`), so the thin SVD F = U diag(sigma) W^T gives
+    mu = g sigma^2 with no dense eigendecomposition.  At g = 0 (C = 0, or
+    C = inf on the antisymmetric pairs) the contact is absent: r = 0.
     """
-    e = (w * np.exp(-1j * x * mu)) @ w.conj().T
-    return 1.5 * e - 0.5 * (e @ (e.conj().T @ e))
+    factors = [np.linalg.svd(boxspec._contact_factor(ops, b), full_matrices=False)[1:]
+               for b in blocks] if g else []
+    r = max((s.size for s, _ in factors), default=0)
+    W = np.zeros((len(blocks), n, r))
+    mu = np.zeros((len(blocks), r))
+    for k, (s, wt) in enumerate(factors):
+        W[k, :wt.shape[1], :s.size] = wt.T
+        mu[k, :s.size] = g * s * s
+    return W, mu
 
 
-def _split_steps(y, kin, mu, w, clock, speed, h, n_steps):
-    """n_steps S6 steps of length h of dy/ds = [A - i K(s)] y on one parity block.
+def _s6_steps(y, kin, W, mu, clock, speed, h, n_steps):
+    """n_steps S6 steps of length h of dy/ds = [A - i K(s)] y on a stack of
+    parity blocks, y (blocks, n, m) complex, updated in place.
 
-    iA = w diag(mu) w^H; the K stages of the first step carry the phases
-    kin * clock, and each later step's clock is scaled by exp(-v h).
+    On each block iA = W diag(mu) W^T with orthonormal W, so its sub-flow
+    exp(x A) = I + W (exp(-i x mu) - 1) W^T: two real GEMMs on y viewed as
+    real, W being real.  The K stages of the first step carry the phases
+    kin * clock (kin (blocks, n)), and each later step's clock is scaled by
+    exp(-v h).
     """
-    flows = [_unitary_flow(mu, w, b * h) for b in _S6_A]
-    buf = np.empty_like(y)
-    for step in range(n_steps):
-        phases = np.exp(1j * np.multiply.outer(clock * math.exp(-speed * h * step), kin))
-        for ph, b in zip(phases, _S6_A_STAGES):
-            y *= ph[:, None]
-            np.matmul(flows[b], y, out=buf)
-            y, buf = buf, y
-        y *= phases[-1][:, None]
-    return y
+    Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
+    d = [np.expm1(-1j * b * h * mu)[..., None] for b in _S6_A]
+    yr = y.view(float)
+    for start in range(0, n_steps, _PHASE_SLAB):
+        scale = np.exp(-speed * h * np.arange(start, min(start + _PHASE_SLAB, n_steps)))
+        # (steps, stages, blocks, n, 1)
+        slab = np.exp(1j * np.multiply.outer(np.multiply.outer(scale, clock), kin))[..., None]
+        for phases in slab:
+            for ph, b in zip(phases, _S6_A_STAGES):
+                y *= ph
+                if mu.size:
+                    z = (Wt @ yr).view(complex)
+                    z *= d[b]
+                    yr += W @ z.view(float)
+            y *= phases[-1]
 
 
 def propagate_ramp(
@@ -531,18 +554,21 @@ def propagate_ramp(
     chirp (`boxspec.pair_chirp`, unitary in the truncated basis) and U the
     flow of Phi.  The chirp sits off the box centre, so the amplitudes
     connect levels of opposite centre-reflection parity, but U does not:
-    K and v1 keep the p+q-even and p+q-odd pairs apart, and each block is
-    propagated on its own.
+    K and v1 keep the p+q-even and p+q-odd pairs apart, so U is one
+    propagator U_b per block.
 
     In s = int dt / L the flow is dPhi/ds = [A - i (hbar / L(s)) K] Phi with
     the constant A = -(i C / hbar) v1.  Both parts have exact unitary
-    flows: exp(x A) from one eigendecomposition of each block of the real
-    symmetric iA, and the diagonal phase exp(-i hbar k1 int dt / L^2) that
-    carries the clock.  A symmetric fourth-order splitting (S6) composes
-    them in n equal steps in s, with n set by the total phases of the two
-    parts, so only the time-integration error depends on the step.  A ramp
-    that needs more than 1e7 steps is a ConfigError, raised before either
-    box is diagonalized.
+    flows: exp(x A) = I + W (exp(-i x mu) - 1) W^T on each block, of rank
+    about M, from a thin SVD of the block's coincidence factor
+    (`_contact_flows`), and the diagonal phase exp(-i hbar k1 int dt / L^2)
+    that carries the clock.  A symmetric fourth-order splitting (S6)
+    composes them in n equal steps in s, with n set by the total phases of
+    the two parts, so only the time-integration error depends on the step.
+    Both blocks are stepped together, zero-padded into one stack: of their
+    identities, whose U_b then meets the state's columns once, or of the
+    columns themselves when those are fewer.  A ramp that needs more than
+    1e7 steps is a ConfigError, raised before either box is diagonalized.
     """
     check_coupling("contact coupling", coupling)
     check_positive("hbar", hbar)
@@ -550,14 +576,13 @@ def propagate_ramp(
     ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
     basis, k1 = ops["basis"], ops["k1"]
     speed = ramp.speed
-    kin = -hbar * k1
     blocks = basis.parity_blocks()
+    n = max(b.size for b in blocks)
     # iA = (C / hbar) v1, real symmetric on each block
-    g = boxspec.contact_coupling(coupling) / hbar
-    spectra = [np.linalg.eigh(g * boxspec.contact_block(ops, b)) for b in blocks]
+    W, mu = _contact_flows(ops, blocks, boxspec.contact_coupling(coupling) / hbar, n)
     span = math.log(lam_f / lam_i) / speed if speed else ramp.duration / lam_i
     phase = (hbar * float(k1.max()) * ramp.duration / (lam_i * lam_f)
-             + max(float(np.abs(mu).max()) for mu, _ in spectra) * span)
+             + float(mu.max(initial=0.0)) * span)
     n_steps = phase / _STEP_PHASE
     if not n_steps <= _MAX_STEPS:  # also inf and nan
         raise ConfigError(
@@ -577,8 +602,17 @@ def propagate_ramp(
         clock = np.exp(-speed * starts) * -np.expm1(-speed * widths) / (speed * lam_i)
     else:
         clock = widths / lam_i
-    for b, (mu, w) in zip(blocks, spectra):
-        y[b] = _split_steps(y[b], kin[b], mu, w, clock, speed, h, n_steps)
+    # the stack holds y's columns on each block, or the block's identity
+    # when that is narrower, whose flow U_b then meets y once
+    m = min(y.shape[1], n)
+    stack = np.zeros((len(blocks), n, m), dtype=complex)
+    kins = np.zeros((len(blocks), n))
+    for k, b in enumerate(blocks):
+        stack[k, :b.size] = y[b] if m < n else np.eye(b.size, m)
+        kins[k, :b.size] = -hbar * k1[b]
+    _s6_steps(stack, kins, W, mu, clock, speed, h, n_steps)
+    for k, b in enumerate(blocks):
+        y[b] = stack[k, :b.size] if m < n else stack[k, :b.size, :b.size] @ y[b]
     y = boxspec.pair_chirp(speed * lam_f / (4.0 * hbar), basis) @ y
 
     drift = float(np.abs((np.abs(y) ** 2).sum(axis=0) - 1.0).max())

@@ -727,6 +727,22 @@ def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling
     assert np.abs(got.values - want).max() <= 1e-12 * want.max()
 
 
+def test_sign_mapped_momentum_density_memory_peak():
+    # the sign-mapped kernel is formed in the amplitude's place, so at most
+    # two n_x x n_x arrays are held at once: 4.2 MiB here, where the
+    # product of fresh temporaries held three and peaked at 6.2 MiB
+    state = bs.diagonalize(model(5.0), 16, 2).state(0, "fermion")
+    n_x = 513
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bs.momentum_density(state, n_x=n_x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.5 * n_x * n_x * 8
+
+
 @pytest.mark.parametrize("alpha", [1.0, 5.0])
 def test_sign_mapped_momentum_density_matches_the_exact_partner_integral(alpha):
     # the partner is summed on the x grid, not over the k window: against

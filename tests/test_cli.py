@@ -603,6 +603,11 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
      "box width must be positive and finite, got -inf"),
     (["work", "--beta", "-nan", "--m", "4"], "beta must be positive and finite, got nan"),
     (["eos", "--c", "-Infinity"], "coupling must be >= 0, got -inf"),
+    # alpha is checked before it is turned into C, so the message names it
+    (["box-spectrum", "--alpha", "-1", "--m", "4"], "--alpha must be >= 0, got -1.0"),
+    (["fig1", "--alpha", "nan", "--m", "4"], "--alpha must be >= 0, got nan"),
+    (["duality-check", "--alpha", "-2", "--m", "4"], "--alpha must be >= 0, got -2.0"),
+    (["convergence", "--alpha", "-inf", "--m-list", "4"], "--alpha must be >= 0, got -inf"),
 ])
 def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2

@@ -94,8 +94,8 @@ ENTRY_POINTS = [
     ("eos.default_grid", eos.default_grid, dict(beta=1.0, mu=-1.0, coupling=1.0, hbar=1.0),
      {"beta": "beta", "hbar": "hbar"}, {"coupling": C}),
     ("eos.solve_yang_yang", eos.solve_yang_yang,
-     dict(beta=1.0, mu=-1.0, coupling=1.0, hbar=1.0),
-     {"beta": "beta", "hbar": "hbar"}, {"coupling": C}),
+     dict(beta=1.0, mu=-1.0, coupling=1.0, hbar=1.0, k_max=6.0),
+     {"beta": "beta", "hbar": "hbar", "k_max": "k_max"}, {"coupling": C}),
     ("eos.fugacity_coefficients", eos.fugacity_coefficients,
      dict(beta=1.0, coupling=1.0, hbar=1.0), {"beta": "beta", "hbar": "hbar"}, {"coupling": C}),
     ("eos.virial_ratio", eos.virial_ratio,
@@ -147,6 +147,11 @@ ENTRY_CASES = [
     for kind, params in (("positive", positive), ("coupling", coupling))
     for param, label in params.items()
     for value in REFUSED[kind]
+] + [
+    # the dressed-energy grid's point count: an integer of at least 3
+    pytest.param(eos.solve_yang_yang, dict(beta=1.0, mu=-1.0, coupling=1.0, n_k=value),
+                 "n_k", value, id=f"eos.solve_yang_yang-n_k={value}")
+    for value in (1, 2, -1, 3.0, math.nan)
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ def test_csv_layout_and_determinism(tmp_path):
     assert lines[2] == "b,a"
     assert lines[3] == "1.0,3"
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_writes_a_list_of_strings_without_copying_it(tmp_path):
+    # 10,000 strings of 60 characters: as a numpy array they would take
+    # 2.3 MiB, four bytes a character
+    col = [f"{i:060d}" for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        path = out.write_csv(tmp_path / "s.csv", {"label": col, "index": np.arange(10_000)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+    assert path.read_text().splitlines()[-1] == f"{9_999:060d},9999"
 
 
 def test_csv_rejects_ragged_columns(tmp_path):

@@ -429,13 +429,72 @@ def test_free_ramp_matches_closed_form(cutoff, hbar, speed, duration, bound):
         assert np.abs(P - exact[np.ix_(pairs, pairs)]).max() <= bound
 
 
+def _block_flows(coupling, cutoff):
+    """The ramp's parity blocks with their low-rank contact flows at hbar = 1."""
+    ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
+    blocks = ops["basis"].parity_blocks()
+    n = max(b.size for b in blocks)
+    W, mu = wk._contact_flows(ops, blocks, boxspec.contact_coupling(coupling), n)
+    return ops, blocks, n, W, mu
+
+
+@pytest.mark.parametrize("coupling", [0.5, 10.0])
+@pytest.mark.parametrize("cutoff", [8, 14])
+def test_low_rank_contact_flow_equals_the_dense_flow(coupling, cutoff):
+    # exp(-i x g v1_b) on each parity block, from a dense eigh of g v1_b,
+    # against I + W (exp(-i x mu) - 1) W^T from the coincidence factor's
+    # thin SVD, at the three S6 A-widths of the v = 5, tau = 0.2 ramp; then
+    # one S6 step with no kinetic phase, whose six sub-flows compose to
+    # exp(h A), through the stepping function itself
+    ramp = LinearRamp(1.0, 5.0, 0.2)
+    n_steps = wk.propagate_ramp(ramp, coupling, cutoff, columns=[0]).n_rhs_evals // 6
+    h = math.log(ramp.lambda_final / ramp.lambda_initial) / ramp.speed / n_steps
+    ops, blocks, n, W, mu = _block_flows(coupling, cutoff)
+    stack = np.zeros((len(blocks), n, n), dtype=complex)
+    for k, b in enumerate(blocks):
+        stack[k, :b.size, :b.size] = np.eye(b.size)
+    wk._s6_steps(stack, np.zeros((len(blocks), n)), W, mu, np.zeros(7), 0.0, h, 1)
+    for k, b in enumerate(blocks):
+        lam, v = np.linalg.eigh(coupling * boxspec.contact_block(ops, b))
+        w = W[k, :b.size]
+        for x in [a * h for a in wk._S6_A] + [h]:
+            dense = (v * np.exp(-1j * x * lam)) @ v.T
+            low_rank = np.eye(b.size) + (w * np.expm1(-1j * x * mu[k])) @ w.T
+            assert np.abs(low_rank - dense).max() <= 1e-13
+        assert np.abs(stack[k, :b.size, :b.size] - dense).max() <= 1e-13
+        assert not stack[k, b.size:].any() and not stack[k, :, b.size:].any()
+
+
+@pytest.mark.parametrize("coupling", [0.0, math.inf])
+def test_contact_flow_is_the_identity_without_a_contact(coupling):
+    # C = 0 has no contact, and C = inf lives on the antisymmetric pairs,
+    # whose coincidence factor has no rows: the sub-flows leave y as it is
+    _, blocks, n, W, mu = _block_flows(coupling, 8)
+    assert W.shape == (len(blocks), n, 0) and mu.shape == (len(blocks), 0)
+    y = np.random.default_rng(0).normal(size=(len(blocks), n, 3)) + 0j
+    stepped = y.copy()
+    wk._s6_steps(stepped, np.zeros((len(blocks), n)), W, mu, np.zeros(7), 0.0, 0.1, 5)
+    assert np.array_equal(stepped, y)
+
+
+@pytest.mark.parametrize("coupling", [1.0, math.inf])
+def test_ramp_columns_equal_those_of_the_full_run(coupling):
+    # a few columns are stepped as they are, all of them through the block
+    # propagators U_b: the two give the same amplitudes
+    ramp = LinearRamp(1.0, 5.0, 0.2)
+    full = wk.propagate_ramp(ramp, coupling, 10)
+    part = wk.propagate_ramp(ramp, coupling, 10, columns=[0, 3])
+    assert np.abs(part.amplitudes - full.amplitudes[:, [0, 3]]).max() <= 1e-13
+    assert part.n_rhs_evals == full.n_rhs_evals
+
+
 def test_ramp_refuses_a_step_count_past_its_bound(monkeypatch):
     # the step count grows with C and with 1 / lam_i: at C = 1e300 it is
     # about 7e299, named in the error before any step runs
     def no_steps(*args):
         raise AssertionError("a split step ran")
 
-    monkeypatch.setattr(wk, "_split_steps", no_steps)
+    monkeypatch.setattr(wk, "_s6_steps", no_steps)
     for coupling, lam in ((1e300, 1.0), (1.0, 1e-300)):
         with pytest.raises(ConfigError, match="split steps, more than 1e"):
             wk.propagate_ramp(LinearRamp(lam, 5.0, 0.1), coupling, 4)
@@ -495,11 +554,11 @@ def test_static_wall_ramp_is_diagonal():
 
 def test_ramp_norm_holds_over_many_steps():
     # 19885 steps: 19739.2 from the kinetic phase and 145.6 from the contact.
-    # The sub-flows, polished toward unitarity, drift 2.5e-12; straight from
-    # their eigendecomposition they drift 2e-10
+    # Each contact sub-flow is I + W (exp(-i x mu) - 1) W^T with W the
+    # orthonormal factor of an SVD, unitary to roundoff with no polish
     res = wk.propagate_ramp(LinearRamp(1.0, 0.1, 10.0), 1.0, 10, columns=[0])
     assert res.n_rhs_evals == 6 * 19885
-    assert res.norm_drift <= 3e-11
+    assert res.norm_drift <= 1e-12
 
 
 def test_ramp_propagation_keeps_no_trajectory():

@@ -2,15 +2,11 @@
 
 from .core import (
     TG_COUPLING,
-    Adiabatic,
     Box,
     ConfigError,
     DimensionlessCoupling,
     LinearRamp,
     ModelSpec,
-    Ring,
-    SuddenCoupling,
-    SuddenWall,
 )
 
 __version__ = "0.1.0"

@@ -17,6 +17,9 @@ the kinetic term is left.  The ramp's chirp and the wall embedding lift
 one-body matrices on either basis.  The two statistics share every
 eigenvector and |psi|^2; the one the basis does not carry differs by the
 sign map sign(x2 - x1), which only the momentum transform takes.
+Diagonalization, the densities of both statistics, cusp diagnostics and
+box embeddings follow; `diagonalize`, `spatial_density` and
+`momentum_density` say how each is computed.
 
 Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2.
 """
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Box, ConfigError, ModelSpec, check_positive
+from .core import ConfigError, ModelSpec, check_positive
 
 __all__ = [
     "PairBasis",
@@ -178,14 +181,6 @@ def _pair_lift(x, bra: PairBasis, ket: PairBasis) -> np.ndarray:
         s += s
         out[:, cols] = np.multiply.outer(cb, ck[cols]) * s
     return out
-
-
-def _check_pair_model(model: ModelSpec) -> None:
-    """The pair Galerkin basis takes two particles in a box."""
-    if not isinstance(model.geometry, Box):
-        raise ConfigError("pair Galerkin basis is for box geometry")
-    if model.n_particles != 2:
-        raise ConfigError("pair basis handles exactly two particles")
 
 
 @dataclass
@@ -403,7 +398,8 @@ def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -
     other block by eigh, keeping its lowest columns.  A relative residual
     on the six lowest levels above 1e-7 raises LinAlgError.
     """
-    _check_pair_model(model)
+    if model.n_particles != 2:
+        raise ConfigError("pair basis handles exactly two particles")
     if n_levels is not None and n_levels < 1:
         raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
     ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)

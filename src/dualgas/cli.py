@@ -21,15 +21,11 @@ import numpy as np
 
 from . import boxspec, eos, ringspec, work
 from .core import (
-    Adiabatic,
     Box,
     ConfigError,
     DimensionlessCoupling,
     LinearRamp,
     ModelSpec,
-    Ring,
-    SuddenCoupling,
-    SuddenWall,
     check_coupling,
     check_positive,
 )
@@ -296,34 +292,45 @@ def _cmd_fig1(cfg: RunConfig) -> None:
     write_json(cfg.out_dir / "fig1_config.json", meta)
 
 
-def _protocol_from(cfg: RunConfig):
-    name, lam_i, lam_f = (cfg.values[k] for k in ("protocol", "lam_i", "lam_f"))
+def _box_drive(cfg: RunConfig, name: str, lam_i: float, lam_f: float,
+               coupling: float) -> work.Drive:
+    """The pair's drive from Box(lam_i) at `coupling` under protocol `name`,
+    on --m modes; a ramp runs for --tau at speed --v and ignores lam_f."""
+    m, hbar = cfg.values["m"], cfg.hbar
     if name == "adiabatic":
-        return Adiabatic(lam_i, lam_f)
+        return work.adiabatic_box_drive(lam_i, lam_f, coupling, m, hbar)
     if name == "sudden-wall":
-        return SuddenWall(lam_i, lam_f)
+        return work.sudden_wall_drive(lam_i, lam_f, coupling, m, hbar=hbar)
     if name == "sudden-coupling":
         if cfg.values["c_f"] is None:
             raise ConfigError(f"{cfg.command} needs --c-f")
-        return SuddenCoupling(cfg.values["c"], cfg.values["c_f"])
+        return work.sudden_coupling_drive(lam_i, coupling, cfg.values["c_f"], m, hbar)
     if name == "ramp":
-        return LinearRamp(lam_i, cfg.values["v"], cfg.values["tau"])
+        ramp = LinearRamp(lam_i, cfg.values["v"], cfg.values["tau"])
+        return work.ramp_drive(ramp, coupling, m, hbar)
     raise ConfigError(f"unknown protocol {name!r}; expected adiabatic, "
                       "sudden-wall, sudden-coupling or ramp")
 
 
 def _cmd_work(cfg: RunConfig) -> None:
-    geometry, lam_i, n, coupling = (cfg.values[k] for k in ("geometry", "lam_i", "n", "c"))
+    geometry, name, n, lam_i, lam_f, coupling = (
+        cfg.values[k] for k in ("geometry", "protocol", "n", "lam_i", "lam_f", "c"))
     if geometry == "ring":
-        model = ModelSpec(n, Ring(lam_i), coupling, hbar=cfg.hbar)
-        kwargs = {"i_max": cfg.values["imax"]}
+        if name != "adiabatic":
+            raise ConfigError(
+                f"protocol {name!r} on a ring is not supported "
+                "(rapidity dynamics beyond the adiabatic limit has no route here)"
+            )
+        drive = work.adiabatic_ring_drive(lam_i, lam_f, coupling, n, cfg.values["imax"],
+                                          cfg.hbar)
     elif geometry == "box":
-        model = ModelSpec(n, Box(lam_i), coupling, hbar=cfg.hbar)
-        kwargs = {"cutoff": cfg.values["m"]}
+        if n != 2:
+            raise ConfigError("box routes handle two particles")
+        drive = _box_drive(cfg, name, lam_i, lam_f, coupling)
     else:
         raise ConfigError(f"unknown geometry {geometry!r}; expected ring or box")
-    protocol = _protocol_from(cfg)
-    dist = work.drive(model, protocol, **kwargs).at(cfg.values["beta"])
+    dist = drive.at(cfg.values["beta"])
+    del drive  # its transition matrix is not held while the atoms are written
     head, stats = _write_work(cfg.out_dir / "work_atoms.csv", dist, cfg.metadata(),
                               cfg.values["merge_tol"])
     # the average itself leaves double range in a cold drive; its log does not
@@ -345,21 +352,17 @@ def _distinct_labels(key: str, values: Sequence[float]) -> None:
 
 
 def _cmd_fig2(cfg: RunConfig) -> None:
-    c_list, beta_list, name, lam, v, tau, m = (
-        cfg.values[k] for k in ("c_list", "beta_list", "protocol", "lam", "v", "tau", "m"))
+    c_list, beta_list, name, lam, v, tau = (
+        cfg.values[k] for k in ("c_list", "beta_list", "protocol", "lam", "v", "tau"))
     _distinct_labels("c_list", c_list)
     _distinct_labels("beta_list", beta_list)
-    lam_f = lam + v * tau
-    if name == "ramp":
-        protocol = LinearRamp(lam, v, tau)
-    elif name == "adiabatic":
-        protocol = Adiabatic(lam, lam_f)
-    else:
+    if name not in ("ramp", "adiabatic"):
         raise ConfigError(f"fig2 protocol must be ramp or adiabatic, got {name!r}")
+    lam_f = lam + v * tau
 
     def run_c(coupling: float):
         # the drive does not depend on beta: build it once, weigh it at each
-        drive = work.drive(ModelSpec(2, Box(lam), coupling, cfg.hbar), protocol, cutoff=m)
+        drive = _box_drive(cfg, name, lam, lam_f, coupling)
         return {beta: drive.at(beta) for beta in beta_list}
 
     by_c = _pmap(run_c, c_list, cfg.threads)

@@ -1,4 +1,4 @@
-"""Shared conventions and the model and protocol dataclasses.
+"""Shared conventions, the box model and the wall ramp.
 
 Units: we set 2m = 1 throughout, so a free plane wave of momentum hbar*k
 carries kinetic energy hbar^2 k^2.  Planck's constant is kept symbolic
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 # 2m = 1 everywhere; MASS is exported for reference-model code (Boltzmann
 # weights, convolution references) that wants an explicit m.
@@ -42,20 +41,6 @@ def check_coupling(label: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Ring:
-    """Periodic geometry of circumference `circumference`."""
-
-    circumference: float
-
-    def __post_init__(self):
-        check_positive("ring circumference", self.circumference)
-
-    @property
-    def length(self) -> float:
-        return self.circumference
-
-
-@dataclass(frozen=True)
 class Box:
     """Hard-wall interval [0, width]."""
 
@@ -69,12 +54,9 @@ class Box:
         return self.width
 
 
-Geometry = Union[Ring, Box]
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """N bosons with two-body contact coupling C on a ring or in a box.
+    """N bosons with two-body contact coupling C in a hard-wall box.
 
     `coupling` is the bare contact strength C >= 0 (energy*length with
     2m = 1); `TG_COUPLING` selects the hard-core limit exactly.  The
@@ -83,7 +65,7 @@ class ModelSpec:
     """
 
     n_particles: int
-    geometry: Geometry
+    geometry: Box
     coupling: float
     hbar: float = 1.0
 
@@ -115,46 +97,8 @@ class DimensionlessCoupling:
 
 
 # ---------------------------------------------------------------------------
-# Quench / ramp protocols
+# Wall ramp
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Adiabatic:
-    """Quasistatic volume change L_i -> L_f; populations ride their levels."""
-
-    lambda_initial: float
-    lambda_final: float
-
-    def __post_init__(self):
-        check_positive("lambda_initial", self.lambda_initial)
-        check_positive("lambda_final", self.lambda_final)
-
-
-@dataclass(frozen=True)
-class SuddenWall:
-    """Instantaneous box expansion L_i -> L_f (L_f >= L_i: old states embed)."""
-
-    lambda_initial: float
-    lambda_final: float
-
-    def __post_init__(self):
-        check_positive("lambda_initial", self.lambda_initial)
-        check_positive("lambda_final", self.lambda_final)
-        if self.lambda_final < self.lambda_initial:
-            raise ConfigError("sudden compression not supported: final width < initial width")
-
-
-@dataclass(frozen=True)
-class SuddenCoupling:
-    """Instantaneous interaction quench C_i -> C_f at fixed geometry."""
-
-    coupling_initial: float
-    coupling_final: float
-
-    def __post_init__(self):
-        check_coupling("coupling_initial", self.coupling_initial)
-        check_coupling("coupling_final", self.coupling_final)
 
 
 @dataclass(frozen=True)

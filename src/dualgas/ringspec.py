@@ -40,6 +40,8 @@ __all__ = [
 # gives up
 _MAX_ITER = 80
 _MAX_TERMS = 100_000
+# an enumeration of more states is refused before its grid is built
+_MAX_STATES = 2_000_000
 # rows per Newton batch: every row's steps are its own, and a slab keeps
 # the (rows, N, N) phase-shift temporaries small
 _ROW_SLAB = 1024
@@ -245,7 +247,6 @@ def enumerate_states(
     n_particles: int,
     i_max: float,
     hbar: float = 1.0,
-    max_states: int = 2_000_000,
 ) -> SpectrumTable:
     """Solve every state with all |I_l| <= i_max; sorted by (energy, I).
 
@@ -268,10 +269,10 @@ def enumerate_states(
     if size < n:
         raise ConfigError(f"i_max={i_max} admits only {size} grid values for N={n}")
     count = math.comb(size, n)
-    if count > max_states:
+    if count > _MAX_STATES:
         raise ConfigError(
-            f"i_max = {i_max:g} gives more than max_states = {max_states} states "
-            f"for N = {n}; lower i_max"
+            f"i_max = {i_max:g} gives more than {_MAX_STATES} states for N = {n}; "
+            "lower i_max"
         )
     lattice = np.arange(-top, top + odd, dtype=float) + step0
     # the rows' grid indices stream into one array, with no Python tuple

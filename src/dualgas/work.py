@@ -6,13 +6,14 @@ discrete; probabilities and their logarithms are carried per atom, and
 may fail to sum to one when a route truncates final states (the deficit
 is recorded, never renormalized away silently).
 
-Protocol routes
-  ring + Adiabatic        Bethe enumerations at both volumes, paired by I
-  box + Adiabatic         Galerkin spectra paired by rank in a parity block
-  box + SuddenWall        embedding overlaps (expansion only)
-  box + SuddenCoupling    two diagonalizations in the shared basis
-  box + LinearRamp        comoving chirp-gauge propagation in the pair basis
-plus the classical-limit reference of distinguishable particles.
+Protocol routes, one function each
+  adiabatic_ring_drive    Bethe enumerations at both volumes, paired by I
+  adiabatic_box_drive     Galerkin spectra paired by rank in a parity block
+  sudden_wall_drive       embedding overlaps (expansion only)
+  sudden_coupling_drive   two diagonalizations in the shared basis
+  ramp_drive              comoving chirp-gauge propagation in the pair basis
+plus the classical-limit reference of distinguishable particles,
+`ndp_reference`.
 Every box route takes the hard-core pair (C = inf) as it is: its basis is
 the antisymmetric pairs, where the contact vanishes and the Galerkin
 levels and transitions are the exact free-fermion ones.
@@ -24,6 +25,10 @@ drive into atoms, log-probabilities, ln Z and tail mass, and routes that
 should agree differ only in their physics.  One drive serves every beta:
 `fig2` weighs one drive per coupling at each of its temperatures.  The
 distinguishable reference weighs its one-body levels the same way.
+Log-probabilities keep merging, the Jarzynski average and the reference
+finite far below underflow, and the average is kept as ln <e^{-beta W}>,
+so a cold drive whose average leaves double range still reports it.
+`propagate_ramp` says how the ramp is stepped.
 """
 
 from __future__ import annotations
@@ -36,25 +41,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import boxspec, ringspec
-from .core import (
-    Adiabatic,
-    Box,
-    ConfigError,
-    LinearRamp,
-    ModelSpec,
-    Ring,
-    SuddenCoupling,
-    SuddenWall,
-    check_coupling,
-    check_positive,
-)
+from .core import Box, ConfigError, LinearRamp, ModelSpec, check_coupling, check_positive
 
 __all__ = [
     "WorkDistribution",
     "merge_atoms",
     "kolmogorov_distance",
     "Drive",
-    "drive",
     "adiabatic_ring_drive",
     "adiabatic_box_drive",
     "sudden_wall_drive",
@@ -402,10 +395,13 @@ def sudden_wall_drive(
     At cutoff 14, lam 1 -> 2 (cutoff_f 28) 'transition_deficit' is 0.41,
     while the thermal average's at beta = 1 is 5.1e-5; a larger cutoff_f
     lowers the worst state's (0.002 at 12 -> 48).  A final cutoff above
-    128 is a ConfigError, raised before either box is diagonalized.
+    128, or a final width below the initial one, is a ConfigError, raised
+    before either box is diagonalized.
     """
     check_positive("lambda_initial", lam_i)
     check_positive("lambda_final", lam_f)
+    if lam_f < lam_i:
+        raise ConfigError("sudden compression not supported: final width < initial width")
     if cutoff_f is None:
         cutoff_f = cutoff * lam_f / lam_i
     if not cutoff_f <= _MAX_FINAL_CUTOFF:  # also inf and nan
@@ -433,10 +429,14 @@ def sudden_coupling_drive(
 
     Both Hamiltonians commute with reflection about the box centre, so
     P[f, i] is exactly 0 between levels of opposite parity, and P is
-    formed one block product at a time.
+    formed one block product at a time.  An infinite endpoint is a
+    ConfigError, raised before either box is diagonalized: the hard-core
+    pair's basis, the antisymmetric pairs, is not the finite-C one.
     """
     check_coupling("coupling_initial", coupling_i)
     check_coupling("coupling_final", coupling_f)
+    if math.isinf(coupling_i) or math.isinf(coupling_f):
+        raise ConfigError("coupling quench endpoints must be finite")
     sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
     sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
     P = sp_f.overlaps(sp_i) ** 2
@@ -677,65 +677,3 @@ def ndp_reference(
         tail_mass=0.0,
         metadata={"route": "ideal-distinguishable", "n_particles": n_particles},
     )
-
-
-# ---------------------------------------------------------------------------
-# Dispatcher
-# ---------------------------------------------------------------------------
-
-
-def _check_start(what: str, model_value: float, protocol_value: float) -> None:
-    """The protocol starts from the model: one width, one coupling."""
-    if model_value != protocol_value:
-        raise ConfigError(
-            f"the model's {what} {model_value!r} differs from the protocol's "
-            f"initial {what} {protocol_value!r}"
-        )
-
-
-def drive(model: ModelSpec, protocol, **kwargs) -> Drive:
-    """Route a (model, protocol) pair to its drive; `.at(beta)` weighs it.
-
-    The protocol starts from the model: its initial width, or a coupling
-    quench's initial coupling, must be the model's.  kwargs forward to the
-    route untouched: i_max for ring enumeration, cutoff for every box basis
-    and cutoff_f for a sudden wall's final one; a ramp's step count follows
-    from its generator and takes no option.
-    """
-    if isinstance(protocol, SuddenCoupling):
-        if math.isinf(protocol.coupling_initial) or math.isinf(protocol.coupling_final):
-            raise ConfigError("coupling quench endpoints must be finite")
-        _check_start("coupling", model.coupling, protocol.coupling_initial)
-    elif isinstance(protocol, (Adiabatic, SuddenWall, LinearRamp)):
-        _check_start("width", model.length, protocol.lambda_initial)
-    geom = model.geometry
-    if isinstance(geom, Ring):
-        if isinstance(protocol, Adiabatic):
-            return adiabatic_ring_drive(
-                protocol.lambda_initial, protocol.lambda_final, model.coupling,
-                model.n_particles, hbar=model.hbar, **kwargs,
-            )
-        raise ConfigError(
-            f"{type(protocol).__name__} on a ring is not supported "
-            "(rapidity dynamics beyond the adiabatic limit has no route here)"
-        )
-    if model.n_particles != 2:
-        raise ConfigError("box routes handle two particles")
-    if isinstance(protocol, Adiabatic):
-        return adiabatic_box_drive(
-            protocol.lambda_initial, protocol.lambda_final, model.coupling,
-            hbar=model.hbar, **kwargs,
-        )
-    if isinstance(protocol, SuddenWall):
-        return sudden_wall_drive(
-            protocol.lambda_initial, protocol.lambda_final, model.coupling,
-            hbar=model.hbar, **kwargs,
-        )
-    if isinstance(protocol, SuddenCoupling):
-        return sudden_coupling_drive(
-            model.length, protocol.coupling_initial, protocol.coupling_final,
-            hbar=model.hbar, **kwargs,
-        )
-    if isinstance(protocol, LinearRamp):
-        return ramp_drive(protocol, model.coupling, hbar=model.hbar, **kwargs)
-    raise ConfigError(f"unsupported protocol {type(protocol).__name__}")

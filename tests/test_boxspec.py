@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 import oracles
 from dualgas import boxspec as bs
-from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec, Ring
+from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec
 
 LAM = 1.0
 
@@ -560,13 +560,12 @@ def test_strong_coupling_approaches_free_fermions():
 
 
 def test_hard_core_model_rejected_by_galerkin():
-    # at cutoff 1, which has no antisymmetric pair; and any model outside
-    # the pair basis: one particle count, box
+    # at cutoff 1, which has no antisymmetric pair; and a model outside the
+    # pair basis, of more than two particles
     with pytest.raises(ConfigError, match="cutoff >= 2, got 1"):
         bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 1)
-    for bad in (ModelSpec(3, Box(LAM), 1.0), ModelSpec(2, Ring(LAM), 1.0)):
-        with pytest.raises(ConfigError):
-            bs.diagonalize(bad, 10)
+    with pytest.raises(ConfigError, match="exactly two particles"):
+        bs.diagonalize(ModelSpec(3, Box(LAM), 1.0), 10)
 
 
 def test_free_fermion_spectrum_values():

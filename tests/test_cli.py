@@ -562,6 +562,21 @@ def test_bad_value_names_its_flag(tmp_path, capsys):
     assert "sudden-coupling or ramp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["work", "--geometry", "ring", "--protocol", "ramp"], "'ramp' on a ring is not supported"),
+    (["work", "--n", "3"], "box routes handle two particles"),
+    (["work", "--protocol", "sudden-coupling"], "work needs --c-f"),
+    (["work", "--protocol", "sudden-coupling", "--c", "inf", "--c-f", "5"],
+     "coupling quench endpoints must be finite"),
+    (["work", "--protocol", "sudden-wall", "--lambda-f", "0.5"], "sudden compression"),
+    (["fig2", "--protocol", "sudden-wall"], "fig2 protocol must be ramp or adiabatic"),
+])
+def test_work_route_refusal_exits_two_naming_it(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--m", "4", "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, names", [
     (["box-spectrum", "--lambda", "0", "--alpha", "1", "--m", "4"], "box width"),
     (["fig1", "--lambda", "0", "--m", "4"], "box width"),

@@ -9,15 +9,11 @@ from dualgas import eos, ringspec, work
 from dualgas.core import (
     MASS,
     TG_COUPLING,
-    Adiabatic,
     Box,
     ConfigError,
     DimensionlessCoupling,
     LinearRamp,
     ModelSpec,
-    Ring,
-    SuddenCoupling,
-    SuddenWall,
 )
 
 
@@ -28,13 +24,13 @@ def test_mass_convention():
 
 def test_model_validation():
     with pytest.raises(ConfigError):
-        ModelSpec(0, Ring(1.0), 1.0)
+        ModelSpec(0, Box(1.0), 1.0)
     with pytest.raises(ConfigError):
-        ModelSpec(2, Ring(1.0), -1.0)
+        ModelSpec(2, Box(1.0), -1.0)
     with pytest.raises(ConfigError):
-        ModelSpec(2, Ring(1.0), 1.0, hbar=0.0)
+        ModelSpec(2, Box(1.0), 1.0, hbar=0.0)
     with pytest.raises(ConfigError):
-        Ring(-2.0)
+        Box(-2.0)
     m = ModelSpec(2, Box(3.0), TG_COUPLING)
     assert m.is_hard_core and m.length == 3.0
 
@@ -54,11 +50,11 @@ def test_alpha_scaling(alpha, lam, hbar):
 
 def test_protocol_validation():
     with pytest.raises(ConfigError):
-        Adiabatic(1.0, -2.0)
+        work.adiabatic_box_drive(1.0, -2.0, 1.0, 4)
+    with pytest.raises(ConfigError, match="sudden compression"):
+        work.sudden_wall_drive(2.0, 1.0, 1.0, 4)  # compression has no embedding
     with pytest.raises(ConfigError):
-        SuddenWall(2.0, 1.0)  # compression has no embedding
-    with pytest.raises(ConfigError):
-        SuddenCoupling(-1.0, 2.0)
+        work.sudden_coupling_drive(1.0, -1.0, 2.0, 4)
     with pytest.raises(ConfigError):
         LinearRamp(1.0, 5.0, -1.0)
     ramp = LinearRamp(1.0, 5.0, 1.0)
@@ -125,16 +121,9 @@ ENTRY_POINTS = [
      dict(ramp=RAMP, coupling=1.0, cutoff=4, hbar=1.0), {"hbar": "hbar"}, {"coupling": C}),
     ("work.Drive.at", lambda beta: work.Drive(np.zeros(1), np.zeros(1), None, lambda b: 0.0).at(beta),
      dict(beta=1.0), {"beta": "beta"}, {}),
-    ("core.Ring", Ring, dict(circumference=1.0), {"circumference": RING}, {}),
     ("core.Box", Box, dict(width=1.0), {"width": "box width"}, {}),
     ("core.ModelSpec", ModelSpec, dict(n_particles=2, geometry=Box(1.0), coupling=1.0, hbar=1.0),
      {"hbar": "hbar"}, {"coupling": C}),
-    ("core.Adiabatic", Adiabatic, dict(lambda_initial=1.0, lambda_final=2.0),
-     {"lambda_initial": LAM_I, "lambda_final": LAM_F}, {}),
-    ("core.SuddenWall", SuddenWall, dict(lambda_initial=1.0, lambda_final=2.0),
-     {"lambda_initial": LAM_I, "lambda_final": LAM_F}, {}),
-    ("core.SuddenCoupling", SuddenCoupling, dict(coupling_initial=1.0, coupling_final=2.0),
-     {}, {"coupling_initial": "coupling_initial", "coupling_final": "coupling_final"}),
     ("core.LinearRamp", LinearRamp, dict(lambda_initial=1.0, speed=5.0, duration=1.0),
      {"lambda_initial": LAM_I, "duration": "duration"}, {}),
 ]

@@ -174,19 +174,22 @@ def test_enumeration_rejects_energies_past_double_range(coupling):
         rs.enumerate_states(1e-300, coupling, 2, 2.5)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(rs, "_MAX_STATES", 10)
     with pytest.raises(ConfigError):
-        rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=10)
+        rs.enumerate_states(1.0, 1.0, 2, 9.5)
     # the cap reads the counted states: C(20, 2) = 190 pairs at i_max = 9.5
-    assert len(rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=190)) == 190
-    with pytest.raises(ConfigError, match="max_states = 189"):
-        rs.enumerate_states(1.0, 1.0, 2, 9.5, max_states=189)
+    monkeypatch.setattr(rs, "_MAX_STATES", 190)
+    assert len(rs.enumerate_states(1.0, 1.0, 2, 9.5)) == 190
+    monkeypatch.setattr(rs, "_MAX_STATES", 189)
+    with pytest.raises(ConfigError, match="more than 189 states"):
+        rs.enumerate_states(1.0, 1.0, 2, 9.5)
 
 
 @pytest.mark.parametrize("n, i_max", [(2, 1e300), (3, 1e300), (3, 1.7e308)])
 def test_enumeration_cap_counts_before_building_the_grid(n, i_max):
     # a grid of ~1e300 points is never built: the states are counted first
-    with pytest.raises(ConfigError, match="more than max_states"):
+    with pytest.raises(ConfigError, match="more than 2000000 states"):
         rs.enumerate_states(1.0, 1.0, n, i_max)
 
 

@@ -14,16 +14,7 @@ from scipy.special import logsumexp
 from dualgas import boxspec
 from dualgas import ringspec as rs
 from dualgas import work as wk
-from dualgas.core import (
-    Adiabatic,
-    Box,
-    ConfigError,
-    LinearRamp,
-    ModelSpec,
-    Ring,
-    SuddenCoupling,
-    SuddenWall,
-)
+from dualgas.core import Box, ConfigError, LinearRamp, ModelSpec
 
 import oracles
 
@@ -529,8 +520,8 @@ def test_ramp_obeys_crooks_atom_by_atom(coupling, cutoff, speed, duration, hbar)
     # position gap at most 5.7e-14
     forward = LinearRamp(1.0, speed, duration)
     lam_f = forward.lambda_final
-    drives = [wk.drive(ModelSpec(2, Box(lam), coupling, hbar), ramp, cutoff=cutoff)
-              for lam, ramp in ((1.0, forward), (lam_f, LinearRamp(lam_f, -speed, duration)))]
+    drives = [wk.ramp_drive(ramp, coupling, cutoff, hbar)
+              for ramp in (forward, LinearRamp(lam_f, -speed, duration))]
     for beta in (1.0, 0.1):
         F, B = (d.at(beta) for d in drives)
         beta_dF = F.metadata["ln_z_initial"] - F.metadata["ln_z_final"]
@@ -594,7 +585,7 @@ def test_sudden_wall_refuses_a_final_cutoff_past_its_cap():
     with pytest.raises(ConfigError, match="final cutoff of 129, more than 128"):
         wk.sudden_wall_drive(1.0, 2.0, 1.0, 4, 129)
     with pytest.raises(ConfigError, match="final cutoff of inf"):
-        wk.drive(ModelSpec(2, Box(1e-300), 1.0), SuddenWall(1e-300, 1e10), cutoff=4)
+        wk.sudden_wall_drive(1e-300, 1e10, 1.0, 4)
 
 
 def test_sudden_wall_violation_persists_in_hard_core_route():
@@ -655,7 +646,7 @@ def test_sudden_coupling_mean_work_matches_distribution():
     # the hard-core start has <delta> = 0 against an infinite C_i: no identity,
     # and no quench route
     with pytest.raises(ConfigError, match="must be finite"):
-        wk.drive(ModelSpec(2, Box(1.0), math.inf), SuddenCoupling(math.inf, 5.0), cutoff=14)
+        wk.sudden_coupling_drive(1.0, math.inf, 5.0, 14)
 
 
 def test_ndp_reference_matches_equipartition():
@@ -886,55 +877,49 @@ def test_hard_core_sudden_wall_is_the_slater_minors(cutoff_i, cutoff_f):
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# routes
 # ---------------------------------------------------------------------------
 
 
-def test_dispatcher_routes_and_rejections():
-    ring = ModelSpec(2, Ring(1.0), 1.0)
-    d = wk.drive(ring, Adiabatic(1.0, 2.0), i_max=3.5).at(1.0)
+def test_routes_and_rejections():
+    d = wk.adiabatic_ring_drive(1.0, 2.0, 1.0, 2, 3.5).at(1.0)
     assert d.metadata["route"] == "bethe-adiabatic"
-    with pytest.raises(ConfigError):
-        wk.drive(ring, LinearRamp(1.0, 1.0, 1.0))
-
-    box = ModelSpec(2, Box(1.0), 1.0)
     assert (
-        wk.drive(box, SuddenCoupling(1.0, 2.0), cutoff=8).at(1.0).metadata["route"]
+        wk.sudden_coupling_drive(1.0, 1.0, 2.0, 8).at(1.0).metadata["route"]
         == "galerkin-sudden-coupling"
     )
     # the hard-core pair takes the same routes, on its antisymmetric basis
-    hard = ModelSpec(2, Box(1.0), math.inf)
-    for protocol, kwargs, route in (
-        (Adiabatic(1.0, 2.0), {"cutoff": 10}, "galerkin-adiabatic"),
-        (SuddenWall(1.0, 2.0), {"cutoff": 10, "cutoff_f": 20}, "galerkin-sudden-wall"),
-        (LinearRamp(1.0, 5.0, 0.2), {"cutoff": 6}, "ramp-propagation"),
+    for drive, route in (
+        (wk.adiabatic_box_drive(1.0, 2.0, math.inf, 10), "galerkin-adiabatic"),
+        (wk.sudden_wall_drive(1.0, 2.0, math.inf, 10, 20), "galerkin-sudden-wall"),
+        (wk.ramp_drive(LinearRamp(1.0, 5.0, 0.2), math.inf, 6), "ramp-propagation"),
     ):
-        meta = wk.drive(hard, protocol, **kwargs).at(1.0).metadata
+        meta = drive.at(1.0).metadata
         assert (meta["route"], meta["coupling"]) == (route, math.inf)
     with pytest.raises(ConfigError, match="finite"):
-        wk.drive(hard, SuddenCoupling(1.0, math.inf), cutoff=8)
-    with pytest.raises(ConfigError):
-        wk.drive(ModelSpec(3, Box(1.0), 1.0), Adiabatic(1.0, 2.0), cutoff=8)
+        wk.sudden_coupling_drive(1.0, 1.0, math.inf, 8)
 
 
-@pytest.mark.parametrize(
-    "geometry, protocol, kwargs",
-    [
-        (Box(1.0), Adiabatic(2.0, 3.0), {"cutoff": 6}),
-        (Box(1.0), SuddenWall(2.0, 3.0), {"cutoff": 6}),
-        (Box(1.0), LinearRamp(2.0, 5.0, 0.2), {"cutoff": 6}),
-        (Ring(1.0), Adiabatic(2.0, 3.0), {"i_max": 3.5}),
-    ],
-)
-def test_dispatcher_rejects_a_protocol_that_starts_off_the_model_width(geometry, protocol, kwargs):
-    # the route would take the protocol's width and drop the model's
-    with pytest.raises(ConfigError, match=r"width 1\.0 differs .* initial width 2\.0"):
-        wk.drive(ModelSpec(2, geometry, 1.0), protocol, **kwargs)
+@pytest.mark.parametrize("route, refused, message, valid", [
+    (wk.sudden_wall_drive, (2.0, 1.0, 1.0, 6), "sudden compression", (1.0, 2.0, 1.0, 6)),
+    (wk.sudden_coupling_drive, (1.0, math.inf, 5.0, 6), "must be finite", (1.0, 1.0, 5.0, 6)),
+    (wk.sudden_coupling_drive, (1.0, math.inf, math.inf, 6), "must be finite",
+     (1.0, 1.0, 5.0, 6)),
+])
+def test_route_refuses_before_any_diagonalization(monkeypatch, route, refused, message, valid):
+    boxes = []
+    diagonalize = boxspec.diagonalize
 
+    def counted(model, *args, **kwargs):
+        boxes.append(model)
+        return diagonalize(model, *args, **kwargs)
 
-def test_dispatcher_rejects_a_quench_that_starts_off_the_model_coupling():
-    with pytest.raises(ConfigError, match=r"coupling 1\.0 differs .* initial coupling 3\.0"):
-        wk.drive(ModelSpec(2, Box(1.0), 1.0), SuddenCoupling(3.0, 5.0), cutoff=6)
+    monkeypatch.setattr(boxspec, "diagonalize", counted)
+    with pytest.raises(ConfigError, match=message):
+        route(*refused)
+    assert boxes == []
+    route(*valid)  # the counter sees each box the route solves
+    assert len(boxes) == 2
 
 
 def test_log_probabilities_reach_below_underflow():

@@ -922,6 +922,37 @@ def test_route_refuses_before_any_diagonalization(monkeypatch, route, refused, m
     assert len(boxes) == 2
 
 
+# each route's endpoint widths and couplings, refused on entry, naming the
+# input, before a box is diagonalized or a ring's states are enumerated
+ENDPOINT_CASES = [
+    pytest.param(route, {**valid, param: value}, label, value, id=f"{route.__name__}-{param}={value}")
+    for route, valid, params, values in (
+        (wk.adiabatic_ring_drive, dict(lam_i=1.0, lam_f=2.0, coupling=1.0, n_particles=2, i_max=2.5),
+         {"lam_i": "lambda_initial", "lam_f": "lambda_final"}, (math.nan, -1.0, 0.0, math.inf)),
+        (wk.adiabatic_box_drive, dict(lam_i=1.0, lam_f=2.0, coupling=1.0, cutoff=4),
+         {"lam_i": "lambda_initial", "lam_f": "lambda_final"}, (math.nan, -1.0, 0.0, math.inf)),
+        (wk.sudden_wall_drive, dict(lam_i=1.0, lam_f=2.0, coupling=1.0, cutoff=4),
+         {"lam_i": "lambda_initial", "lam_f": "lambda_final"}, (math.nan, -1.0, 0.0, math.inf)),
+        (wk.sudden_coupling_drive, dict(lam=1.0, coupling_i=1.0, coupling_f=2.0, cutoff=4),
+         {"coupling_i": "coupling_initial", "coupling_f": "coupling_final"}, (math.nan, -1.0)),
+    )
+    for param, label in params.items()
+    for value in values
+]
+
+
+@pytest.mark.parametrize("route, kwargs, label, value", ENDPOINT_CASES)
+def test_route_refuses_an_endpoint_before_solving_a_spectrum(monkeypatch, route, kwargs, label, value):
+    def solve(*args, **kwargs):
+        raise AssertionError("a spectrum was solved before the endpoint was checked")
+
+    monkeypatch.setattr(boxspec, "diagonalize", solve)
+    monkeypatch.setattr(rs, "enumerate_states", solve)
+    with pytest.raises(ConfigError) as err:
+        route(**kwargs)
+    assert f"{label} must" in str(err.value) and f"got {value}" in str(err.value)
+
+
 def test_log_probabilities_reach_below_underflow():
     # deep atoms keep finite log p even when exp(log p) underflows
     d = wk.adiabatic_ring_drive(1.0, 2.0, 1.0, 2, 6.5).at(50.0)

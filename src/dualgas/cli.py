@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import boxspec, eos, ringspec, work
 from .core import (
     Box,
     ConfigError,
@@ -30,6 +28,12 @@ from .core import (
     check_positive,
 )
 from .output import write_csv, write_json, write_svg_heatmap
+
+# Each command handler, and each helper that calls a compute module, imports
+# that module itself: a process loads only what its command runs, and
+# start-up is most of a short command's time.
+if TYPE_CHECKING:
+    from . import work
 
 __all__ = ["main"]
 
@@ -163,6 +167,8 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
     """Order-preserving map, threaded when asked; writes stay serialized."""
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -185,6 +191,8 @@ def _write_work(
     below the smallest double) are not written.  Returns that header and
     the moments, Jarzynski residual and atom count of the distribution.
     """
+    from . import work
+
     w, p, _ = work.merge_atoms(dist.works, dist.probabilities, dist.log_probabilities, tol)
     keep = p > 0.0
     head = dict(head)
@@ -206,6 +214,8 @@ def _write_work(
 
 
 def _cmd_ring_spectrum(cfg: RunConfig) -> None:
+    from . import ringspec
+
     n, lam, c, imax = (cfg.values[k] for k in ("n", "lam", "c", "imax"))
     table = ringspec.enumerate_states(lam, c, n, imax, hbar=cfg.hbar)
     meta = cfg.metadata()
@@ -222,7 +232,7 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
                 for row in table.quantum_numbers
             ],
             "rapidities": [
-                "|".join(repr(float(k)) for k in row) for row in table.rapidities
+                "|".join(map(repr, row.tolist())) for row in table.rapidities
             ],
         },
         meta,
@@ -245,6 +255,8 @@ def _box_pair(cfg: RunConfig) -> ModelSpec:
 
 
 def _cmd_box_spectrum(cfg: RunConfig) -> None:
+    from . import boxspec
+
     m, n_levels = cfg.values["m"], cfg.values["n_levels"]
     model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m, n_levels)
@@ -267,6 +279,8 @@ def _cmd_box_spectrum(cfg: RunConfig) -> None:
 
 
 def _cmd_fig1(cfg: RunConfig) -> None:
+    from . import boxspec
+
     m, n_grid, n_k, n_x = (cfg.values[k] for k in ("m", "n_grid", "n_k", "n_x"))
     model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m, n_levels=2)
@@ -296,6 +310,8 @@ def _box_drive(cfg: RunConfig, name: str, lam_i: float, lam_f: float,
                coupling: float) -> work.Drive:
     """The pair's drive from Box(lam_i) at `coupling` under protocol `name`,
     on --m modes; a ramp runs for --tau at speed --v and ignores lam_f."""
+    from . import work
+
     m, hbar = cfg.values["m"], cfg.hbar
     if name == "adiabatic":
         return work.adiabatic_box_drive(lam_i, lam_f, coupling, m, hbar)
@@ -313,6 +329,8 @@ def _box_drive(cfg: RunConfig, name: str, lam_i: float, lam_f: float,
 
 
 def _cmd_work(cfg: RunConfig) -> None:
+    from . import work
+
     geometry, name, n, lam_i, lam_f, coupling = (
         cfg.values[k] for k in ("geometry", "protocol", "n", "lam_i", "lam_f", "c"))
     if geometry == "ring":
@@ -352,6 +370,8 @@ def _distinct_labels(key: str, values: Sequence[float]) -> None:
 
 
 def _cmd_fig2(cfg: RunConfig) -> None:
+    from . import work
+
     c_list, beta_list, name, lam, v, tau = (
         cfg.values[k] for k in ("c_list", "beta_list", "protocol", "lam", "v", "tau"))
     _distinct_labels("c_list", c_list)
@@ -395,6 +415,8 @@ def _cmd_fig2(cfg: RunConfig) -> None:
 
 
 def _cmd_duality_check(cfg: RunConfig) -> None:
+    from . import boxspec
+
     m, n_states = cfg.values["m"], cfg.values["states"]
     model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m, n_states)
@@ -438,6 +460,8 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
 
 
 def _cmd_convergence(cfg: RunConfig) -> None:
+    from . import boxspec
+
     m_list, n_levels = cfg.values["m_list"], cfg.values["n_levels"]
     # the verdicts compare consecutive cutoffs, each larger than the last
     if any(a >= b for a, b in zip(m_list, m_list[1:])):
@@ -481,6 +505,8 @@ def _cmd_convergence(cfg: RunConfig) -> None:
 
 
 def _cmd_eos(cfg: RunConfig) -> None:
+    from . import eos
+
     beta, coupling, mu_grid, sweep, target = (
         cfg.values[k] for k in ("beta", "c", "mu_grid", "hbar_sweep", "density"))
     # the sweep runs last: check its inputs before anything is written

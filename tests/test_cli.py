@@ -91,17 +91,38 @@ def test_negative_grid_start_after_a_space(tmp_path):
         assert (spaced / name).read_bytes() == (joined / name).read_bytes()
 
 
+# what a process loads of the package, and whether it loads
+# concurrent.futures, printed as the last two lines of its output
+SCOPE_PRINT = (
+    "print(*sorted(m for m in sys.modules if m.startswith('dualgas')))\n"
+    "print('concurrent.futures' in sys.modules)\n"
+)
+FRONT_END = {"dualgas", "dualgas.cli", "dualgas.core", "dualgas.output"}
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # importing any scipy subpackage costs about 0.4 s of every start-up;
-    # no module of the package imports scipy (test_package.py scans them)
-    r = run_python(
-        ["-c", "import sys, dualgas.cli; print(*sorted(sys.modules), sep='\\n')"],
-        tmp_path,
+    # no module of the package imports scipy (test_package.py scans them).
+    # The front end alone loads no compute module, and --help runs none
+    code = (
+        "import sys, dualgas.cli\n"
+        "print(*sorted(sys.modules))\n"
+        + SCOPE_PRINT
+        + "try:\n"
+        "    dualgas.cli.main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        + SCOPE_PRINT
     )
+    r = run_python(["-c", code], tmp_path)
     assert r.returncode == 0, r.stderr
-    loaded = r.stdout.split()
+    lines = r.stdout.splitlines()
+    loaded = lines[0].split()
     assert "dualgas.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    for package, futures in (lines[1:3], lines[-2:]):
+        assert set(package.split()) == FRONT_END
+        assert futures == "False"
 
 
 BOX_AND_RING_COMMANDS = {
@@ -126,34 +147,51 @@ BOX_AND_RING_COMMANDS = {
 EOS_ARGV = ["eos", "--mu-grid=-1:0:3", "--hbar-sweep", "1,0.5", "--density", "0.1"]
 
 
-def assert_loads_no_scipy(argv, tmp_path):
+# the compute modules each command loads besides the front end: `work`
+# imports `boxspec` and `ringspec` itself
+COMMAND_MODULES = {
+    "eos": {"eos"},
+    "ring-spectrum": {"ringspec"},
+    **dict.fromkeys(["box-spectrum", "fig1", "duality-check", "convergence"],
+                    {"boxspec"}),
+    **dict.fromkeys(["work", "fig2"], {"work", "boxspec", "ringspec"}),
+}
+
+
+def assert_module_scope(argv, tmp_path):
     # every command runs on numpy alone, so a scipy import anywhere on its
-    # path fails here and names the module
+    # path fails here and names the module; a command loads only its own
+    # modules, and no thread pool at one thread
     code = (
         "import sys\n"
         "from dualgas import cli\n"
         "rc = cli.main(sys.argv[1:])\n"
         "print('scipy:', *sorted(m for m in sys.modules\n"
         "                         if m == 'scipy' or m.startswith('scipy.')))\n"
-        "raise SystemExit(rc)\n"
+        + SCOPE_PRINT
+        + "raise SystemExit(rc)\n"
     )
     r = run_python(["-c", code, *argv, "--out-dir", str(tmp_path)], tmp_path)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "scipy:"
+    scipy, package, futures = r.stdout.splitlines()[-3:]
+    assert scipy == "scipy:"
+    expected = FRONT_END | {f"dualgas.{m}" for m in COMMAND_MODULES[argv[0]]}
+    assert set(package.split()) == expected
+    assert futures == "False"
 
 
 @pytest.mark.parametrize("argv", BOX_AND_RING_COMMANDS.values(), ids=BOX_AND_RING_COMMANDS)
 def test_box_and_ring_commands_load_no_scipy(argv, tmp_path):
-    assert_loads_no_scipy(argv, tmp_path)
+    assert_module_scope(argv, tmp_path)
 
 
 def test_eos_command_loads_no_scipy(tmp_path):
-    assert_loads_no_scipy(EOS_ARGV, tmp_path)
+    assert_module_scope(EOS_ARGV, tmp_path)
 
 
 def test_scipy_guard_covers_every_command():
     guarded = {argv[0] for argv in [*BOX_AND_RING_COMMANDS.values(), EOS_ARGV]}
-    assert guarded == set(cli._COMMANDS)
+    assert guarded == set(cli._COMMANDS) == set(COMMAND_MODULES)
 
 
 def test_failed_solve_exits_three(tmp_path):

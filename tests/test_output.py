@@ -47,6 +47,26 @@ def test_csv_writes_a_list_of_strings_without_copying_it(tmp_path):
     assert path.read_text().splitlines()[-1] == f"{9_999:060d},9999"
 
 
+@pytest.mark.parametrize("n", [0, 1, out._CSV_SLICE - 1, out._CSV_SLICE,
+                               out._CSV_SLICE + 1])
+def test_csv_rows_match_the_per_cell_reference(tmp_path, n):
+    # slices convert numpy columns with tolist(); each cell must read as
+    # format_value of the cell indexed alone
+    floats = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1.0 / 3.0]
+    cols = {
+        "float": np.resize(np.array(floats), n),
+        "int": np.arange(n, dtype=np.int64) - 7,
+        "bool": np.arange(n) % 3 == 0,
+        "str": [f"s{i}|{i / 7!r}" for i in range(n)],
+        "pyfloat": [floats[i % len(floats)] * (i + 1) for i in range(n)],
+        "npfloat": [np.float64(floats[i % len(floats)]) for i in range(n)],
+    }
+    path = out.write_csv(tmp_path / "t.csv", cols)
+    reference = [",".join(cols)] + [
+        ",".join(out.format_value(c[i]) for c in cols.values()) for i in range(n)]
+    assert path.read_text() == "".join(line + "\n" for line in reference)
+
+
 def test_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         out.write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": [1]})

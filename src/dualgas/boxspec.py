@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, ModelSpec, check_positive
+from .core import BoxPair, ConfigError, check_positive
 
 __all__ = [
     "PairBasis",
@@ -120,7 +120,8 @@ def unit_pair_operators(cutoff: int, sign: int = 1) -> dict:
             the pair norms, with the unit-strength contact
             v1 = 2 diag(c) S^T diag(w) S diag(c), H_contact = (C / lam) * v1
     At x1 = x2 = x, 2 u_p u_q = (2/lam) [cos((q-p) pi x/lam) - cos((p+q) pi x/lam)],
-    so S ((2M+1) x dim, rank 2M-1) has S[q-p, pq] = 1 and S[p+q, pq] = -1.
+    so S ((2M+1) x dim, rank 2M-1) has S[q-p, pq] = 1 and S[p+q, pq] = -1,
+    held in int8: it stays alive through every block's solve.
     The harmonics are orthogonal on [0, lam], the constant one (row 0) twice
     as heavy: w = (2, 1, ..., 1).  `contact_block` forms v1 on a set of
     pairs (a parity block); `contact_expectation` takes the same harmonics
@@ -131,10 +132,10 @@ def unit_pair_operators(cutoff: int, sign: int = 1) -> dict:
     """
     basis = PairBasis(cutoff, sign)
     p, q = basis.labels()
-    S = np.zeros((2 * cutoff + 1, basis.dim))
+    S = np.zeros((2 * cutoff + 1, basis.dim), dtype=np.int8)
     if sign > 0:
-        S[q - p, np.arange(basis.dim)] = 1.0
-        S[p + q, np.arange(basis.dim)] = -1.0
+        S[q - p, np.arange(basis.dim)] = 1
+        S[p + q, np.arange(basis.dim)] = -1
     w = np.ones(2 * cutoff + 1)
     w[0] = 2.0
     k1 = np.pi**2 * (p**2 + q**2).astype(float)
@@ -196,7 +197,7 @@ class BoxSpectrum:
     `overlaps` take their products block by block.
     """
 
-    model: ModelSpec
+    model: BoxPair
     basis: PairBasis
     energies: np.ndarray
     residual: float
@@ -379,7 +380,7 @@ def _solve_block(ops, g, kin, b, n_levels):
     return w[:k], x[:, :k].copy()
 
 
-def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -> BoxSpectrum:
+def diagonalize(model: BoxPair, cutoff: int, n_levels: Optional[int] = None) -> BoxSpectrum:
     """Levels ascending, each eigenvector of pure centre-reflection parity:
     all of them, or the n_levels lowest.
 
@@ -398,8 +399,6 @@ def diagonalize(model: ModelSpec, cutoff: int, n_levels: Optional[int] = None) -
     other block by eigh, keeping its lowest columns.  A relative residual
     on the six lowest levels above 1e-7 raises LinAlgError.
     """
-    if model.n_particles != 2:
-        raise ConfigError("pair basis handles exactly two particles")
     if n_levels is not None and n_levels < 1:
         raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
     ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
@@ -458,7 +457,7 @@ class BoxState:
     """One level as its mode matrix A, psi(x1, x2) = sum_ab A_ab u_a(x1)
     u_b(x2) in the basis's symmetry, A[q, p] = sign A[p, q]."""
 
-    model: ModelSpec
+    model: BoxPair
     basis: PairBasis
     A: np.ndarray
     energy: float

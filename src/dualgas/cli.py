@@ -19,11 +19,10 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .core import (
-    Box,
+    BoxPair,
     ConfigError,
-    DimensionlessCoupling,
     LinearRamp,
-    ModelSpec,
+    alpha_coupling,
     check_coupling,
     check_positive,
 )
@@ -240,18 +239,20 @@ def _cmd_ring_spectrum(cfg: RunConfig) -> None:
     write_json(cfg.out_dir / "ring_spectrum_config.json", meta)
 
 
-def _box_pair(cfg: RunConfig) -> ModelSpec:
-    """The pair in Box(--lambda) at coupling --c, or --alpha in box units."""
-    box = Box(cfg.values["lam"])
-    c, alpha = cfg.values.get("c"), cfg.values.get("alpha")
+def _box_pair(cfg: RunConfig) -> BoxPair:
+    """The pair in a box of width --lambda at coupling --c, or --alpha in
+    box units."""
+    lam, c, alpha = cfg.values["lam"], cfg.values.get("c"), cfg.values.get("alpha")
+    # the width first: --alpha divides by it
+    check_positive("box width", lam)
     if c is not None and alpha is not None:
         raise ConfigError("give either --c or --alpha, not both")
     if c is None and alpha is None:
         raise ConfigError("one of --c / --alpha is required")
     if c is None:
         check_coupling("--alpha", alpha)
-        c = DimensionlessCoupling(alpha).coupling(box.length, cfg.hbar)
-    return ModelSpec(2, box, c, hbar=cfg.hbar)
+        c = alpha_coupling(alpha, lam, cfg.hbar)
+    return BoxPair(lam, c, cfg.hbar)
 
 
 def _cmd_box_spectrum(cfg: RunConfig) -> None:
@@ -284,6 +285,8 @@ def _cmd_fig1(cfg: RunConfig) -> None:
     m, n_grid, n_k, n_x = (cfg.values[k] for k in ("m", "n_grid", "n_k", "n_x"))
     model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m, n_levels=2)
+    if len(spec) < 2:
+        raise ConfigError(f"fig1 draws 2 levels, but cutoff --m {m} has {len(spec)}")
     meta = cfg.metadata()
     meta.update(coupling=model.coupling, basis_dim=spec.basis.dim)
     for idx, tag in ((0, "ground"), (1, "excited1")):
@@ -308,7 +311,7 @@ def _cmd_fig1(cfg: RunConfig) -> None:
 
 def _box_drive(cfg: RunConfig, name: str, lam_i: float, lam_f: float,
                coupling: float) -> work.Drive:
-    """The pair's drive from Box(lam_i) at `coupling` under protocol `name`,
+    """The pair's drive from width lam_i at `coupling` under protocol `name`,
     on --m modes; a ramp runs for --tau at speed --v and ignores lam_f."""
     from . import work
 
@@ -420,6 +423,9 @@ def _cmd_duality_check(cfg: RunConfig) -> None:
     m, n_states = cfg.values["m"], cfg.values["states"]
     model = _box_pair(cfg)
     spec = boxspec.diagonalize(model, m, n_states)
+    if len(spec) < n_states:
+        raise ConfigError(f"--states {n_states} asks for more levels than the "
+                          f"{len(spec)} at cutoff --m {m}")
     meta = cfg.metadata()
     meta["coupling"] = model.coupling
     states = {}

@@ -1,22 +1,16 @@
-"""Shared conventions, the box model and the wall ramp.
+"""Shared conventions, the box pair and the wall ramp.
 
 Units: we set 2m = 1 throughout, so a free plane wave of momentum hbar*k
 carries kinetic energy hbar^2 k^2.  Planck's constant is kept symbolic
-(default 1.0) so the classical-limit diagnostics can dial it.
+(default 1.0) so the classical-limit diagnostics can dial it.  The
+hard-core (impenetrable) limit is the coupling math.inf, which every
+solver takes exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-# 2m = 1 everywhere; MASS is exported for reference-model code (Boltzmann
-# weights, convolution references) that wants an explicit m.
-MASS = 0.5
-
-# Sentinel for the hard-core (impenetrable) limit.  Solvers special-case it;
-# float('inf') arithmetic would otherwise poison the Newton updates.
-TG_COUPLING = math.inf
 
 
 class ConfigError(ValueError):
@@ -41,59 +35,35 @@ def check_coupling(label: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Hard-wall interval [0, width]."""
-
-    width: float
-
-    def __post_init__(self):
-        check_positive("box width", self.width)
-
-    @property
-    def length(self) -> float:
-        return self.width
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """N bosons with two-body contact coupling C in a hard-wall box.
+class BoxPair:
+    """Two bosons with contact coupling C in the hard-wall box [0, length].
 
     `coupling` is the bare contact strength C >= 0 (energy*length with
-    2m = 1); `TG_COUPLING` selects the hard-core limit exactly.  The
-    fermionic dual of the same spectrum is obtained downstream by the
-    odd-wave mapping, not by a separate ModelSpec.
+    2m = 1); math.inf selects the hard-core limit exactly.  The fermionic
+    dual of the same spectrum is obtained downstream by the odd-wave
+    mapping, not by a separate model.
     """
 
-    n_particles: int
-    geometry: Box
+    length: float
     coupling: float
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ConfigError(f"need at least one particle, got {self.n_particles}")
+        check_positive("box width", self.length)
         check_coupling("contact coupling", self.coupling)
         check_positive("hbar", self.hbar)
-
-    @property
-    def length(self) -> float:
-        return self.geometry.length
 
     @property
     def is_hard_core(self) -> bool:
         return math.isinf(self.coupling)
 
 
-@dataclass(frozen=True)
-class DimensionlessCoupling:
-    """alpha = m lambda C / hbar^2, the single parameter of the uniform gas."""
-
-    alpha: float
-
-    def coupling(self, length: float, hbar: float = 1.0) -> float:
-        if math.isinf(self.alpha):
-            return TG_COUPLING
-        return self.alpha * hbar**2 / (MASS * length)
+def alpha_coupling(alpha: float, length: float, hbar: float = 1.0) -> float:
+    """C from alpha = m lambda C / hbar^2, the single parameter of the
+    uniform gas (m = 1/2); alpha = inf is the hard-core C = inf."""
+    if math.isinf(alpha):  # inf * hbar**2 is nan once hbar**2 underflows
+        return math.inf
+    return alpha * hbar**2 / (0.5 * length)
 
 
 # ---------------------------------------------------------------------------

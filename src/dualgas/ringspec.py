@@ -7,7 +7,7 @@ Rapidities k_l of an N-particle state on a ring of circumference lam solve
 with quantum numbers I_l on the Pauli grid: distinct integers for odd N,
 distinct half-odd-integers for even N.  The left-hand side is the gradient
 of a strictly convex action, so damped Newton from the hard-core start
-k = 2 pi I / lam converges for every repulsive C > 0; C = TG_COUPLING is
+k = 2 pi I / lam converges for every repulsive C > 0; C = inf is
 exact (k = 2 pi I / lam), and C = 0 is rejected here (rapidities coalesce;
 use the ideal-gas references in `work` instead).
 

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import boxspec, ringspec
-from .core import Box, ConfigError, LinearRamp, ModelSpec, check_coupling, check_positive
+from .core import BoxPair, ConfigError, LinearRamp, check_coupling, check_positive
 
 __all__ = [
     "WorkDistribution",
@@ -338,8 +338,7 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
 
 
 def _box_spectrum(lam, coupling, cutoff, hbar):
-    model = ModelSpec(2, Box(lam), coupling, hbar)
-    return boxspec.diagonalize(model, cutoff)
+    return boxspec.diagonalize(BoxPair(lam, coupling, hbar), cutoff)
 
 
 def _block_levels(lam, coupling, cutoff, hbar):

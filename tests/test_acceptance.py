@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from dualgas import boxspec, eos, ringspec, work
-from dualgas.core import Box, DimensionlessCoupling, LinearRamp, ModelSpec
+from dualgas.core import BoxPair, LinearRamp, alpha_coupling
 
 import oracles
 from conftest import run_cli
@@ -62,12 +62,12 @@ def jarzynski_residual(d: work.WorkDistribution) -> float:
 def strong_pair():
     """alpha = 1e4 box pair against its hard-core (free-fermion) dual, the
     same routes at C = inf."""
-    coupling = DimensionlessCoupling(1e4).coupling(LAM)
+    coupling = alpha_coupling(1e4, LAM)
     beta = 0.05  # several thermally occupied levels; resolvable atom spacing
     t0 = time.perf_counter()
     out = {
-        "galerkin": boxspec.diagonalize(ModelSpec(2, Box(LAM), coupling), 60),
-        "free_fermion": boxspec.diagonalize(ModelSpec(2, Box(LAM), math.inf), 60),
+        "galerkin": boxspec.diagonalize(BoxPair(LAM, coupling), 60),
+        "free_fermion": boxspec.diagonalize(BoxPair(LAM, math.inf), 60),
         "adiabatic": work.adiabatic_box_drive(LAM, 2.0, coupling, 60).at(beta),
         "adiabatic_dual": work.adiabatic_box_drive(LAM, 2.0, math.inf, 60).at(beta),
         "sudden": work.sudden_wall_drive(LAM, 2.0, coupling, 36, 72).at(beta),
@@ -176,8 +176,8 @@ def test_strong_coupling_sudden_second_moment_known_gap(strong_pair):
 
 
 def test_density_profile_dichotomy():
-    coupling = DimensionlessCoupling(5.0).coupling(LAM)
-    sp = boxspec.diagonalize(ModelSpec(2, Box(LAM), coupling), 60)
+    coupling = alpha_coupling(5.0, LAM)
+    sp = boxspec.diagonalize(BoxPair(LAM, coupling), 60)
     for idx in (0, 1):
         bose = sp.state(idx, "boson")
         fermi = sp.state(idx, "fermion")
@@ -240,7 +240,7 @@ def test_jarzynski_identity_sudden_wall_known_gap():
 
 
 def test_sudden_expansion_mean_work_identity():
-    sp = boxspec.diagonalize(ModelSpec(2, Box(LAM), 1.0), 12)
+    sp = boxspec.diagonalize(BoxPair(LAM, 1.0), 12)
     assert abs(oracles.frozen_mean_work(sp, 1.0)) < 1e-6
 
 
@@ -264,9 +264,9 @@ def test_ramp_propagator_adiabatic_and_sudden_limits():
     # fast side: tau = 1e-3 transition matrix equals the frozen-state overlaps
     res = work.propagate_ramp(LinearRamp(LAM, 1.0, 1e-3), 1.0, 10)
     assert res.norm_drift < 1e-8
-    sp_i = boxspec.diagonalize(ModelSpec(2, Box(LAM), 1.0), 10)
+    sp_i = boxspec.diagonalize(BoxPair(LAM, 1.0), 10)
     lam_f = LAM + 1e-3
-    sp_f = boxspec.diagonalize(ModelSpec(2, Box(lam_f), 1.0), 10)
+    sp_f = boxspec.diagonalize(BoxPair(lam_f, 1.0), 10)
     O2 = boxspec.pair_embed_overlaps(LAM, lam_f, sp_i.basis, sp_f.basis)
     V_i, V_f = oracles.dense_vectors(sp_i), oracles.dense_vectors(sp_f)
     P_sudden = (V_f.T @ O2 @ V_i) ** 2

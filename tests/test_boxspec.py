@@ -12,13 +12,13 @@ from scipy.integrate import quad
 
 import oracles
 from dualgas import boxspec as bs
-from dualgas.core import Box, ConfigError, DimensionlessCoupling, ModelSpec
+from dualgas.core import BoxPair, ConfigError, alpha_coupling
 
 LAM = 1.0
 
 
-def model(alpha: float, lam: float = LAM) -> ModelSpec:
-    return ModelSpec(2, Box(lam), DimensionlessCoupling(alpha).coupling(lam))
+def model(alpha: float, lam: float = LAM) -> BoxPair:
+    return BoxPair(lam, alpha_coupling(alpha, lam))
 
 
 def u(n, lam):
@@ -307,7 +307,7 @@ def test_diagonalize_memory_peak_without_dilation_generator():
     # the blocks and eigh need about 4.8 MiB here
     tracemalloc.start()
     try:
-        bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), 40)
+        bs.diagonalize(BoxPair(1.0, 1.0), 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -368,7 +368,7 @@ def test_diagonalize_keeps_no_contact_matrix_across_cutoffs():
     tracemalloc.start()
     try:
         for cutoff in (20, 40, 60):
-            bs.diagonalize(ModelSpec(2, Box(1.0), 1.0), cutoff)
+            bs.diagonalize(BoxPair(1.0, 1.0), cutoff)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -379,7 +379,7 @@ def test_diagonalize_keeps_eigenvectors_per_block():
     # warm, at M = 60 (dim 1830): 22.4 MiB peak and 12.8 MiB kept, the two
     # blocks' eigenvectors; a dense dim x dim matrix of them, half zeros,
     # took 40.6 and 25.6
-    m = ModelSpec(2, Box(1.0), 10.0)
+    m = BoxPair(1.0, 10.0)
     bs.diagonalize(m, 60)
     tracemalloc.start()
     try:
@@ -524,20 +524,20 @@ def test_kinetic_scale_out_of_range_is_a_config_error(lam, hbar):
     # lambda^2 subnormal or overflowed, hbar^2 gone to 0 or inf: the levels
     # came out nan or an OverflowError named no input
     with pytest.raises(ConfigError, match=re.escape(f"lambda = {lam:g}, hbar = {hbar:g}, cutoff 6")):
-        bs.diagonalize(ModelSpec(2, Box(lam), 1.0, hbar), 6)
+        bs.diagonalize(BoxPair(lam, 1.0, hbar), 6)
 
 
 def test_contact_scale_out_of_range_is_a_config_error():
     # C / lambda = inf made every level nan
     with pytest.raises(ConfigError, match=re.escape("C = 1e+300, lambda = 1e-150")):
-        bs.diagonalize(ModelSpec(2, Box(1e-150), 1e300), 6)
+        bs.diagonalize(BoxPair(1e-150, 1e300), 6)
 
 
 @pytest.mark.parametrize("lam, hbar", [(1e-150, 1.0), (1e150, 1.0), (1.0, 1e-150)])
 def test_few_levels_at_any_kinetic_scale(lam, hbar):
     # the solver works in units of the least kinetic entry: in absolute
     # units its shift-inverse under- or overflowed
-    m = ModelSpec(2, Box(lam), DimensionlessCoupling(5.0).coupling(lam, hbar), hbar)
+    m = BoxPair(lam, alpha_coupling(5.0, lam, hbar), hbar)
     full = bs.diagonalize(m, 40).energies[:6]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -548,30 +548,27 @@ def test_few_levels_at_any_kinetic_scale(lam, hbar):
 def test_weak_coupling_first_order_shift():
     # E0(C) = 2 pi^2 + C * <delta>_0 + O(C^2) with <delta>_0 = 3/(2 lam)
     C = 1e-4
-    sp = bs.diagonalize(ModelSpec(2, Box(LAM), C), 30)
+    sp = bs.diagonalize(BoxPair(LAM, C), 30)
     assert sp.energies[0] - 2.0 * np.pi**2 == pytest.approx(1.5 * C / LAM, rel=1e-4)
 
 
 def test_strong_coupling_approaches_free_fermions():
-    sp = bs.diagonalize(ModelSpec(2, Box(LAM), 1e3), 50)
-    ff = bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 12)
+    sp = bs.diagonalize(BoxPair(LAM, 1e3), 50)
+    ff = bs.diagonalize(BoxPair(LAM, math.inf), 12)
     rel = np.abs(sp.energies[:4] - ff.energies[:4]) / ff.energies[:4]
     assert rel.max() < 1e-3
 
 
 def test_hard_core_model_rejected_by_galerkin():
-    # at cutoff 1, which has no antisymmetric pair; and a model outside the
-    # pair basis, of more than two particles
+    # at cutoff 1, which has no antisymmetric pair
     with pytest.raises(ConfigError, match="cutoff >= 2, got 1"):
-        bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 1)
-    with pytest.raises(ConfigError, match="exactly two particles"):
-        bs.diagonalize(ModelSpec(3, Box(LAM), 1.0), 10)
+        bs.diagonalize(BoxPair(LAM, math.inf), 1)
 
 
 def test_free_fermion_spectrum_values():
     # the hard-core pair's levels are the free-fermion ones, hbar^2 pi^2
     # (p^2 + q^2) / lam^2 over p < q, each on one antisymmetric pair
-    sp = bs.diagonalize(ModelSpec(2, Box(2.0), math.inf), 6)
+    sp = bs.diagonalize(BoxPair(2.0, math.inf), 6)
     assert sp.energies[0] == pytest.approx(np.pi**2 * 5.0 / 4.0)
     assert len(sp) == 15 and sp.residual == 0.0
     p, q = sp.basis.labels()
@@ -596,7 +593,7 @@ def test_states_and_grids_out_of_range_are_config_errors():
 
 def test_hard_core_contact_expectation_is_exactly_zero():
     # the antisymmetric pairs vanish at coincidence: their factor is zero
-    sp = bs.diagonalize(ModelSpec(2, Box(1.3), math.inf), 12)
+    sp = bs.diagonalize(BoxPair(1.3, math.inf), 12)
     assert all(bs.contact_expectation(sp.state(i)) == 0.0 for i in range(len(sp)))
 
 
@@ -619,10 +616,10 @@ def test_contact_expectation_is_the_level_slope(coupling, cutoff):
     lam, h = 1.3, 1e-4 * coupling
 
     def levels(c):
-        return bs.diagonalize(ModelSpec(2, Box(lam), c), cutoff).energies[:8]
+        return bs.diagonalize(BoxPair(lam, c), cutoff).energies[:8]
 
     slope = (levels(coupling + h) - levels(coupling - h)) / (2.0 * h)
-    sp = bs.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff)
+    sp = bs.diagonalize(BoxPair(lam, coupling), cutoff)
     delta = np.array([bs.contact_expectation(sp.state(i)) for i in range(8)])
     assert np.abs(slope / delta - 1.0).max() <= 1e-6
 
@@ -641,7 +638,7 @@ def test_cusp_residual_decreases_with_cutoff():
 
 
 def test_spatial_density_identical_for_dual_pair():
-    for m in (model(5.0), ModelSpec(2, Box(LAM), math.inf)):  # and the hard-core pair
+    for m in (model(5.0), BoxPair(LAM, math.inf)):  # and the hard-core pair
         sp = bs.diagonalize(m, 30)
         rb = bs.spatial_density(sp.state(0))
         rf = bs.spatial_density(sp.state(0, "fermion"))
@@ -692,7 +689,7 @@ def test_momentum_density_distinguishes_statistics():
 
 def test_hard_core_fermion_momentum_density_is_the_free_fermion_sum():
     # the ground pair occupies modes 1 and 2: n(k) = (|f_1|^2 + |f_2|^2) / 2 pi
-    sp = bs.diagonalize(ModelSpec(2, Box(LAM), math.inf), 10)
+    sp = bs.diagonalize(BoxPair(LAM, math.inf), 10)
     nf = bs.momentum_density(sp.state(0, "fermion"), n_k=161)
     f = bs.box_mode_ft(nf.axis, LAM, 2)
     assert nf.metadata["method"] == "parseval"
@@ -706,7 +703,7 @@ def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling
     # its sides) and the rule's leading error on the jump, (ik h^2 / 6)
     # psi(x2, x2) e^{-ikx2}, put back; then the partner x2 by Parseval on
     # the same nodes
-    sp = bs.diagonalize(ModelSpec(2, Box(LAM), coupling), 8)
+    sp = bs.diagonalize(BoxPair(LAM, coupling), 8)
     state = sp.state(1, statistics)
     n_k, n_x = 41, 65
     with warnings.catch_warnings():

@@ -12,7 +12,7 @@ import pytest
 from conftest import run_cli as run
 from conftest import run_python, svg_curve
 from dualgas import boxspec, cli, output
-from dualgas.core import Box, ModelSpec
+from dualgas.core import BoxPair
 
 
 def test_ring_spectrum_artifacts_and_determinism(tmp_path):
@@ -460,7 +460,7 @@ def test_duality_report_carries_momentum_window_masses(tmp_path):
     r = run(["duality-check", "--m", "16", "--states", "2"], tmp_path)
     assert r.returncode == 0, r.stderr
     rep = json.loads((tmp_path / "duality_report.json").read_text())
-    spec = boxspec.diagonalize(ModelSpec(2, Box(1.0), rep["config"]["coupling"]), 16)
+    spec = boxspec.diagonalize(BoxPair(1.0, rep["config"]["coupling"]), 16)
     for i in range(2):
         entry = rep[f"state={i}"]
         for stat in ("boson", "fermion"):
@@ -628,8 +628,11 @@ def test_work_route_refusal_exits_two_naming_it(tmp_path, capsys, argv, message)
     (["fig1", "--n-x", "1", "--m", "4"], "n_x"),
     (["fig1", "--n-k", "1", "--m", "4"], "n_k"),
     (["fig1", "--n-grid", "1", "--m", "4"], "n_grid"),
-    (["fig1", "--m", "1"], "state 1"),
-    (["duality-check", "--m", "2", "--states", "10"], "state 3"),
+    # a level count the basis lacks is refused before any file is written
+    (["fig1", "--m", "1"], "fig1 draws 2 levels, but cutoff --m 1 has 1"),
+    (["fig1", "--alpha", "inf", "--m", "2"], "fig1 draws 2 levels, but cutoff --m 2 has 1"),
+    (["duality-check", "--m", "2", "--states", "10"],
+     "--states 10 asks for more levels than the 3 at cutoff --m 2"),
     (["box-spectrum", "--n-levels", "-1", "--alpha", "1", "--m", "4"],
      "--n-levels: must be >= 1"),
     (["convergence", "--n-levels", "-1", "--m-list", "4"],
@@ -665,7 +668,8 @@ def test_work_route_refusal_exits_two_naming_it(tmp_path, capsys, argv, message)
 def test_degenerate_input_exits_two_naming_it(tmp_path, capsys, argv, names):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert names in capsys.readouterr().err
-    if argv[0] in ("eos", "convergence", "fig2"):  # checked before any writing
+    # checked before any writing
+    if argv[0] in ("eos", "convergence", "fig2", "fig1", "duality-check"):
         assert list(tmp_path.iterdir()) == []
 
 

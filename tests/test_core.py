@@ -6,46 +6,42 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualgas import eos, ringspec, work
-from dualgas.core import (
-    MASS,
-    TG_COUPLING,
-    Box,
-    ConfigError,
-    DimensionlessCoupling,
-    LinearRamp,
-    ModelSpec,
-)
+from dualgas.core import BoxPair, ConfigError, LinearRamp, alpha_coupling
 
 
 def test_mass_convention():
-    assert MASS == 0.5
-    assert math.isinf(TG_COUPLING)
+    # 2m = 1: alpha = m lam C / hbar^2 = lam C / (2 hbar^2), so alpha 5 in
+    # the unit box is C = 10
+    assert alpha_coupling(5, 1, 1) == 10.0
 
 
 def test_model_validation():
     with pytest.raises(ConfigError):
-        ModelSpec(0, Box(1.0), 1.0)
+        BoxPair(1.0, -1.0)
     with pytest.raises(ConfigError):
-        ModelSpec(2, Box(1.0), -1.0)
+        BoxPair(1.0, 1.0, hbar=0.0)
     with pytest.raises(ConfigError):
-        ModelSpec(2, Box(1.0), 1.0, hbar=0.0)
-    with pytest.raises(ConfigError):
-        Box(-2.0)
-    m = ModelSpec(2, Box(3.0), TG_COUPLING)
+        BoxPair(-2.0, 1.0)
+    # width, then coupling, then hbar: the first invalid one is named
+    with pytest.raises(ConfigError, match="box width"):
+        BoxPair(0.0, -1.0, 0.0)
+    with pytest.raises(ConfigError, match="contact coupling"):
+        BoxPair(1.0, -1.0, 0.0)
+    m = BoxPair(3.0, math.inf)
     assert m.is_hard_core and m.length == 3.0
 
 
 def test_alpha_round_trip():
-    # alpha = m lam C / hbar^2: alpha 5 in the unit box is C = 10
-    assert DimensionlessCoupling(5.0).coupling(1.0, 1.0) == pytest.approx(10.0)
-    assert DimensionlessCoupling(math.inf).coupling(1.0) == TG_COUPLING
+    assert alpha_coupling(math.inf, 1.0) == math.inf
+    # hbar^2 underflows to 0 here, and inf * 0 would be nan
+    assert alpha_coupling(math.inf, 1.0, 1e-200) == math.inf
 
 
 @given(st.floats(0.1, 50.0), st.floats(0.1, 5.0), st.floats(0.05, 3.0))
 def test_alpha_scaling(alpha, lam, hbar):
-    # alpha is the only invariant: C scales like hbar^2 / lam.
-    c = DimensionlessCoupling(alpha).coupling(lam, hbar)
-    assert c == pytest.approx(alpha * hbar**2 / (MASS * lam))
+    # alpha is the only invariant: C scales like hbar^2 / lam, bit for bit
+    # as the expression that C has always been computed by
+    assert alpha_coupling(alpha, lam, hbar) == alpha * hbar**2 / (0.5 * lam)
 
 
 def test_protocol_validation():
@@ -121,9 +117,8 @@ ENTRY_POINTS = [
      dict(ramp=RAMP, coupling=1.0, cutoff=4, hbar=1.0), {"hbar": "hbar"}, {"coupling": C}),
     ("work.Drive.at", lambda beta: work.Drive(np.zeros(1), np.zeros(1), None, lambda b: 0.0).at(beta),
      dict(beta=1.0), {"beta": "beta"}, {}),
-    ("core.Box", Box, dict(width=1.0), {"width": "box width"}, {}),
-    ("core.ModelSpec", ModelSpec, dict(n_particles=2, geometry=Box(1.0), coupling=1.0, hbar=1.0),
-     {"hbar": "hbar"}, {"coupling": C}),
+    ("core.BoxPair", BoxPair, dict(length=1.0, coupling=1.0, hbar=1.0),
+     {"length": "box width", "hbar": "hbar"}, {"coupling": C}),
     ("core.LinearRamp", LinearRamp, dict(lambda_initial=1.0, speed=5.0, duration=1.0),
      {"lambda_initial": LAM_I, "duration": "duration"}, {}),
 ]

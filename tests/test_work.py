@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 from dualgas import boxspec
 from dualgas import ringspec as rs
 from dualgas import work as wk
-from dualgas.core import Box, ConfigError, LinearRamp, ModelSpec
+from dualgas.core import BoxPair, ConfigError, LinearRamp
 
 import oracles
 
@@ -248,7 +248,7 @@ def test_jarzynski_exact_for_ramp():
 
 def level_parity(lam, coupling, cutoff):
     """Each box level's centre-reflection block, 1 for the p+q-odd pairs."""
-    return oracles.level_parity(boxspec.diagonalize(ModelSpec(2, Box(lam), coupling), cutoff))
+    return oracles.level_parity(boxspec.diagonalize(BoxPair(lam, coupling), cutoff))
 
 
 def cross_parity(parity_f, parity_i):
@@ -333,8 +333,8 @@ def test_weighing_leaves_the_drive_unchanged():
 
 def _ramp_setup(ramp, coupling, cutoff, hbar=1.0):
     ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
-    sp_i = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_initial), coupling, hbar), cutoff)
-    sp_f = boxspec.diagonalize(ModelSpec(2, Box(ramp.lambda_final), coupling, hbar), cutoff)
+    sp_i = boxspec.diagonalize(BoxPair(ramp.lambda_initial, coupling, hbar), cutoff)
+    sp_f = boxspec.diagonalize(BoxPair(ramp.lambda_final, coupling, hbar), cutoff)
     v1 = boxspec.contact_block(ops, np.arange(ops["basis"].dim))
     return ops["k1"], v1, oracles.dense_vectors(sp_i).astype(complex), sp_f
 
@@ -726,7 +726,7 @@ def assembly_reference(e_i, e_f, beta, tail, P=None):
 
 
 def _pair_box(lam, coupling, cutoff, hbar):
-    return boxspec.diagonalize(ModelSpec(2, Box(lam), coupling, hbar), cutoff)
+    return boxspec.diagonalize(BoxPair(lam, coupling, hbar), cutoff)
 
 
 def _wall_deficits(P, p_i):

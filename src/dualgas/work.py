@@ -8,7 +8,7 @@ is recorded, never renormalized away silently).
 
 Protocol routes, one function each
   adiabatic_ring_drive    Bethe enumerations at both volumes, paired by I
-  adiabatic_box_drive     Galerkin spectra paired by rank in a parity block
+  adiabatic_box_drive     Galerkin levels paired by rank in a parity block
   sudden_wall_drive       embedding overlaps (expansion only)
   sudden_coupling_drive   two diagonalizations in the shared basis
   ramp_drive              comoving chirp-gauge propagation in the pair basis
@@ -73,16 +73,18 @@ _PAIRWISE_FROM = 8
 def _segment_sums(x, starts, sizes):
     """np.sum(x[s:s + n]) for every segment, equal to it bit for bit.
 
-    Short segments are summed by a left-to-right loop of at most seven
-    vectorized steps; the rare long ones call np.sum on their slice.
+    np.sum adds a segment's first term to +0.0, which is x[s] + 0.0; the
+    segments of 2-7 terms add the rest left to right in at most six
+    vectorized steps, and the rare long ones call np.sum on their slice.
     np.add.reduceat would not do: its order differs from np.sum's.
     """
-    out = np.zeros(starts.size)
-    short = np.nonzero(sizes < _PAIRWISE_FROM)[0]
-    for j in range(_PAIRWISE_FROM - 1):
-        short = short[sizes[short] > j]
+    out = x[starts]
+    out += 0.0
+    short = np.flatnonzero((sizes > 1) & (sizes < _PAIRWISE_FROM))
+    for j in range(1, _PAIRWISE_FROM - 1):
         out[short] += x[starts[short] + j]
-    for g in np.nonzero(sizes >= _PAIRWISE_FROM)[0]:
+        short = short[sizes[short] > j + 1]
+    for g in np.flatnonzero(sizes >= _PAIRWISE_FROM):
         out[g] = np.sum(x[starts[g] : starts[g] + sizes[g]])
     return out
 
@@ -92,18 +94,29 @@ def _segment_logsumexp(lp, starts, sizes):
 
     scipy takes the maxima out of the sum: m is their count, the rest sum
     to s = sum exp(lp - max), and it returns log1p(s/m) + log(m) + max; a
-    segment whose maximum is not finite returns that maximum.
+    segment whose maximum is not finite returns that maximum.  A one-term
+    segment's is 0 + 0 + x, that is x + 0.0, so only the segments of more
+    than one term are gathered and reduced.
     """
-    top = np.maximum.reduceat(lp, starts)
+    out = lp[starts]
+    out += 0.0
+    multi = np.flatnonzero(sizes > 1)
+    if not multi.size:
+        return out
+    sizes = sizes[multi]
+    at = np.cumsum(sizes) - sizes  # the gathered segments' starts
+    lp = lp[np.repeat(starts[multi] - at, sizes) + np.arange(sizes.sum())]
+    top = np.maximum.reduceat(lp, at)
     top_at = np.repeat(top, sizes)
     is_top = lp == top_at
-    m = np.add.reduceat(is_top.astype(float), starts)
+    m = np.add.reduceat(is_top.astype(float), at)
     with np.errstate(invalid="ignore", divide="ignore"):
         rest = np.exp(np.where(is_top, -np.inf, lp) - top_at)
-        s = _segment_sums(rest, starts, sizes)
+        s = _segment_sums(rest, at, sizes)
         s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-    return np.where(np.isfinite(top), out, top)
+        multi_out = np.log1p(s) + np.log(m) + top
+    out[multi] = np.where(np.isfinite(top), multi_out, top)
+    return out
 
 
 def _logsumexp(a) -> float:
@@ -130,13 +143,24 @@ def merge_atoms(works, probabilities, log_probabilities, tol: float = 1e-9):
         return w, p, lp
     order = np.argsort(w, kind="stable")
     w, p, lp = w[order], p[order], lp[order]
-    # cluster boundaries where consecutive gaps exceed tol
-    starts = np.concatenate([[0], np.nonzero(np.diff(w) > tol)[0] + 1])
-    sizes = np.diff(np.append(starts, w.size))
+    del order
+    # a cluster starts at the first atom and wherever the gap exceeds tol
+    first = np.empty(w.size, dtype=bool)
+    first[0] = True
+    np.greater(np.diff(w), tol, out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    sizes = np.diff(starts, append=w.size)
     out_p = _segment_sums(p, starts, sizes)
+    p *= w  # the sorted copy's last use
     with np.errstate(invalid="ignore", divide="ignore"):
-        weighted = _segment_sums(w * p, starts, sizes) / out_p
-    out_w = np.where(out_p > 0, weighted, _segment_sums(w, starts, sizes) / sizes)
+        out_w = _segment_sums(p, starts, sizes)
+        out_w /= out_p
+    del p
+    mean = _segment_sums(w, starts, sizes)  # a massless cluster's position
+    mean /= sizes
+    np.copyto(out_w, mean, where=~(out_p > 0))
+    del mean
     out_lp = _segment_logsumexp(lp, starts, sizes)
     faint = (out_p > 0) & (out_p < np.finfo(float).tiny) & np.isfinite(out_lp)
     for g in np.flatnonzero(faint):
@@ -251,7 +275,8 @@ class Drive:
             works = e_f[:, None] - e_i[None, :]
             probs = P * p_i[None, :]
             with np.errstate(divide="ignore"):  # log P[f, i] p_i without underflow
-                log_probs = np.log(P) + (-beta * e_i - ln_zi)[None, :]
+                log_probs = np.log(P)
+            log_probs += (-beta * e_i - ln_zi)[None, :]
         metadata = dict(self.metadata, ln_z_initial=ln_zi,
                         ln_z_final=_logsumexp(-beta * e_f))
         if self.diagnostics is not None:
@@ -341,12 +366,46 @@ def _box_spectrum(lam, coupling, cutoff, hbar):
     return boxspec.diagonalize(BoxPair(lam, coupling, hbar), cutoff)
 
 
+def _block_eigvalsh(ops, g, kin, pairs):
+    """The levels of H on one parity block, as `diagonalize` forms it; the
+    block's matrix is freed on return, before the next one is built."""
+    h = boxspec.contact_block(ops, pairs)
+    h *= g
+    h[np.diag_indices_from(h)] += kin[pairs]
+    return np.linalg.eigvalsh(h)
+
+
 def _block_levels(lam, coupling, cutoff, hbar):
     """The levels at width lam and the level indices of each parity block.
-    The eigenvectors are dropped here, so one width's are not held while
-    the other width is solved."""
-    sp = _box_spectrum(lam, coupling, cutoff, hbar)
-    return sp.energies, [rows for _, _, rows in sp.blocks]
+
+    Every level comes from eigvalsh on its block: no eigenvector is formed.
+    The six lowest are solved with their vectors as well, by `diagonalize`'s
+    few-level path, whose eigen-residual r it gates.  A unit vector's
+    entries are at most 1, so r plus the block levels' largest distance
+    from those six, both relative to max(1, |E|), bounds the residual of
+    the block levels on those vectors; that bound is gated at the same
+    tolerance.
+    """
+    model = BoxPair(lam, coupling, hbar)
+    low = boxspec.diagonalize(model, cutoff, 6)
+    ops = boxspec.unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
+    g = boxspec.contact_coupling(coupling) / lam
+    kin = hbar * hbar * ops["k1"] / (lam * lam)
+    solved = [_block_eigvalsh(ops, g, kin, b) for b in ops["basis"].parity_blocks()]
+    levels = np.concatenate(solved)
+    order = np.argsort(levels, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    gap = float(np.abs(levels[order[:len(low)]] - low.energies).max())
+    bound = low.residual + gap / max(1.0, float(np.abs(low.energies).max()))
+    if not bound <= boxspec._RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"eigen-residual bound {bound:.3g} of the block levels exceeds "
+            f"{boxspec._RESIDUAL_TOL:g} at C = {coupling:g}, cutoff {cutoff}: the "
+            "contact outweighs the kinetic scale in double precision; for the "
+            "hard-core limit use --c inf"
+        )
+    return levels[order], np.split(rank, np.cumsum([w.size for w in solved])[:-1])
 
 
 def adiabatic_box_drive(
@@ -354,8 +413,14 @@ def adiabatic_box_drive(
 ) -> Drive:
     """Each level rides to the level of its rank in its reflection-parity block.
 
-    Levels of opposite parity cross as the box grows; followed by overlap,
-    those of one block keep their order.
+    Levels of opposite parity cross as the box grows.  Within a block, rank
+    pairing holds for the Galerkin levels at the tested cutoffs: following
+    each state by overlap reaches the same level
+    (test_adiabatic_box_levels_follow_their_parity_block).  It need not
+    hold in the exact spectrum: at C = 100 the same-parity Bethe levels
+    (I1, I2) = (3, 17) and (10, 14) cross at lambda = 1.00794.  No
+    eigenvector is formed but those of the six lowest levels at each width,
+    which carry the residual gate (`_block_levels`).
     """
     check_positive("lambda_initial", lam_i)
     check_positive("lambda_final", lam_f)
@@ -520,9 +585,10 @@ def _s6_steps(y, kin, W, mu, clock, speed, h, n_steps):
     yr = y.view(float)
     for start in range(0, n_steps, _PHASE_SLAB):
         scale = np.exp(-speed * h * np.arange(start, min(start + _PHASE_SLAB, n_steps)))
-        # (steps, stages, blocks, n, 1)
-        slab = np.exp(1j * np.multiply.outer(np.multiply.outer(scale, clock), kin))[..., None]
-        for phases in slab:
+        # phases (steps, stages, blocks, n), each applied as a column
+        slab = np.multiply(1j, np.multiply.outer(np.multiply.outer(scale, clock), kin))
+        np.exp(slab, out=slab)
+        for phases in slab[..., None]:
             for ph, b in zip(phases, _S6_A_STAGES):
                 y *= ph
                 if mu.size:

@@ -10,6 +10,12 @@ import numpy as np
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=60, derandomize=True
 )
+# a longer derandomized run, chosen with `--hypothesis-profile deep`;
+# hypothesis's plugin loads that option after this file is imported, so
+# the default below does not replace it
+hypothesis.settings.register_profile(
+    "deep", deadline=None, max_examples=2000, derandomize=True
+)
 hypothesis.settings.load_profile("ci")
 
 

@@ -253,6 +253,18 @@ def test_unresolved_strong_coupling_exits_three(tmp_path, capsys):
     assert cli.main(["box-spectrum", "--alpha", "1e6", "--m", "20", *out]) == 0
 
 
+def test_adiabatic_box_route_refuses_unresolved_strong_coupling(tmp_path, capsys):
+    # the route solves its levels without eigenvectors, and the six lowest
+    # with them: their residual gate still refuses C = 1e10 at M = 20
+    out = ["--out-dir", str(tmp_path)]
+    box = ["work", "--geometry", "box", "--protocol", "adiabatic"]
+    assert cli.main([*box, "--c", "1e10", "--m", "20", *out]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: eigen-residual" in err and "--c inf" in err
+    assert not (tmp_path / "work_summary.json").exists()
+    assert cli.main([*box, "--c", "1e9", "--m", "40", *out]) == 0
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nn = 2\nimax = 3.5\nlambda = 1.0\n")

@@ -71,20 +71,31 @@ def merge_atoms_reference(works, probabilities, tol, log_probabilities):
 
 @st.composite
 def clustered_atoms(draw):
-    """Shuffled atoms in well separated clusters of 1-20 members each.
+    """Shuffled atoms in well separated clusters, up to 64 of them.
 
-    Members sit on exact ties or jitter below the 1e-9 merge tolerance;
-    masses span many decades so that summation order shows in the last
-    bits, a cluster may carry no mass, and log-probabilities may be -inf.
+    Most clusters are one atom, as in a work distribution; each draw also
+    has one of 2-7 atoms and one of 8 or more, so every path of the
+    segment sums runs.  Centres may be negative, and one cluster sits at 0
+    with exact -0.0 works.  Members sit on exact ties or jitter below the
+    1e-9 merge tolerance; masses span many decades so that summation order
+    shows in the last bits, a cluster may carry no mass, and
+    log-probabilities may be -inf or exactly -0.0.
     """
+    sizes = [1, draw(st.integers(2, 7)), draw(st.integers(8, 20))]
+    sizes += draw(st.lists(st.sampled_from([1] * 8 + [2, 3, 5, 7, 8, 12]), max_size=61))
+    sizes = draw(st.permutations(sizes))
+    zero = draw(st.integers(0, len(sizes) - 1))
     w, p, lp = [], [], []
-    for c in range(draw(st.integers(1, 8))):
-        centre = 1.7 * c + draw(st.floats(0.0, 1.0))
+    for c, size in enumerate(sizes):
+        centre = 1.7 * (c - zero) + draw(st.floats(0.0, 1.0))
         zero_mass = draw(st.booleans())
-        for _ in range(draw(st.integers(1, 20))):
-            w.append(centre + draw(st.sampled_from([0.0, 0.0, 1e-13, 2e-10, 9e-10])))
+        for _ in range(size):
+            if c == zero:
+                w.append(draw(st.sampled_from([-0.0, -0.0, 0.0, 1e-13, -2e-10])))
+            else:
+                w.append(centre + draw(st.sampled_from([0.0, 0.0, 1e-13, 2e-10, 9e-10])))
             p.append(0.0 if zero_mass else draw(st.floats(1e-30, 1.0)))
-            lp.append(draw(st.one_of(st.just(-np.inf), st.floats(-800.0, 5.0))))
+            lp.append(draw(st.sampled_from([-np.inf, -0.0]) | st.floats(-800.0, 5.0)))
     order = draw(st.permutations(range(len(w))))
     return tuple(np.array(x, dtype=float)[order] for x in (w, p, lp))
 
@@ -95,7 +106,7 @@ def test_merge_atoms_bitwise_equals_reference(atoms):
     got = wk.merge_atoms(w, p, lp, 1e-9)
     want = merge_atoms_reference(w, p, 1e-9, lp)
     for g, r in zip(got, want):
-        assert np.array_equal(g, r)
+        assert np.array_equal(g.view(np.uint64), r.view(np.uint64))  # -0.0 too
 
 
 @st.composite
@@ -281,7 +292,46 @@ def test_adiabatic_box_levels_follow_their_parity_block(coupling, lam_f, n_cross
     assert np.sum(oracles.level_parity(sp_i) != oracles.level_parity(sp_f)) == n_cross
     level = tracked_levels(coupling, 1.0, lam_f, cutoff)
     d = wk.adiabatic_box_drive(1.0, lam_f, coupling, cutoff).at(1.0)
-    assert np.array_equal(d.works, sp_f.energies[level] - sp_i.energies)
+    e_i, e_f = (_route_levels(lam, coupling, cutoff, 1.0) for lam in (1.0, lam_f))
+    assert np.array_equal(d.works, e_f[level] - e_i)
+
+
+def test_adiabatic_box_forms_no_full_eigenvectors(monkeypatch):
+    # the few-level path's widest eigh is its Krylov basis; M = 40 has
+    # parity blocks of 420 and 400 pairs, which only eigvalsh may see
+    cap = (6 + boxspec._KRYLOV_PAD) * boxspec._KRYLOV_STEPS
+    eigh = np.linalg.eigh
+
+    def narrow_eigh(a, *args, **kwargs):
+        if a.shape[-1] > cap:
+            raise AssertionError(f"eigh of a {a.shape[-1]}-wide matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(boxspec.np.linalg, "eigh", narrow_eigh)
+    with pytest.raises(AssertionError, match="420-wide"):  # the stub bites
+        _pair_box(1.0, 1.0, 40, 1.0)
+    d = wk.adiabatic_box_drive(1.0, 2.0, 1.0, 40)
+    assert d.energies_i.size == d.energies_f.size == 820
+
+
+def test_adiabatic_box_gates_its_block_levels(monkeypatch):
+    # block levels 1e-6 off the few-level path's checked ones fail the
+    # residual bound, though that path's own residual passes
+    solve = wk._block_eigvalsh
+    monkeypatch.setattr(wk, "_block_eigvalsh", lambda *a: solve(*a) * (1.0 + 1e-6))
+    with pytest.raises(np.linalg.LinAlgError, match="eigen-residual bound .* use --c inf"):
+        wk.adiabatic_box_drive(1.0, 2.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("cutoff", [8, 20, 40])
+@pytest.mark.parametrize("coupling", [0.1, 1.0, 10.0, 1e3])
+def test_adiabatic_box_levels_match_eigh_levels(cutoff, coupling):
+    # eigvalsh's levels against the eigh levels of the full spectrum, and
+    # the same parity block for each; the worst seen is 4.7e-15 relative
+    levels, rows = wk._block_levels(1.0, coupling, cutoff, 1.0)
+    sp = _pair_box(1.0, coupling, cutoff, 1.0)
+    assert all(np.array_equal(r, b[2]) for r, b in zip(rows, sp.blocks, strict=True))
+    assert np.abs(levels - sp.energies).max() <= 1e-13 * np.abs(sp.energies).max()
 
 
 def test_sudden_coupling_keeps_centre_reflection_parity():
@@ -729,6 +779,11 @@ def _pair_box(lam, coupling, cutoff, hbar):
     return boxspec.diagonalize(BoxPair(lam, coupling, hbar), cutoff)
 
 
+def _route_levels(lam, coupling, cutoff, hbar):
+    """The levels the adiabatic box route solves: eigvalsh, block by block."""
+    return wk._block_levels(lam, coupling, cutoff, hbar)[0]
+
+
 def _wall_deficits(P, p_i):
     col = P.sum(axis=0)
     return {"transition_deficit": float((1.0 - col).max()),
@@ -751,7 +806,7 @@ def _ring_case():
 
 def _adiabatic_box_case(c):
     lam_i, lam_f, beta, m, hbar = 1.0, 2.0, 1.0, 8, 0.7
-    e_i, e_f = (_pair_box(lam, c, m, hbar).energies for lam in (lam_i, lam_f))
+    e_i, e_f = (_route_levels(lam, c, m, hbar) for lam in (lam_i, lam_f))
     ref = assembly_reference(e_i, e_f, beta, wk.box_tail_bound(lam_i, m, beta, hbar))
     meta = {"route": "galerkin-adiabatic", "coupling": c, "cutoff": m}
     return wk.adiabatic_box_drive(lam_i, lam_f, c, m, hbar).at(beta), ref, meta

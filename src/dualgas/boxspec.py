@@ -17,9 +17,9 @@ the kinetic term is left.  The ramp's chirp and the wall embedding lift
 one-body matrices on either basis.  The two statistics share every
 eigenvector and |psi|^2; the one the basis does not carry differs by the
 sign map sign(x2 - x1), which only the momentum transform takes.
-Diagonalization, the densities of both statistics, cusp diagnostics and
-box embeddings follow; `diagonalize`, `spatial_density` and
-`momentum_density` say how each is computed.
+Diagonalization, levels alone, the densities of both statistics, cusp
+diagnostics and box embeddings follow; `diagonalize`, `block_levels`,
+`spatial_density` and `momentum_density` say how each is computed.
 
 Energies carry the 2m = 1 convention: kinetic diag = hbar^2 pi^2 (p^2+q^2)/lam^2.
 """
@@ -44,6 +44,7 @@ __all__ = [
     "contact_block",
     "contact_coupling",
     "diagonalize",
+    "block_levels",
     "box_modes",
     "box_mode_ft",
     "spatial_density",
@@ -363,6 +364,58 @@ def _krylov_lowest(kin, F, g, k):
                                 f"converge in {_KRYLOV_STEPS} steps")
 
 
+def _setup(model: BoxPair, cutoff: int):
+    """The operators of the model's basis, g = C / lambda and the kinetic
+    diagonal; ConfigError unless g is finite and kin finite and normal."""
+    ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
+    lam, hbar = model.length, model.hbar
+    g = contact_coupling(model.coupling) / lam
+    if not math.isfinite(g):
+        raise ConfigError(f"the contact C / lambda overflows at C = {model.coupling:g}, "
+                          f"lambda = {lam:g}")
+    lam2 = lam * lam
+    with np.errstate(over="ignore", divide="ignore"):
+        kin = hbar * hbar * ops["k1"] / lam2
+    # an overflowed or vanished kinetic scale gives nan levels, and the
+    # Krylov solve works in units of min(kin)
+    if not (math.isfinite(lam2) and np.isfinite(kin).all()
+            and kin.min() >= np.finfo(float).tiny):
+        raise ConfigError(
+            f"the kinetic diagonal hbar^2 pi^2 (p^2 + q^2) / lambda^2 is not a "
+            f"finite normal number at lambda = {lam:g}, hbar = {hbar:g}, cutoff {cutoff}"
+        )
+    return ops, g, kin
+
+
+def _block_matrix(ops, g, kin, b) -> np.ndarray:
+    """H = g v1 + diag(kin) on the pairs b."""
+    h = contact_block(ops, b)
+    h *= g
+    h[np.diag_indices_from(h)] += kin[b]
+    return h
+
+
+def _merge(solved, n_levels=None):
+    """The n_levels lowest (default all) of the blocks' levels by one stable
+    argsort, and each block's ranks in it, -1 for a level left out."""
+    levels = np.concatenate(solved)
+    order = np.argsort(levels, kind="stable")[:n_levels]
+    rank = np.full(levels.size, -1)
+    rank[order] = np.arange(order.size)
+    return levels[order], np.split(rank, np.cumsum([w.size for w in solved])[:-1])
+
+
+def _gate(residual, what, model, cutoff):
+    """LinAlgError, naming `what.format(residual)`, if residual > 1e-7."""
+    if not residual <= _RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"{what.format(residual)} exceeds {_RESIDUAL_TOL:g} at "
+            f"C = {model.coupling:g}, cutoff {cutoff}: the contact outweighs "
+            "the kinetic scale in double precision; for the hard-core limit "
+            "use --c inf"
+        )
+
+
 def _solve_block(ops, g, kin, b, n_levels):
     """Levels ascending and eigenvectors (columns) of H on the pairs b: all
     of them, or the n_levels lowest."""
@@ -370,11 +423,8 @@ def _solve_block(ops, g, kin, b, n_levels):
         k = min(n_levels, b.size)
         if g > 0.0 and b.size > (k + _KRYLOV_PAD) * _KRYLOV_STEPS:
             return _krylov_lowest(kin[b], _contact_factor(ops, b), g, k)
-    h = contact_block(ops, b)
-    h *= g
-    h[np.diag_indices_from(h)] += kin[b]
     # LAPACK syevd: faster than scipy.linalg.eigh's evr on these blocks
-    w, x = np.linalg.eigh(h)
+    w, x = np.linalg.eigh(_block_matrix(ops, g, kin, b))
     if n_levels is None:
         return w, x
     return w[:k], x[:, :k].copy()
@@ -401,32 +451,11 @@ def diagonalize(model: BoxPair, cutoff: int, n_levels: Optional[int] = None) -> 
     """
     if n_levels is not None and n_levels < 1:
         raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
-    ops = unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
-    basis, k1 = ops["basis"], ops["k1"]
-    lam, hbar = model.length, model.hbar
-    g = contact_coupling(model.coupling) / lam
-    if not math.isfinite(g):
-        raise ConfigError(f"the contact C / lambda overflows at C = {model.coupling:g}, "
-                          f"lambda = {lam:g}")
-    lam2 = lam * lam
-    with np.errstate(over="ignore", divide="ignore"):
-        kin = hbar * hbar * k1 / lam2
-    # an overflowed or vanished kinetic scale gives nan levels, and the
-    # Krylov solve works in units of min(kin)
-    if not (math.isfinite(lam2) and np.isfinite(kin).all()
-            and kin.min() >= np.finfo(float).tiny):
-        raise ConfigError(
-            f"the kinetic diagonal hbar^2 pi^2 (p^2 + q^2) / lambda^2 is not a "
-            f"finite normal number at lambda = {lam:g}, hbar = {hbar:g}, cutoff {cutoff}"
-        )
+    ops, g, kin = _setup(model, cutoff)
+    basis = ops["basis"]
     pairs = basis.parity_blocks()
     solved = [_solve_block(ops, g, kin, b, n_levels) for b in pairs]
-    levels = np.concatenate([w for w, _ in solved])
-    order = np.argsort(levels, kind="stable")[:n_levels]
-    rank = np.full(levels.size, -1)
-    rank[order] = np.arange(order.size)  # the level of each kept block column
-    ranks = np.split(rank, np.cumsum([w.size for w, _ in solved])[:-1])
-    evals = levels[order]
+    evals, ranks = _merge([w for w, _ in solved], n_levels)
     # a block's kept levels are its lowest: a prefix of its columns
     sp = BoxSpectrum(model, basis, evals, 0.0,
                      [(b, x[:, :(r >= 0).sum()], r[r >= 0])
@@ -442,14 +471,32 @@ def diagonalize(model: BoxPair, cutoff: int, n_levels: Optional[int] = None) -> 
     v1X = 2.0 * c * (S.T @ (w[:, None] * (S @ (c * X))))
     R = g * v1X + kin[:, None] * X - X * evals[:6]
     sp.residual = float(np.abs(R).max()) / max(1.0, float(np.abs(evals[:6]).max()))
-    if not sp.residual <= _RESIDUAL_TOL:
-        raise np.linalg.LinAlgError(
-            f"eigen-residual {sp.residual:.3g} exceeds {_RESIDUAL_TOL:g} at "
-            f"C = {model.coupling:g}, cutoff {cutoff}: the contact outweighs "
-            "the kinetic scale in double precision; for the hard-core limit "
-            "use --c inf"
-        )
+    _gate(sp.residual, "eigen-residual {:.3g}", model, cutoff)
     return sp
+
+
+def block_levels(model: BoxPair, cutoff: int):
+    """Every level ascending and each parity block's level indices, with no
+    eigenvector formed but those of the six lowest.
+
+    Without contact (C = 0, or the hard-core pair) a block's levels are its
+    sorted kinetic diagonal.  Otherwise they come from eigvalsh, one block
+    matrix at a time, and `diagonalize(model, cutoff, 6)` solves the six
+    lowest with vectors and gates their eigen-residual r.  A unit vector's
+    entries are at most 1, so r plus the block levels' largest distance
+    from those six, relative to max(1, |E|), bounds the block levels'
+    residual on those vectors; the bound is gated at the same 1e-7.
+    """
+    ops, g, kin = _setup(model, cutoff)
+    blocks = ops["basis"].parity_blocks()
+    if g == 0.0:
+        return _merge([np.sort(kin[b]) for b in blocks])
+    low = diagonalize(model, cutoff, 6)
+    levels, ranks = _merge([np.linalg.eigvalsh(_block_matrix(ops, g, kin, b)) for b in blocks])
+    gap = float(np.abs(levels[:len(low)] - low.energies).max())
+    bound = low.residual + gap / max(1.0, float(np.abs(low.energies).max()))
+    _gate(bound, "eigen-residual bound {:.3g} of the block levels", model, cutoff)
+    return levels, ranks
 
 
 @dataclass

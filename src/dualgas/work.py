@@ -16,7 +16,8 @@ plus the classical-limit reference of distinguishable particles,
 `ndp_reference`.
 Every box route takes the hard-core pair (C = inf) as it is: its basis is
 the antisymmetric pairs, where the contact vanishes and the Galerkin
-levels and transitions are the exact free-fermion ones.
+levels and transitions are the exact free-fermion ones.  Each refuses a
+mode cutoff above 128 before it builds a basis.
 
 Every route returns a temperature-free `Drive`: its levels and, unless
 populations ride their levels, the transition matrix P[f, i].  Only the
@@ -362,50 +363,16 @@ def box_tail_bound(lam: float, cutoff: int, beta: float, hbar: float = 1.0) -> f
     return float(2.0 * high * total)
 
 
-def _box_spectrum(lam, coupling, cutoff, hbar):
-    return boxspec.diagonalize(BoxPair(lam, coupling, hbar), cutoff)
+# a box route is refused a mode cutoff above this, its final one included,
+# before it builds a basis: at 128 each of the two parity blocks holds more
+# than 4,000 pairs, which the sudden and ramp routes solve densely
+_MAX_CUTOFF = 128
 
 
-def _block_eigvalsh(ops, g, kin, pairs):
-    """The levels of H on one parity block, as `diagonalize` forms it; the
-    block's matrix is freed on return, before the next one is built."""
-    h = boxspec.contact_block(ops, pairs)
-    h *= g
-    h[np.diag_indices_from(h)] += kin[pairs]
-    return np.linalg.eigvalsh(h)
-
-
-def _block_levels(lam, coupling, cutoff, hbar):
-    """The levels at width lam and the level indices of each parity block.
-
-    Every level comes from eigvalsh on its block: no eigenvector is formed.
-    The six lowest are solved with their vectors as well, by `diagonalize`'s
-    few-level path, whose eigen-residual r it gates.  A unit vector's
-    entries are at most 1, so r plus the block levels' largest distance
-    from those six, both relative to max(1, |E|), bounds the residual of
-    the block levels on those vectors; that bound is gated at the same
-    tolerance.
-    """
-    model = BoxPair(lam, coupling, hbar)
-    low = boxspec.diagonalize(model, cutoff, 6)
-    ops = boxspec.unit_pair_operators(cutoff, -1 if model.is_hard_core else 1)
-    g = boxspec.contact_coupling(coupling) / lam
-    kin = hbar * hbar * ops["k1"] / (lam * lam)
-    solved = [_block_eigvalsh(ops, g, kin, b) for b in ops["basis"].parity_blocks()]
-    levels = np.concatenate(solved)
-    order = np.argsort(levels, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    gap = float(np.abs(levels[order[:len(low)]] - low.energies).max())
-    bound = low.residual + gap / max(1.0, float(np.abs(low.energies).max()))
-    if not bound <= boxspec._RESIDUAL_TOL:
-        raise np.linalg.LinAlgError(
-            f"eigen-residual bound {bound:.3g} of the block levels exceeds "
-            f"{boxspec._RESIDUAL_TOL:g} at C = {coupling:g}, cutoff {cutoff}: the "
-            "contact outweighs the kinetic scale in double precision; for the "
-            "hard-core limit use --c inf"
-        )
-    return levels[order], np.split(rank, np.cumsum([w.size for w in solved])[:-1])
+def _check_cutoff(cutoff: int) -> None:
+    if not cutoff <= _MAX_CUTOFF:
+        raise ConfigError(f"mode cutoff must be <= {_MAX_CUTOFF} on a box work route, "
+                          f"got {cutoff}")
 
 
 def adiabatic_box_drive(
@@ -420,12 +387,13 @@ def adiabatic_box_drive(
     hold in the exact spectrum: at C = 100 the same-parity Bethe levels
     (I1, I2) = (3, 17) and (10, 14) cross at lambda = 1.00794.  No
     eigenvector is formed but those of the six lowest levels at each width,
-    which carry the residual gate (`_block_levels`).
+    which carry the residual gate (`boxspec.block_levels`).
     """
     check_positive("lambda_initial", lam_i)
     check_positive("lambda_final", lam_f)
-    e_i, rows_i = _block_levels(lam_i, coupling, cutoff, hbar)
-    levels_f, cols_f = _block_levels(lam_f, coupling, cutoff, hbar)
+    _check_cutoff(cutoff)
+    e_i, rows_i = boxspec.block_levels(BoxPair(lam_i, coupling, hbar), cutoff)
+    levels_f, cols_f = boxspec.block_levels(BoxPair(lam_f, coupling, hbar), cutoff)
     e_f = np.empty_like(levels_f)
     for rows, cols in zip(rows_i, cols_f):
         e_f[rows] = levels_f[cols]
@@ -433,12 +401,6 @@ def adiabatic_box_drive(
         e_i, e_f, None, partial(box_tail_bound, lam_i, cutoff, hbar=hbar),
         metadata=dict(route="galerkin-adiabatic", coupling=coupling, cutoff=cutoff),
     )
-
-
-# a sudden expansion is refused a final cutoff above this: there each of
-# the final basis's two parity blocks holds more than 4,000 pairs, every
-# one solved densely
-_MAX_FINAL_CUTOFF = 128
 
 
 def sudden_wall_drive(
@@ -458,25 +420,26 @@ def sudden_wall_drive(
     state's weight spreads past it, so the top states lose much of theirs.
     At cutoff 14, lam 1 -> 2 (cutoff_f 28) 'transition_deficit' is 0.41,
     while the thermal average's at beta = 1 is 5.1e-5; a larger cutoff_f
-    lowers the worst state's (0.002 at 12 -> 48).  A final cutoff above
-    128, or a final width below the initial one, is a ConfigError, raised
-    before either box is diagonalized.
+    lowers the worst state's (0.002 at 12 -> 48).  A cutoff above 128,
+    initial or final, or a final width below the initial one, is a
+    ConfigError, raised before either box is diagonalized.
     """
     check_positive("lambda_initial", lam_i)
     check_positive("lambda_final", lam_f)
     if lam_f < lam_i:
         raise ConfigError("sudden compression not supported: final width < initial width")
+    _check_cutoff(cutoff)
     if cutoff_f is None:
         cutoff_f = cutoff * lam_f / lam_i
-    if not cutoff_f <= _MAX_FINAL_CUTOFF:  # also inf and nan
+    if not cutoff_f <= _MAX_CUTOFF:  # also inf and nan
         raise ConfigError(
             f"the sudden expansion to lambda_f = {lam_f:g} from cutoff {cutoff} needs "
-            f"a final cutoff of {cutoff_f:.3g}, more than {_MAX_FINAL_CUTOFF}; "
+            f"a final cutoff of {cutoff_f:.3g}, more than {_MAX_CUTOFF}; "
             "lower lambda_f or the cutoff"
         )
     cutoff_f = int(math.ceil(cutoff_f))
-    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
-    sp_f = _box_spectrum(lam_f, coupling, cutoff_f, hbar)
+    sp_i = boxspec.diagonalize(BoxPair(lam_i, coupling, hbar), cutoff)
+    sp_f = boxspec.diagonalize(BoxPair(lam_f, coupling, hbar), cutoff_f)
     O2 = boxspec.pair_embed_overlaps(lam_i, lam_f, sp_i.basis, sp_f.basis)
     P = sp_f.project(sp_i.apply(O2)) ** 2
     return Drive(
@@ -501,8 +464,9 @@ def sudden_coupling_drive(
     check_coupling("coupling_final", coupling_f)
     if math.isinf(coupling_i) or math.isinf(coupling_f):
         raise ConfigError("coupling quench endpoints must be finite")
-    sp_i = _box_spectrum(lam, coupling_i, cutoff, hbar)
-    sp_f = _box_spectrum(lam, coupling_f, cutoff, hbar)
+    _check_cutoff(cutoff)
+    sp_i = boxspec.diagonalize(BoxPair(lam, coupling_i, hbar), cutoff)
+    sp_f = boxspec.diagonalize(BoxPair(lam, coupling_f, hbar), cutoff)
     P = sp_f.overlaps(sp_i) ** 2
     return Drive(
         sp_i.energies, sp_f.energies, P, partial(box_tail_bound, lam, cutoff, hbar=hbar),
@@ -637,6 +601,7 @@ def propagate_ramp(
     """
     check_coupling("contact coupling", coupling)
     check_positive("hbar", hbar)
+    _check_cutoff(cutoff)
     lam_i, lam_f = ramp.lambda_initial, ramp.lambda_final
     ops = boxspec.unit_pair_operators(cutoff, -1 if math.isinf(coupling) else 1)
     basis, k1 = ops["basis"], ops["k1"]
@@ -656,8 +621,8 @@ def propagate_ramp(
         )
     n_steps = math.ceil(n_steps)
     h = span / n_steps
-    sp_i = _box_spectrum(lam_i, coupling, cutoff, hbar)
-    sp_f = _box_spectrum(lam_f, coupling, cutoff, hbar)
+    sp_i = boxspec.diagonalize(BoxPair(lam_i, coupling, hbar), cutoff)
+    sp_f = boxspec.diagonalize(BoxPair(lam_f, coupling, hbar), cutoff)
     y = sp_i.apply(boxspec.pair_chirp(-speed * lam_i / (4.0 * hbar), basis), columns)
     # int dt / L^2 = int ds / L(s) over each K stage, L(s) = L_i exp(v s);
     # per step the stages shift by h, which scales these by exp(-v h)

@@ -401,6 +401,30 @@ def test_diagonalize_keeps_eigenvectors_per_block():
     assert len(sizes) == 7 and max(sizes) < sp.basis.dim**2
 
 
+@pytest.mark.parametrize("cutoff", [8, 20, 40])
+@pytest.mark.parametrize("coupling", [0.0, 0.1, 1.0, 10.0, 1e3, math.inf])
+def test_block_levels_match_diagonalize_levels(cutoff, coupling):
+    # eigvalsh's levels against the eigh levels of the full spectrum, and
+    # the same parity block for each; the worst seen is 4.7e-15 relative.
+    # Without contact both are the sorted kinetic diagonal, bit for bit
+    m = BoxPair(1.0, coupling)
+    levels, rows = bs.block_levels(m, cutoff)
+    sp = bs.diagonalize(m, cutoff)
+    assert all(np.array_equal(r, b[2]) for r, b in zip(rows, sp.blocks, strict=True))
+    if coupling in (0.0, math.inf):
+        assert np.array_equal(levels, sp.energies)
+    else:
+        assert np.abs(levels - sp.energies).max() <= 1e-13 * np.abs(sp.energies).max()
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+@pytest.mark.parametrize("lam, hbar", [(1e-160, 1.0), (1.0, 1e200)])
+def test_block_levels_refuse_a_kinetic_scale_out_of_range(lam, hbar, coupling):
+    # without contact no few-level solve runs first to check the scale
+    with pytest.raises(ConfigError, match=re.escape(f"lambda = {lam:g}, hbar = {hbar:g}, cutoff 6")):
+        bs.block_levels(BoxPair(lam, coupling, hbar), 6)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 5.0, 50.0, 1e3, math.inf])
 @pytest.mark.parametrize("cutoff", [2, 3, 12, 40, 60])
 def test_few_levels_are_the_lowest_of_the_full_spectrum(alpha, cutoff):

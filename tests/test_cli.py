@@ -699,6 +699,22 @@ def test_hard_core_pair_at_cutoff_one_exits_two_naming_it(tmp_path, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["work"],
+    ["work", "--c", "inf"],
+    ["work", "--protocol", "sudden-coupling", "--c-f", "2"],
+    ["work", "--protocol", "ramp", "--tau", "0.1"],
+    ["fig2"],
+])
+def test_box_route_past_its_cutoff_cap_exits_two_naming_it(tmp_path, capsys, argv):
+    # the pair basis's labels alone asked for 9.31 GiB here (exit 1 on a
+    # MemoryError); each box route refuses a cutoff past 128 before it
+    # builds a basis
+    assert cli.main([*argv, "--m", "100000", "--out-dir", str(tmp_path)]) == 2
+    assert "mode cutoff must be <= 128 on a box work route, got 100000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_merge_tol_not_finite_and_nonnegative_exits_two(tmp_path, capsys, tol):
     argv = ["work", "--m", "6", "--merge-tol", tol, "--out-dir", str(tmp_path)]

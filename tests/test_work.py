@@ -296,42 +296,36 @@ def test_adiabatic_box_levels_follow_their_parity_block(coupling, lam_f, n_cross
     assert np.array_equal(d.works, e_f[level] - e_i)
 
 
-def test_adiabatic_box_forms_no_full_eigenvectors(monkeypatch):
+@pytest.mark.parametrize("coupling, n_levels", [(1.0, 820), (0.0, 820), (math.inf, 780)])
+def test_adiabatic_box_forms_no_full_eigenvectors(monkeypatch, coupling, n_levels):
     # the few-level path's widest eigh is its Krylov basis; M = 40 has
-    # parity blocks of 420 and 400 pairs, which only eigvalsh may see
-    cap = (6 + boxspec._KRYLOV_PAD) * boxspec._KRYLOV_STEPS
-    eigh = np.linalg.eigh
+    # parity blocks of 420 and 400 pairs, which only eigvalsh may see.
+    # Without contact the blocks are diagonal and no eigensolver runs
+    cap = (6 + boxspec._KRYLOV_PAD) * boxspec._KRYLOV_STEPS if 0 < coupling < math.inf else 0
 
-    def narrow_eigh(a, *args, **kwargs):
-        if a.shape[-1] > cap:
-            raise AssertionError(f"eigh of a {a.shape[-1]}-wide matrix")
-        return eigh(a, *args, **kwargs)
+    def narrow(solve):
+        def stub(a, *args, **kwargs):
+            if a.shape[-1] > cap:
+                raise AssertionError(f"{solve.__name__} of a {a.shape[-1]}-wide matrix")
+            return solve(a, *args, **kwargs)
+        return stub
 
-    monkeypatch.setattr(boxspec.np.linalg, "eigh", narrow_eigh)
-    with pytest.raises(AssertionError, match="420-wide"):  # the stub bites
-        _pair_box(1.0, 1.0, 40, 1.0)
-    d = wk.adiabatic_box_drive(1.0, 2.0, 1.0, 40)
-    assert d.energies_i.size == d.energies_f.size == 820
+    monkeypatch.setattr(np.linalg, "eigh", narrow(np.linalg.eigh))
+    if not cap:
+        monkeypatch.setattr(np.linalg, "eigvalsh", narrow(np.linalg.eigvalsh))
+    with pytest.raises(AssertionError, match=r"eigh of a \d{3}-wide"):  # the stub bites
+        _pair_box(1.0, coupling, 40, 1.0)
+    d = wk.adiabatic_box_drive(1.0, 2.0, coupling, 40)
+    assert d.energies_i.size == d.energies_f.size == n_levels
 
 
 def test_adiabatic_box_gates_its_block_levels(monkeypatch):
     # block levels 1e-6 off the few-level path's checked ones fail the
     # residual bound, though that path's own residual passes
-    solve = wk._block_eigvalsh
-    monkeypatch.setattr(wk, "_block_eigvalsh", lambda *a: solve(*a) * (1.0 + 1e-6))
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: solve(*a, **k) * (1.0 + 1e-6))
     with pytest.raises(np.linalg.LinAlgError, match="eigen-residual bound .* use --c inf"):
         wk.adiabatic_box_drive(1.0, 2.0, 1.0, 8)
-
-
-@pytest.mark.parametrize("cutoff", [8, 20, 40])
-@pytest.mark.parametrize("coupling", [0.1, 1.0, 10.0, 1e3])
-def test_adiabatic_box_levels_match_eigh_levels(cutoff, coupling):
-    # eigvalsh's levels against the eigh levels of the full spectrum, and
-    # the same parity block for each; the worst seen is 4.7e-15 relative
-    levels, rows = wk._block_levels(1.0, coupling, cutoff, 1.0)
-    sp = _pair_box(1.0, coupling, cutoff, 1.0)
-    assert all(np.array_equal(r, b[2]) for r, b in zip(rows, sp.blocks, strict=True))
-    assert np.abs(levels - sp.energies).max() <= 1e-13 * np.abs(sp.energies).max()
 
 
 def test_sudden_coupling_keeps_centre_reflection_parity():
@@ -780,8 +774,8 @@ def _pair_box(lam, coupling, cutoff, hbar):
 
 
 def _route_levels(lam, coupling, cutoff, hbar):
-    """The levels the adiabatic box route solves: eigvalsh, block by block."""
-    return wk._block_levels(lam, coupling, cutoff, hbar)[0]
+    """The levels the adiabatic box route solves, block by block."""
+    return boxspec.block_levels(BoxPair(lam, coupling, hbar), cutoff)[0]
 
 
 def _wall_deficits(P, p_i):
@@ -978,7 +972,7 @@ def test_route_refuses_before_any_diagonalization(monkeypatch, route, refused, m
 
 
 # each route's endpoint widths and couplings, refused on entry, naming the
-# input, before a box is diagonalized or a ring's states are enumerated
+# input, before a box's basis is built or a ring's states are enumerated
 ENDPOINT_CASES = [
     pytest.param(route, {**valid, param: value}, label, value, id=f"{route.__name__}-{param}={value}")
     for route, valid, params, values in (
@@ -993,6 +987,16 @@ ENDPOINT_CASES = [
     )
     for param, label in params.items()
     for value in values
+] + [
+    # and a mode cutoff past the box routes' cap, before a basis is built
+    pytest.param(route, {**valid, "cutoff": 129}, "mode cutoff", 129, id=f"{route.__name__}-{tag}")
+    for route, valid, tag in (
+        (wk.adiabatic_box_drive, dict(lam_i=1.0, lam_f=2.0, coupling=1.0), "cutoff=129"),
+        (wk.adiabatic_box_drive, dict(lam_i=1.0, lam_f=2.0, coupling=math.inf), "cutoff=129-hard-core"),
+        (wk.sudden_wall_drive, dict(lam_i=1.0, lam_f=1.0, coupling=1.0), "cutoff=129"),
+        (wk.sudden_coupling_drive, dict(lam=1.0, coupling_i=1.0, coupling_f=2.0), "cutoff=129"),
+        (wk.ramp_drive, dict(ramp=LinearRamp(1.0, 1.0, 0.1), coupling=1.0), "cutoff=129"),
+    )
 ]
 
 
@@ -1001,8 +1005,9 @@ def test_route_refuses_an_endpoint_before_solving_a_spectrum(monkeypatch, route,
     def solve(*args, **kwargs):
         raise AssertionError("a spectrum was solved before the endpoint was checked")
 
-    monkeypatch.setattr(boxspec, "diagonalize", solve)
-    monkeypatch.setattr(rs, "enumerate_states", solve)
+    for module, name in ((boxspec, "diagonalize"), (boxspec, "block_levels"),
+                         (boxspec, "unit_pair_operators"), (rs, "enumerate_states")):
+        monkeypatch.setattr(module, name, solve)
     with pytest.raises(ConfigError) as err:
         route(**kwargs)
     assert f"{label} must" in str(err.value) and f"got {value}" in str(err.value)

@@ -192,7 +192,7 @@ def _write_work(
     """
     from . import work
 
-    w, p, _ = work.merge_atoms(dist.works, dist.probabilities, dist.log_probabilities, tol)
+    w, p = work.merge_atoms(dist.works, dist.probabilities, dist.log_probabilities, tol)
     keep = p > 0.0
     head = dict(head)
     head.update({k: v for k, v in dist.metadata.items()
@@ -668,7 +668,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _resolve(args)
         _COMMANDS[cfg.command][0](cfg)
     # LinAlgError subclasses ValueError, so it is caught first
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"dualgas: numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError included

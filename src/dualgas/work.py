@@ -12,8 +12,6 @@ Protocol routes, one function each
   sudden_wall_drive       embedding overlaps (expansion only)
   sudden_coupling_drive   two diagonalizations in the shared basis
   ramp_drive              comoving chirp-gauge propagation in the pair basis
-plus the classical-limit reference of distinguishable particles,
-`ndp_reference`.
 Every box route takes the hard-core pair (C = inf) as it is: its basis is
 the antisymmetric pairs, where the contact vanishes and the Galerkin
 levels and transitions are the exact free-fermion ones.  Each refuses a
@@ -24,11 +22,11 @@ populations ride their levels, the transition matrix P[f, i].  Only the
 thermal weights depend on beta, so one assembly, `Drive.at(beta)`, turns a
 drive into atoms, log-probabilities, ln Z and tail mass, and routes that
 should agree differ only in their physics.  One drive serves every beta:
-`fig2` weighs one drive per coupling at each of its temperatures.  The
-distinguishable reference weighs its one-body levels the same way.
-Log-probabilities keep merging, the Jarzynski average and the reference
-finite far below underflow, and the average is kept as ln <e^{-beta W}>,
-so a cold drive whose average leaves double range still reports it.
+`fig2` weighs one drive per coupling at each of its temperatures.
+Log-probabilities keep the Jarzynski average finite far below underflow,
+and place merged atoms of subnormal mass; the average is kept as
+ln <e^{-beta W}>, so a cold drive whose average leaves double range still
+reports it.
 `propagate_ramp` says how the ramp is stepped.
 """
 
@@ -56,7 +54,6 @@ __all__ = [
     "ramp_drive",
     "RampResult",
     "propagate_ramp",
-    "ndp_reference",
     "box_tail_bound",
 ]
 
@@ -90,50 +87,33 @@ def _segment_sums(x, starts, sizes):
     return out
 
 
-def _segment_logsumexp(lp, starts, sizes):
-    """scipy.special.logsumexp(lp) of every segment, equal to it bit for bit.
+def _logsumexp(a) -> float:
+    """scipy.special.logsumexp(a) of a non-empty a, equal to it bit for bit.
 
     scipy takes the maxima out of the sum: m is their count, the rest sum
-    to s = sum exp(lp - max), and it returns log1p(s/m) + log(m) + max; a
-    segment whose maximum is not finite returns that maximum.  A one-term
-    segment's is 0 + 0 + x, that is x + 0.0, so only the segments of more
-    than one term are gathered and reduced.
+    to s = np.sum(exp(a - max)) with the maxima's terms kept as zeros, and
+    it returns log1p(s/m) + log(m) + max, or a maximum that is not finite.
     """
-    out = lp[starts]
-    out += 0.0
-    multi = np.flatnonzero(sizes > 1)
-    if not multi.size:
-        return out
-    sizes = sizes[multi]
-    at = np.cumsum(sizes) - sizes  # the gathered segments' starts
-    lp = lp[np.repeat(starts[multi] - at, sizes) + np.arange(sizes.sum())]
-    top = np.maximum.reduceat(lp, at)
-    top_at = np.repeat(top, sizes)
-    is_top = lp == top_at
-    m = np.add.reduceat(is_top.astype(float), at)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rest = np.exp(np.where(is_top, -np.inf, lp) - top_at)
-        s = _segment_sums(rest, at, sizes)
-        s = np.where(s == 0, s, s / m)
-        multi_out = np.log1p(s) + np.log(m) + top
-    out[multi] = np.where(np.isfinite(top), multi_out, top)
-    return out
-
-
-def _logsumexp(a) -> float:
-    """scipy.special.logsumexp(a) of a non-empty a, equal to it bit for bit."""
     a = np.asarray(a, dtype=float).ravel()
-    return float(_segment_logsumexp(a, np.zeros(1, dtype=int), np.array([a.size]))[0])
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    is_top = a == top
+    s = np.sum(np.exp(np.where(is_top, -np.inf, a) - top))
+    m = float(np.count_nonzero(is_top))
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def merge_atoms(works, probabilities, log_probabilities, tol: float = 1e-9):
-    """Cluster atoms closer than tol; returns the merged (works, p, log p).
+    """Cluster atoms closer than tol; returns the merged (works, probabilities).
 
-    Each cluster's mass is np.sum of its probabilities, its position
+    Each cluster's mass is np.sum of its probabilities and its position
     np.average of its works weighted by them (the plain mean for a cluster
-    without mass) and its log-probability scipy's logsumexp, all to the
-    last bit; the clusters are reduced as segments of the sorted atoms.
-    A cluster of subnormal mass takes its weights from log_probabilities.
+    without mass), both to the last bit; the clusters are reduced as
+    segments of the sorted atoms.  A cluster of subnormal mass (0 < p <
+    tiny), whose linear weights have lost bits, is weighted by exp(log p -
+    lse) instead where the logsumexp lse of its log p is finite; one such
+    atom sits at its work + 0.0.
     """
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"merge tolerance must be finite and >= 0, got {tol}")
@@ -141,7 +121,7 @@ def merge_atoms(works, probabilities, log_probabilities, tol: float = 1e-9):
     p = np.asarray(probabilities, dtype=float).ravel()
     lp = np.asarray(log_probabilities, dtype=float).ravel()
     if w.size == 0:
-        return w, p, lp
+        return w, p
     order = np.argsort(w, kind="stable")
     w, p, lp = w[order], p[order], lp[order]
     del order
@@ -162,12 +142,15 @@ def merge_atoms(works, probabilities, log_probabilities, tol: float = 1e-9):
     mean /= sizes
     np.copyto(out_w, mean, where=~(out_p > 0))
     del mean
-    out_lp = _segment_logsumexp(lp, starts, sizes)
-    faint = (out_p > 0) & (out_p < np.finfo(float).tiny) & np.isfinite(out_lp)
-    for g in np.flatnonzero(faint):
+    faint = np.flatnonzero((out_p > 0) & (out_p < np.finfo(float).tiny))
+    one = faint[(sizes[faint] == 1) & np.isfinite(lp[starts[faint]])]
+    out_w[one] = w[starts[one]] + 0.0
+    for g in faint[sizes[faint] > 1]:
         sl = slice(starts[g], starts[g] + sizes[g])
-        out_w[g] = np.average(w[sl], weights=np.exp(lp[sl] - out_lp[g]))
-    return out_w, out_p, out_lp
+        lse = _logsumexp(lp[sl])
+        if math.isfinite(lse):
+            out_w[g] = np.average(w[sl], weights=np.exp(lp[sl] - lse))
+    return out_w, out_p
 
 
 @dataclass
@@ -664,46 +647,4 @@ def ramp_drive(ramp: LinearRamp, coupling: float, cutoff: int, hbar: float = 1.0
         partial(box_tail_bound, ramp.lambda_initial, cutoff, hbar=hbar), _unitarity_defect,
         dict(route="ramp-propagation", coupling=coupling, cutoff=cutoff,
              norm_drift=res.norm_drift),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Classical-limit reference
-# ---------------------------------------------------------------------------
-
-
-def ndp_reference(
-    lam_i: float,
-    lam_f: float,
-    beta: float,
-    n_particles: int,
-    hbar: float = 1.0,
-) -> WorkDistribution:
-    """Adiabatic ring rescaling of noninteracting distinguishable particles.
-
-    The classical-limit reference, for any N: the N-fold convolution of the
-    one-particle atom list.  The one-particle momenta 2 pi n / lam_i run far
-    enough that the dropped Boltzmann weights are below 1e-18 of the peak.
-    """
-    check_positive("lambda_initial", lam_i)
-    check_positive("lambda_final", lam_f)
-    check_positive("beta", beta)
-    check_positive("hbar", hbar)
-    n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
-    k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
-    e1 = hbar**2 * k**2
-    one = Drive(e1, e1 * (lam_i**2 / lam_f**2), None, lambda _: 0.0).at(beta)
-    works, probs, log_probs = one.works, one.probabilities, one.log_probabilities
-    for _ in range(n_particles - 1):
-        works, probs, log_probs = merge_atoms(
-            np.add.outer(works, one.works), np.multiply.outer(probs, one.probabilities),
-            np.add.outer(log_probs, one.log_probabilities),
-        )
-    return WorkDistribution(
-        works=works,
-        probabilities=probs,
-        log_probabilities=log_probs,
-        beta=beta,
-        tail_mass=0.0,
-        metadata={"route": "ideal-distinguishable", "n_particles": n_particles},
     )

@@ -24,9 +24,10 @@ def run_cli(args, cwd, timeout=600):
     return run_python(["-m", "dualgas", *args], cwd, timeout)
 
 
-def run_python(args, cwd, timeout=600):
+def run_python(args, cwd, timeout=600, preexec_fn=None):
     """Run ``python *args`` in ``cwd`` with the package pytest imported,
-    for at most ``timeout`` seconds (``subprocess.TimeoutExpired`` past it).
+    for at most ``timeout`` seconds (``subprocess.TimeoutExpired`` past it);
+    ``preexec_fn`` runs in the child before it starts.
 
     The child gets a copy of this process's environment with the absolute
     directory holding the imported ``dualgas`` first on PYTHONPATH.  A
@@ -44,6 +45,7 @@ def run_python(args, cwd, timeout=600):
     return subprocess.run(
         [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 

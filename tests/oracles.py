@@ -6,9 +6,10 @@ as one dense matrix, the box pair's sign-mapped amplitude and its
 momentum distribution with its partner integral done exactly, the bulk
 span of a work distribution and the alignment tolerance built from it,
 the mean-work identities of the two sudden box quenches, the ideal Bose
-and Fermi ring pairs with the classical equipartition mean, and the
-pinned rapidity shortcut for highly excited ring states.  They
-live here so the package runs on numpy alone.
+and Fermi ring pairs and the distinguishable-particle (NDP) classical
+reference with the classical equipartition mean, and the pinned rapidity
+shortcut for highly excited ring states.  They live here so the package
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dualgas.boxspec import (
 )
 from dualgas.core import ConfigError
 from dualgas.eos import _kernel
-from dualgas.work import WorkDistribution, _thermal, merge_atoms
+from dualgas.work import Drive, WorkDistribution, _thermal, merge_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,29 @@ def ideal_pair_reference(
     i, j = np.triu_indices(e1.size, k=0 if statistics == "boson" else 1)
     e2 = e1[i] + e1[j]
     p, ln_z = _thermal(e2, beta)
-    w, p, lp = merge_atoms((lam_i**2 / lam_f**2 - 1.0) * e2, p, -beta * e2 - ln_z)
-    return WorkDistribution(w, p, lp, beta)
+    w, p = merge_atoms((lam_i**2 / lam_f**2 - 1.0) * e2, p, -beta * e2 - ln_z)
+    return WorkDistribution(w, p, np.log(p), beta)
+
+
+def ndp_reference(
+    lam_i: float, lam_f: float, beta: float, n_particles: int, hbar: float = 1.0
+) -> WorkDistribution:
+    """Adiabatic ring rescaling of noninteracting distinguishable particles.
+
+    The classical-limit reference, for any N: the N-fold convolution of the
+    one-particle atom list.  The one-particle momenta 2 pi n / lam_i run far
+    enough that the dropped Boltzmann weights are below 1e-18 of the peak,
+    so no merged p underflows and log p is taken from p.
+    """
+    n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
+    k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
+    e1 = hbar**2 * k**2
+    one = Drive(e1, e1 * (lam_i**2 / lam_f**2), None, lambda _: 0.0).at(beta)
+    works, probs = one.works, one.probabilities
+    for _ in range(n_particles - 1):
+        probs = np.multiply.outer(probs, one.probabilities)
+        works, probs = merge_atoms(np.add.outer(works, one.works), probs, np.log(probs))
+    return WorkDistribution(works, probs, np.log(probs), beta)
 
 
 def equipartition_mean_work(lam_i: float, lam_f: float, n_particles: int, beta: float) -> float:

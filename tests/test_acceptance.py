@@ -307,7 +307,7 @@ def test_coldest_sweep_near_distinguishable_reference_known_gap(ring_sweep):
     # C -> inf (1e6): -16.7% / +20.9%, the ideal-Fermi values.
     # Every coupling sits between the Bose and Fermi ends, and both ends are
     # well outside the 5% target at beta = 0.01
-    ref = work.ndp_reference(LAM, 2.0, 0.01, 2)
+    ref = oracles.ndp_reference(LAM, 2.0, 0.01, 2)
     r1, r2 = ref.moments(2)
     worst = 0.0
     for c in RING_COUPLINGS:
@@ -317,7 +317,7 @@ def test_coldest_sweep_near_distinguishable_reference_known_gap(ring_sweep):
 
 
 def test_classical_reference_reaches_equipartition():
-    d = work.ndp_reference(LAM, 2.0, 1e-3, 2)
+    d = oracles.ndp_reference(LAM, 2.0, 1e-3, 2)
     target = oracles.equipartition_mean_work(LAM, 2.0, 2, 1e-3)
     assert abs(d.moments(1)[0] / target - 1.0) < 0.01
 

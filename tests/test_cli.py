@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import resource
 import shlex
 import tempfile
 import warnings
@@ -229,6 +230,29 @@ def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
     argv = ["box-spectrum", "--alpha", "5", "--m", "4", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 3
     assert "numeric failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def _cap_address_space():
+    # 3 GB of address space: far more than any command needs at these sizes,
+    # far less than the mode tables of a cutoff of 100,000
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+
+@pytest.mark.parametrize("argv", [
+    ["box-spectrum", "--alpha", "5", "--m", "100000"],
+    ["fig1", "--m", "100000"],
+    ["duality-check", "--m", "100000"],
+    ["convergence", "--m-list", "20,100000"],
+])
+def test_failed_allocation_exits_three(tmp_path, monkeypatch, argv):
+    # a few-level box command at a huge cutoff asks numpy for a 9.3 GiB
+    # table; the refused allocation is a numeric failure, not a crash
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # its buffers are address space too
+    r = run_python(["-m", "dualgas", *argv, "--out-dir", "."], tmp_path,
+                   preexec_fn=_cap_address_space)
+    assert r.returncode == 3, r.stderr
+    assert "numeric failure: Unable to allocate" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_unconverged_krylov_solve_exits_three(tmp_path, capsys, monkeypatch):

@@ -95,9 +95,6 @@ ENTRY_POINTS = [
      {"beta": "beta", "density_target": "density_target", "hbar": "hbar"}, {"coupling": C}),
     ("work.box_tail_bound", work.box_tail_bound, dict(lam=1.0, cutoff=4, beta=1.0, hbar=1.0),
      {"lam": "box width", "beta": "beta", "hbar": "hbar"}, {}),
-    ("work.ndp_reference", work.ndp_reference,
-     dict(lam_i=1.0, lam_f=2.0, beta=1.0, n_particles=2, hbar=1.0),
-     {"lam_i": LAM_I, "lam_f": LAM_F, "beta": "beta", "hbar": "hbar"}, {}),
     ("work.adiabatic_ring_drive", work.adiabatic_ring_drive,
      dict(lam_i=1.0, lam_f=2.0, coupling=1.0, n_particles=2, i_max=2.5, hbar=1.0),
      {"lam_i": LAM_I, "lam_f": LAM_F, "hbar": "hbar"}, {"coupling": C}),

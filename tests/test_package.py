@@ -177,6 +177,33 @@ def test_every_exported_member_is_read_by_the_package():
     assert _members_src_never_reads() == []
 
 
+def _functions_src_never_names():
+    """module.function of every function a module exports that no name or
+    attribute in the package names; its own definition does not count."""
+    root = Path(dualgas.__file__).resolve().parents[2]
+    named = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unnamed = []
+    for name in MODULES:
+        mod = importlib.import_module(f"dualgas.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            fn = getattr(mod, attr)
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and attr not in named:
+                unnamed.append(f"{name}.{attr}")
+    return unnamed
+
+
+def test_every_exported_function_is_called_by_the_package():
+    # a function no command reaches is an oracle: it belongs in
+    # tests/oracles.py, beside the other references only the tests need
+    assert _functions_src_never_names() == []
+
+
 @pytest.fixture(scope="module")
 def tracer():
     # the benchmark's span recorder, loaded as it stands and left unwritten

@@ -28,7 +28,7 @@ from dualgas.boxspec import (
     contact_expectation,
     unit_pair_operators,
 )
-from dualgas.core import ConfigError
+from dualgas.core import ConfigError, check_positive
 from dualgas.eos import _kernel
 from dualgas.work import Drive, WorkDistribution, _thermal, merge_atoms
 
@@ -240,6 +240,10 @@ def ndp_reference(
     enough that the dropped Boltzmann weights are below 1e-18 of the peak,
     so no merged p underflows and log p is taken from p.
     """
+    check_positive("lambda_initial", lam_i)
+    check_positive("lambda_final", lam_f)
+    check_positive("beta", beta)
+    check_positive("hbar", hbar)
     n_max = int(math.ceil(lam_i * math.sqrt(-math.log(1e-18) / beta) / (2.0 * np.pi * hbar))) + 1
     k = 2.0 * np.pi * np.arange(-n_max, n_max + 1, dtype=float) / lam_i
     e1 = hbar**2 * k**2

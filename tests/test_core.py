@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from dualgas import eos, ringspec, work
 from dualgas.core import BoxPair, ConfigError, LinearRamp, alpha_coupling
 
+import oracles
+
 
 def test_mass_convention():
     # 2m = 1: alpha = m lam C / hbar^2 = lam C / (2 hbar^2), so alpha 5 in
@@ -59,7 +61,8 @@ def test_protocol_validation():
 
 # ---------------------------------------------------------------------------
 # one rule per input: every entry point that takes beta, C, hbar or a width
-# applies core's check_positive or check_coupling on entry
+# applies core's check_positive or check_coupling on entry, and so does the
+# distinguishable-particle reference the tests compare against
 # ---------------------------------------------------------------------------
 
 RING = "ring circumference"
@@ -95,6 +98,9 @@ ENTRY_POINTS = [
      {"beta": "beta", "density_target": "density_target", "hbar": "hbar"}, {"coupling": C}),
     ("work.box_tail_bound", work.box_tail_bound, dict(lam=1.0, cutoff=4, beta=1.0, hbar=1.0),
      {"lam": "box width", "beta": "beta", "hbar": "hbar"}, {}),
+    ("oracles.ndp_reference", oracles.ndp_reference,
+     dict(lam_i=1.0, lam_f=2.0, beta=1.0, n_particles=2, hbar=1.0),
+     {"lam_i": LAM_I, "lam_f": LAM_F, "beta": "beta", "hbar": "hbar"}, {}),
     ("work.adiabatic_ring_drive", work.adiabatic_ring_drive,
      dict(lam_i=1.0, lam_f=2.0, coupling=1.0, n_particles=2, i_max=2.5, hbar=1.0),
      {"lam_i": LAM_I, "lam_f": LAM_F, "hbar": "hbar"}, {"coupling": C}),

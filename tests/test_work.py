@@ -708,6 +708,12 @@ def test_ndp_reference_matches_equipartition():
     assert d3.moments(1)[0] == pytest.approx(oracles.equipartition_mean_work(1.0, 2.0, 3, 1e-3), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_ndp_reference_rejects_beta_not_positive_and_finite(beta):
+    with pytest.raises(ConfigError, match="beta must be positive and finite"):
+        oracles.ndp_reference(1.0, 2.0, beta, 2)
+
+
 @pytest.mark.parametrize("beta, hbar", [(1.0, 0.5), (0.01, 0.3), (1e-3, 2.0)])
 def test_ndp_reference_takes_hbar_only_through_beta_hbar_squared(beta, hbar):
     # levels hbar^2 k^2 on a hbar-free grid: works scale by hbar^2 and the

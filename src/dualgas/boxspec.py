@@ -300,7 +300,9 @@ def _krylov_lowest(kin, F, g, k):
     pairs.  They are returned once max|H x - theta x| <= 1e-13 theta_k, or
     16 eps max(|H| |x|), the rounding of H x itself, when that is larger:
     at strong coupling (alpha >~ 1e4) no solver gets below it, eigh
-    included.
+    included.  The solve holds F, G, the basis Q and its projection T:
+    F D^-1 is freed once G is formed, and |F| is formed only inside each
+    rounding check.
     """
     # in units of the least kinetic entry, so that no scale of lambda and
     # hbar over- or underflows below; a float quotient overflows quietly
@@ -318,6 +320,7 @@ def _krylov_lowest(kin, F, g, k):
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"the shift-invert's Cholesky factorization failed: {exc}") from exc
+    del Fd, K  # G alone is read below
 
     # vectors are rows
     def inverse(Y):
@@ -325,8 +328,6 @@ def _krylov_lowest(kin, F, g, k):
 
     def apply(Y):
         return Y * kin + g * ((Y @ F.T) @ F)
-
-    absF, eps = np.abs(F), np.finfo(float).eps
 
     j = np.arange(s)[:, None]
     W = inverse(np.cos(j * np.arange(n) * ((math.sqrt(5.0) - 1.0) * math.pi) + j))
@@ -356,7 +357,9 @@ def _krylov_lowest(kin, F, g, k):
             X = U[:, :k].T @ Q[:m]
             R = apply(X) - theta[:k, None] * X
             aX = np.abs(X)
-            rounding = eps * (aX * kin + g * ((aX @ absF.T) @ absF)).max()
+            absF = np.abs(F)
+            rounding = np.finfo(float).eps * (aX * kin + g * ((aX @ absF.T) @ absF)).max()
+            del absF
             if np.abs(R).max() <= max(_KRYLOV_TOL * theta[k - 1], 16.0 * rounding):
                 return unit * theta[:k], np.ascontiguousarray(X.T)
         W = inverse(Q[m - new:m])
@@ -596,11 +599,6 @@ def box_mode_ft(k, lam: float, cutoff: int) -> np.ndarray:
     return np.sqrt(2.0 / lam) * (re + 1j * im)
 
 
-# k rows per slab of the sign-mapped transform: its phases and products
-# take 64 x n_x values each instead of n_k x n_x
-_K_SLAB = 64
-
-
 def momentum_density(
     state: BoxState,
     k_max: Optional[float] = None,
@@ -618,7 +616,8 @@ def momentum_density(
     trapezoid rules on n_x nodes, with the sign map 0 on the diagonal,
     where the two sides of the jump cancel.  The rule's leading error on
     the jump, (i k h^2 / 6) psi(x2, x2) e^{-ikx2}, grows with k and is
-    added back, so the error is O(h^2) up to the window's edge.
+    added back, so the error is O(h^2) up to the window's edge
+    (`signmap.momentum_density`).
 
     Outside |k| <= k_max the sign-mapped n(k) falls as the contact tail
     4<delta>/(pi k^2), so the window misses `contact_tail` = 8<delta>/(pi
@@ -643,30 +642,10 @@ def momentum_density(
         meta["method"] = "parseval"
         tail = 0.0
     else:
+        from . import signmap
+
         x = np.linspace(0.0, lam, n_x)
-        h = x[1] - x[0]
-        w = np.full(n_x, h)
-        w[0] = w[-1] = 0.5 * h
-        U = box_modes(x, lam, m)
-        psi = U @ A @ U.T
-        edge = psi.diagonal().copy()
-        # w(x1) psi_F(x1, x2), with sign(x2 - x1) = 0 on the diagonal,
-        # formed in psi's place: at most two n_x x n_x arrays are held
-        sign = x - x[:, None]
-        core = psi
-        core *= w[:, None]
-        core *= np.sign(sign, out=sign)
-        del sign  # the slabs below hold core alone
-        # G = (cos - i sin) @ core + (i k h^2 / 6) psi(x2, x2) e^{-ik x2},
-        # a slab of k rows at a time
-        nk = np.empty(n_k)
-        for lo in range(0, n_k, _K_SLAB):
-            ks = k[lo:lo + _K_SLAB]
-            kx = np.outer(ks, x)
-            cos, sin = np.cos(kx), np.sin(kx)
-            jump = (h * h / 6.0) * np.outer(ks, edge)
-            nk[lo:lo + ks.size] = ((cos @ core + jump * sin) ** 2
-                                   + (sin @ core - jump * cos) ** 2) @ w / np.pi
+        nk = signmap.momentum_density(k, x, box_modes(x, lam, m), A)
         meta["method"] = "grid-parseval"
         meta["n_x"] = n_x
         tail = 8.0 * contact_expectation(state) / (np.pi * k_max)

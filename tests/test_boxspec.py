@@ -520,7 +520,8 @@ def test_few_levels_reject_a_count_below_one():
 
 def test_few_levels_memory_peaks():
     # M = 60, ten levels: 22.4 MiB with both dense blocks and their eigh,
-    # about 7 by shift-invert Krylov
+    # 6.1 by shift-invert Krylov while it kept F D^-1 and |F| through the
+    # solve, about 5.7 without them
     m = model(5.0)
     bs.diagonalize(m, 60, n_levels=10)
     tracemalloc.start()
@@ -529,9 +530,10 @@ def test_few_levels_memory_peaks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 5.9 * 2**20
     # the sign-mapped transform at M = 40 on the default grids: 17.4 MiB
-    # with the whole 481 x 513 phase tables, about 6.3 in k-slabs
+    # with the whole 481 x 513 phase tables, 4.3 in k-slabs over the
+    # n_x x n_x kernel, about 1.9 by tile sums
     state = bs.diagonalize(m, 40, n_levels=2).state(1, "fermion")
     bs.momentum_density(state)
     tracemalloc.start()
@@ -720,16 +722,19 @@ def test_hard_core_fermion_momentum_density_is_the_free_fermion_sum():
     assert np.abs(nf.values - (np.abs(f) ** 2).sum(axis=1) / (2.0 * np.pi)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n_k", [41, 65])
+@pytest.mark.parametrize("n_x", [2, 63, 64, 65, 129])
 @pytest.mark.parametrize("coupling, statistics", [(5.0, "fermion"), (math.inf, "boson")])
-def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling, statistics):
+def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling, statistics,
+                                                                         n_x, n_k):
     # the trapezoid rule over x1 of e^{-ikx1} times the sign-mapped
     # amplitude, with the sign map taken as 0 on the diagonal (the mean of
     # its sides) and the rule's leading error on the jump, (ik h^2 / 6)
     # psi(x2, x2) e^{-ikx2}, put back; then the partner x2 by Parseval on
-    # the same nodes
+    # the same nodes.  The grids put x2 tile and k slab edges (64 each)
+    # below, on and past the last node, and one slab past its first.
     sp = bs.diagonalize(BoxPair(LAM, coupling), 8)
     state = sp.state(1, statistics)
-    n_k, n_x = 41, 65
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = bs.momentum_density(state, n_k=n_k, n_x=n_x)
@@ -748,11 +753,11 @@ def test_sign_mapped_momentum_density_is_the_transform_of_the_amplitude(coupling
 
 
 def test_sign_mapped_momentum_density_memory_peak():
-    # the sign-mapped kernel is formed in the amplitude's place, so at most
-    # two n_x x n_x arrays are held at once: 4.2 MiB here, where the
-    # product of fresh temporaries held three and peaked at 6.2 MiB
+    # the x1 sum is carried along x2 as sums over 64-node tiles, so no
+    # n_x x n_x array (8.02 MiB) is formed: about 3.0 MiB here, where the
+    # amplitude and the signed kernel on the n_x x n_x grid peaked at 16.3
     state = bs.diagonalize(model(5.0), 16, 2).state(0, "fermion")
-    n_x = 513
+    n_x = 1025
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -760,7 +765,7 @@ def test_sign_mapped_momentum_density_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 2.5 * n_x * n_x * 8
+    assert peak - before < n_x * n_x * 8
 
 
 @pytest.mark.parametrize("alpha", [1.0, 5.0])

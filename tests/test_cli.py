@@ -149,12 +149,13 @@ EOS_ARGV = ["eos", "--mu-grid=-1:0:3", "--hbar-sweep", "1,0.5", "--density", "0.
 
 
 # the compute modules each command loads besides the front end: `work`
-# imports `boxspec` and `ringspec` itself
+# imports `boxspec` and `ringspec` itself, and `boxspec` imports `signmap`
+# for a sign-mapped momentum density alone
 COMMAND_MODULES = {
     "eos": {"eos"},
     "ring-spectrum": {"ringspec"},
-    **dict.fromkeys(["box-spectrum", "fig1", "duality-check", "convergence"],
-                    {"boxspec"}),
+    **dict.fromkeys(["box-spectrum", "convergence"], {"boxspec"}),
+    **dict.fromkeys(["fig1", "duality-check"], {"boxspec", "signmap"}),
     **dict.fromkeys(["work", "fig2"], {"work", "boxspec", "ringspec"}),
 }
 

@@ -56,7 +56,7 @@ def momentum_density(k, x, U, A) -> np.ndarray:
     V *= w[:, None]
     # G = (cos - i sin) w psi_F + (i k h^2 / 6) psi(x2, x2) e^{-ik x2},
     # a slab of k rows at a time, the cos rows over the sin rows in E
-    nk = np.empty(n_k)
+    nk = np.zeros(n_k)
     for lo in range(0, n_k, _K_SLAB):
         ks = k[lo:lo + _K_SLAB]
         s = ks.size
@@ -66,7 +66,6 @@ def momentum_density(k, x, U, A) -> np.ndarray:
         np.sin(kx, out=kx)
         before = np.zeros((2 * s, m))
         after = E @ V
-        acc = np.zeros(s)
         for t, b in zip(tiles, blocks):
             Et = E[:, t]
             here = Et @ V[t]
@@ -76,7 +75,6 @@ def momentum_density(k, x, U, A) -> np.ndarray:
             G[:s] += jump * Et[s:]
             G[s:] -= jump * Et[:s]
             G *= G
-            acc += (G[:s] + G[s:]) @ w[t]
+            nk[lo:lo + s] += (G[:s] + G[s:]) @ w[t]
             before += here
-        nk[lo:lo + s] = acc / np.pi
-    return nk
+    return nk / np.pi
